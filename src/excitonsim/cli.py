@@ -29,9 +29,17 @@ from .analysis import (
     fidelity,
     spectrum_lines,
 )
-from .config import RunConfig, dot_label, load_config
+from .config import (
+    RunConfig,
+    dot_label,
+    dump_config,
+    fmt as _fmt,
+    load_config,
+    program_error,
+    sweep_device,
+)
 from .device import shift_vs_field
-from .dynamics import SimulationConfig, Trajectory, basis_state_density, propagate, purity
+from .dynamics import Trajectory, basis_state_density, propagate, purity
 from .errors import (
     ConfigError,
     ExcitonSimError,
@@ -46,10 +54,6 @@ EXIT_CONFIG = 2
 EXIT_DIAGNOSTICS = 3
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -60,14 +64,10 @@ def _initial_state(config: RunConfig) -> np.ndarray:
 
 
 def cmd_shift(config: RunConfig, out_dir: Path) -> int:
-    if config.device is None:
-        raise ConfigError("the shift subcommand needs a device section", "device")
-    grid = config.device.field_grid_kv_cm
-    if not grid:
-        raise ConfigError("field_grid_kv_cm must list at least one field", "device")
-    l, lp = config.device.shift_pair
+    device = sweep_device(config)
+    l, lp = device.shift_pair
     rows = shift_vs_field(
-        config.device.structure, l, lp, grid, rel_tol=config.device.coulomb_rel_tol
+        device.structure, l, lp, device.field_grid_kv_cm, rel_tol=device.coulomb_rel_tol
     )
     lines = [
         f"# biexcitonic shift of dots {dot_label(l)},{dot_label(lp)} vs in-plane field",
@@ -100,7 +100,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     exc = absorption_spectrum(config.register, "excitonic", linewidth_mev=lw)
     _write_spectrum(out_dir / "spectrum_excitonic.csv", exc, "excitonic")
     print(f"wrote {out_dir / 'spectrum_excitonic.csv'} ({len(exc.lines)} lines)")
-    patterns = config.outputs.biexcitonic_conditionings
+    patterns = config.outputs.biexcitonic_conditioning
     if patterns is None:
         bi = absorption_spectrum(config.register, "biexcitonic", linewidth_mev=lw)
     else:
@@ -116,7 +116,10 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 def _compiled_sequence(config: RunConfig) -> PulseSequence:
     if not config.program:
         return PulseSequence(())
-    return compile_program(config.register, config.program, config.policy)
+    try:
+        return compile_program(config.register, config.program, config.policy)
+    except ExcitonSimError as err:
+        raise program_error(err) from err
 
 
 def _write_sequence(path: Path, sequence: PulseSequence) -> None:
@@ -195,11 +198,9 @@ def _metrics(config: RunConfig, traj: Trajectory) -> list[str]:
     reg = config.register
     rho_gate = traj.final_state_interaction_picture()
     lines = []
-    if config.outputs.fidelity_target is not None:
-        lines.append(
-            f"fidelity_vs_target = "
-            f"{_fmt(fidelity(rho_gate, config.outputs.fidelity_target))}"
-        )
+    target = config.outputs.target_state()
+    if target is not None:
+        lines.append(f"fidelity_vs_target = {_fmt(fidelity(rho_gate, target))}")
     if reg.n_qubits == 2:
         lines.append(f"concurrence = {_fmt(concurrence(rho_gate))}")
     for l in range(reg.n_qubits):
@@ -212,15 +213,9 @@ def _metrics(config: RunConfig, traj: Trajectory) -> list[str]:
     return lines
 
 
-def _manifest(
-    config: RunConfig,
-    config_path: Path,
-    sim: SimulationConfig,
-    traj: Trajectory,
-    wall_s: float,
-) -> list[str]:
+def _manifest_header(config_path: Path, traj: Trajectory, wall_s: float) -> list[str]:
     digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
-    lines = [
+    return [
         "# run manifest: resolved parameters; feeding this file back as the",
         "# config reproduces the run identically",
         f"# tool_version = {__version__}",
@@ -230,112 +225,6 @@ def _manifest(
         f"# integration_steps = {traj.n_steps}",
         "",
     ]
-    if config.register_source == "device" and config.device is not None:
-        dev = config.device
-        lines.append("[device]")
-        if dev.preset is not None:
-            lines.append(f"preset = {dev.preset}")
-        else:
-            s = dev.structure
-            m = s.material
-            lines.append(f"electron_mass = {_fmt(m.electron_effective_mass)}")
-            lines.append(f"hole_mass = {_fmt(m.hole_effective_mass)}")
-            lines.append(f"epsilon_r = {_fmt(m.relative_permittivity)}")
-            lines.append(f"band_gap_ev = {_fmt(m.band_gap_ev)}")
-            lines.append(
-                "well_widths_nm = " + " ".join(_fmt(d.well_width_nm) for d in s.dots)
-            )
-            lines.append(
-                "hbar_omega_e_mev = "
-                + " ".join(_fmt(d.confinement_energy_e_mev) for d in s.dots)
-            )
-            lines.append(
-                "hbar_omega_h_mev = "
-                + " ".join(_fmt(d.confinement_energy_h_mev) for d in s.dots)
-            )
-            lines.append(
-                "barriers_nm = " + " ".join(_fmt(b) for b in s.barrier_widths_nm)
-            )
-        lines.append(f"field_kv_cm = {_fmt(dev.structure.field_kv_cm)}")
-        if dev.field_grid_kv_cm:
-            lines.append(
-                "field_grid_kv_cm = " + " ".join(_fmt(f) for f in dev.field_grid_kv_cm)
-            )
-        lines.append(f"shift_pair = {dev.shift_pair[0]} {dev.shift_pair[1]}")
-        lines.append(f"coulomb_rel_tol = {_fmt(dev.coulomb_rel_tol)}")
-        if dev.dipoles is not None:
-            lines.append("dipoles = " + " ".join(_fmt(d) for d in dev.dipoles))
-    else:
-        reg = config.register
-        lines.append("[register]")
-        lines.append(
-            "energies_ev = " + " ".join(_fmt(e) for e in reg.exciton_energies_ev)
-        )
-        n = reg.n_qubits
-        for i in range(n):
-            for j in range(i + 1, n):
-                if reg.shift_matrix_mev[i, j] != 0.0:
-                    lines.append(
-                        f"shift_mev_{i}_{j} = {_fmt(reg.shift_matrix_mev[i, j])}"
-                    )
-        lines.append(
-            "dipoles = " + " ".join(_fmt(d) for d in reg.transition_dipoles)
-        )
-    lines.append("")
-    if config.program:
-        lines.append("[program]")
-        for i, (spec, start) in enumerate(config.program, start=1):
-            parts = [spec.kind, f"target={spec.target}", f"angle={_fmt(spec.angle)}"]
-            if spec.conditions:
-                parts.append(
-                    "when=" + ",".join(f"{d}:{o}" for d, o in spec.conditions)
-                )
-            parts.append("start=" + ("auto" if start is None else _fmt(start)))
-            lines.append(f"gate.{i} = " + " ".join(parts))
-        lines.append("")
-    lines.append("[pulses]")
-    pol = config.policy
-    lines.append(
-        "tau_ps = " + ("auto" if pol.tau_ps is None else _fmt(pol.tau_ps))
-    )
-    lines.append(f"selectivity_fraction = {_fmt(pol.selectivity_fraction)}")
-    lines.append(f"fallback_tau_ps = {_fmt(pol.fallback_tau_ps)}")
-    lines.append(f"gap_factor = {_fmt(pol.gap_factor)}")
-    lines.append(f"addressing = {config.addressing}")
-    lines.append("")
-    if config.channels:
-        lines.append("[channels]")
-        for ch in config.channels:
-            key = "decay" if ch.kind == "decay" else "dephasing"
-            lines.append(f"{key}.{ch.dot} = {_fmt(ch.rate_per_ps)}")
-        lines.append("")
-    lines.append("[integration]")
-    lines.append(f"time_step_ps = {_fmt(sim.time_step_ps)}")
-    lines.append(f"frame = {sim.frame}")
-    lines.append(f"integrator_order = {sim.integrator_order}")
-    lines.append(f"sample_stride = {sim.sample_stride}")
-    if sim.reference_energy_ev is not None:
-        lines.append(f"reference_energy_ev = {_fmt(sim.reference_energy_ev)}")
-    if sim.duration_ps is not None:
-        lines.append(f"duration_ps = {_fmt(sim.duration_ps)}")
-    lines.append(f"trace_tol = {_fmt(sim.trace_tol)}")
-    lines.append(f"eig_floor = {_fmt(sim.eig_floor)}")
-    lines.append("")
-    lines.append("[outputs]")
-    if config.outputs.fidelity_target_text is not None:
-        lines.append(f"fidelity_target = {config.outputs.fidelity_target_text}")
-    lines.append(
-        f"spectrum_linewidth_mev = {_fmt(config.outputs.spectrum_linewidth_mev)}"
-    )
-    if config.outputs.biexcitonic_conditioning_text is not None:
-        lines.append(
-            "biexcitonic_conditioning = "
-            f"{config.outputs.biexcitonic_conditioning_text}"
-        )
-    if config.outputs.coherence_pair is not None:
-        i, j = config.outputs.coherence_pair
-        lines.append(f"coherence_pair = {i}:{j}")
-    return lines
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
@@ -343,8 +232,6 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
     sim = config.simulation
     if len(sequence) == 0 and sim.duration_ps is None:
         sim = dataclasses.replace(sim, duration_ps=1.0)
-    if config.outputs.coherence_pair is not None:
-        sim = dataclasses.replace(sim, coherence_pair=config.outputs.coherence_pair)
     started = time.perf_counter()
     traj = propagate(
         _initial_state(config), sequence, config.register, config.channels, sim
@@ -355,7 +242,9 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
     metrics = _metrics(config, traj)
     _write_lines(out_dir / "metrics.txt", metrics)
     _write_lines(
-        out_dir / "manifest.cfg", _manifest(config, config_path, sim, traj, wall)
+        out_dir / "manifest.cfg",
+        _manifest_header(config_path, traj, wall)
+        + dump_config(dataclasses.replace(config, simulation=sim)),
     )
     print("\n".join(metrics))
     print(

@@ -5,22 +5,38 @@ numeric keys carry their unit in the name (tau_ps, field_kv_cm).  A run
 takes its register either from an explicit [register] section or derived
 from a [device] section, never both.
 
-Program entries are one gate per key, ordered by index:
+KEYS is the single reference for keys, units and defaults: one row per
+key, in file order, with its section, parser, default, check, writer and
+the RunConfig field it resolves to.  load_config reads a file through it
+and dump_config writes a RunConfig back through it (the run manifest).
+Three families are numbered or named per dot and have their own reader
+and writer: shift_mev_<i>_<j> in [register] (meV), decay.<dot> and
+dephasing.<dot> in [channels] (1/ps), and one gate per gate.<n> key in
+[program], ordered by index:
 
     [program]
     gate.1 = rotation target=0 angle=pi/2
     gate.2 = conditional-rotation target=1 angle=pi when=0:1 start=auto
     gate.3 = cnot target=1 control=0
+
+Numbers must parse and be finite.  Every failure is a ConfigError naming
+its section and key, e.g. "[pulses] tau_ps: must be positive, got 0.0".
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import re
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
+from typing import Any, Callable
 
 import numpy as np
 
+from .analysis import bell_state
 from .device import (
     DeviceStructure,
     DotGeometry,
@@ -34,51 +50,6 @@ from .errors import ConfigError, ExcitonSimError
 from .model import ExcitonRegister
 from .pulses import GateSpec, TimingPolicy
 
-_SECTION_KEYS = {
-    "device": {
-        "preset",
-        "field_kv_cm",
-        "electron_mass",
-        "hole_mass",
-        "epsilon_r",
-        "band_gap_ev",
-        "hbar_omega_e_mev",
-        "hbar_omega_h_mev",
-        "well_widths_nm",
-        "barriers_nm",
-        "field_grid_kv_cm",
-        "shift_pair",
-        "coulomb_rel_tol",
-        "dipoles",
-    },
-    "register": None,  # dynamic shift_mev_<i>_<j> keys
-    "program": None,  # dynamic gate.<n> keys
-    "pulses": {
-        "tau_ps",
-        "selectivity_fraction",
-        "addressing",
-        "fallback_tau_ps",
-        "gap_factor",
-    },
-    "channels": None,  # dynamic decay.<dot> / dephasing.<dot>
-    "integration": {
-        "time_step_ps",
-        "frame",
-        "integrator_order",
-        "sample_stride",
-        "reference_energy_ev",
-        "duration_ps",
-        "trace_tol",
-        "eig_floor",
-    },
-    "outputs": {
-        "fidelity_target",
-        "spectrum_linewidth_mev",
-        "biexcitonic_conditioning",
-        "coherence_pair",
-    },
-}
-
 _DOT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -89,422 +60,419 @@ def dot_label(index: int) -> str:
     return f"q{index}"
 
 
-def parse_dot(token: str, section: str) -> int:
+def fmt(value: float) -> str:
+    """Exact, byte-stable text of a float: its repr."""
+    return repr(float(value))
+
+
+@contextmanager
+def _blame(section: str, key: str | None = None):
+    """Re-raise a parse or validation failure as a ConfigError naming the key."""
+    try:
+        yield
+    except (ValueError, ExcitonSimError) as err:
+        if isinstance(err, ConfigError) and err.section is not None:
+            raise
+        raise ConfigError(str(err), section, key) from err
+
+
+def _real(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _reals(text: str) -> list[float]:
+    return [_real(tok) for tok in text.replace(",", " ").split()]
+
+
+def _auto(text: str) -> float | None:
+    return None if text == "auto" else _real(text)
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def parse_dot(token: str, section: str | None = None) -> int:
+    """Dot index from a letter (a, b, ...) or a number."""
     token = token.strip().lower()
     if token.isdigit():
         return int(token)
     if len(token) == 1 and token in _DOT_LETTERS:
         return _DOT_LETTERS.index(token)
-    raise ConfigError(f"cannot parse dot name {token!r}", section=section)
+    raise ConfigError(f"cannot parse dot name {token!r}", section)
 
 
-def parse_angle(token: str, section: str) -> float:
+def parse_angle(token: str, section: str | None = None) -> float:
     """Angle in radians; accepts plain floats and pi fractions like 'pi/2'."""
     text = token.strip().lower().replace(" ", "")
+    coeff_text, pi, rest = text.partition("pi")
     try:
-        return float(text)
-    except ValueError:
-        pass
-    if "pi" in text:
-        coeff_str, _, rest = text.partition("pi")
-        try:
-            coeff = float(coeff_str) if coeff_str else 1.0
+        if not pi:
+            value = float(text)
+        else:
+            coeff = float(coeff_text) if coeff_text else 1.0
             if rest.startswith("/"):
                 coeff /= float(rest[1:])
             elif rest:
                 raise ValueError
-            return coeff * math.pi
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse angle {token!r}", section=section)
+            value = coeff * math.pi
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse angle {token!r}", section) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"angle {token!r} is not finite", section)
+    return value
 
 
-def _floats(text: str, section: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as err:
-        raise ConfigError(f"key {key}: expected numbers, got {text!r}", section) from err
+def _pair(sep: str, item: Callable[[str], int]) -> Callable[[str], tuple[int, int]]:
+    def parse(text: str) -> tuple[int, int]:
+        parts = text.replace(sep, " ").split()
+        if len(parts) != 2:
+            raise ValueError(f"expected two entries like 0{sep}1, got {text!r}")
+        return item(parts[0]), item(parts[1])
+
+    return parse
+
+
+def _target(text: str) -> str | tuple[complex, ...]:
+    """'bell' or the amplitudes of a pure state, normalized when used."""
+    if text == "bell":
+        return text
+    amplitudes = tuple(map(complex, text.split()))
+    if not (all(map(np.isfinite, amplitudes)) and any(amplitudes)):
+        raise ValueError(f"expected finite amplitudes, not all zero, got {text!r}")
+    return amplitudes
+
+
+def _conditionings(text: str) -> list[dict[int, int]]:
+    patterns = []
+    for chunk in text.split(";"):
+        pattern: dict[int, int] = {}
+        for item in chunk.split(","):
+            dot_tok, sep, occ_tok = item.partition(":")
+            if not sep or occ_tok.strip() not in ("0", "1"):
+                raise ValueError(f"looks like a:1 or a:1;b:1, got {text!r}")
+            pattern[parse_dot(dot_tok)] = int(occ_tok)
+        patterns.append(pattern)
+    return patterns
+
+
+def _require(holds: Callable[[np.ndarray], bool], message: str):
+    def check(value: Any) -> None:
+        if not holds(np.asarray(value, dtype=float)):
+            raise ValueError(f"{message}, got {value}")
+
+    return check
+
+
+_positive = _require(lambda v: np.all(v > 0), "must be positive")
+_nonnegative = _require(lambda v: np.all(v >= 0), "must be non-negative")
+_at_least_one = _require(lambda v: np.all(v >= 1), "must be at least 1")
+_positive_list = _require(
+    lambda v: v.size > 0 and np.all(v > 0), "must list positive values, one per dot"
+)
+_ascending = _require(
+    lambda v: np.all(v >= 0) and np.all(np.diff(v) > 0),
+    "must be non-negative and strictly ascending",
+)
+
+
+def _text(value: Any) -> str | None:
+    """The text the parsers read back as value; None leaves the key out."""
+    if value is None or isinstance(value, (list, tuple)) and not value:
+        return None
+    if isinstance(value, str | int):
+        return str(value)
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, complex):
+        return repr(complex(value))
+    return " ".join(map(_text, value))
+
+
+def _auto_text(value: float | None) -> str:
+    return "auto" if value is None else fmt(value)
+
+
+def _pair_text(pair: tuple[int, int] | None) -> str | None:
+    return None if pair is None else f"{pair[0]}:{pair[1]}"
+
+
+def _conditionings_text(patterns: list[dict[int, int]] | None) -> str | None:
+    if patterns is None:
+        return None
+    return ";".join(",".join(f"{d}:{o}" for d, o in p.items()) for p in patterns)
 
 
 @dataclass
 class DeviceSection:
     structure: DeviceStructure
-    field_grid_kv_cm: list[float] = field(default_factory=list)
-    shift_pair: tuple[int, int] = (0, 1)
-    coulomb_rel_tol: float = 1e-6
-    dipoles: list[float] | None = None
-    preset: str | None = None
+    field_grid_kv_cm: list[float]
+    shift_pair: tuple[int, int]
+    coulomb_rel_tol: float
+    dipoles: list[float] | None
+    preset: str | None
 
 
 @dataclass
 class OutputsSection:
-    fidelity_target: np.ndarray | None = None
-    fidelity_target_text: str | None = None
+    # 'bell' or amplitudes as written; target_state() normalizes them
+    fidelity_target: str | tuple[complex, ...] | None = None
     spectrum_linewidth_mev: float = 0.5
     # explicit conditioning patterns for the biexcitonic spectrum;
     # None selects the canonical single-partner set
-    biexcitonic_conditionings: list[dict[int, int]] | None = None
-    biexcitonic_conditioning_text: str | None = None
-    coherence_pair: tuple[int, int] | None = None
+    biexcitonic_conditioning: list[dict[int, int]] | None = None
+
+    def target_state(self) -> np.ndarray | None:
+        """The normalized fidelity target state, or None."""
+        if self.fidelity_target is None:
+            return None
+        if self.fidelity_target == "bell":
+            return bell_state()
+        vec = np.array(self.fidelity_target)
+        return vec / np.linalg.norm(vec)
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description."""
+    """Fully resolved run description; the register is derived when device is set."""
 
     register: ExcitonRegister
-    register_source: str  # "register" or "device"
     device: DeviceSection | None
     program: list[tuple[GateSpec, float | None]]
     policy: TimingPolicy
-    addressing: str
     channels: list[LindbladChannel]
     simulation: SimulationConfig
     outputs: OutputsSection
-    raw_register_section: dict[str, str]
 
 
-def _check_keys(parser: configparser.ConfigParser, section: str) -> None:
-    allowed = _SECTION_KEYS.get(section)
-    if allowed is None:
-        return
-    for key in parser.options(section):
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", section=section)
+_SHIFT_KEY = r"shift_mev_(\d+)_(\d+)"
+_GATE_KEY = r"gate\.(\d+)"
+_CHANNEL_KEY = r"(decay|dephasing)\.(\w+)"
+_CHANNEL_KINDS = {"decay": "decay", "dephasing": "pure-dephasing"}
 
 
-def _parse_device(parser: configparser.ConfigParser) -> DeviceSection:
-    section = "device"
-    _check_keys(parser, section)
-    get = parser[section].get
-    preset = get("preset")
-    field_kv = float(get("field_kv_cm", "30.0"))
-    if preset is not None:
-        if preset != GAAS_TWO_DOT_PRESET_NAME:
-            raise ConfigError(f"unknown preset {preset!r}", section=section)
-        geometry_keys = {
-            "electron_mass",
-            "hole_mass",
-            "epsilon_r",
-            "band_gap_ev",
-            "hbar_omega_e_mev",
-            "hbar_omega_h_mev",
-            "well_widths_nm",
-            "barriers_nm",
-        }
-        overlap = geometry_keys & set(parser.options(section))
-        if overlap:
-            raise ConfigError(
-                f"preset and explicit geometry keys {sorted(overlap)} conflict",
-                section=section,
-            )
-        structure = gaas_two_dot(field_kv_cm=field_kv)
-    else:
-        try:
-            material = MaterialParams(
-                electron_effective_mass=float(get("electron_mass")),
-                hole_effective_mass=float(get("hole_mass")),
-                relative_permittivity=float(get("epsilon_r")),
-                band_gap_ev=float(get("band_gap_ev")),
-            )
-            widths = _floats(get("well_widths_nm"), section, "well_widths_nm")
-            hw_e = _floats(get("hbar_omega_e_mev"), section, "hbar_omega_e_mev")
-            hw_h = _floats(get("hbar_omega_h_mev"), section, "hbar_omega_h_mev")
-            barriers = _floats(get("barriers_nm", ""), section, "barriers_nm")
-        except (TypeError, ValueError) as err:
-            raise ConfigError(
-                "explicit geometry requires electron_mass, hole_mass, epsilon_r, "
-                "band_gap_ev, well_widths_nm, hbar_omega_e_mev, hbar_omega_h_mev, "
-                "barriers_nm",
-                section=section,
-            ) from err
-        n = len(widths)
-        if not (len(hw_e) == len(hw_h) == n) or len(barriers) != n - 1:
-            raise ConfigError(
-                "per-dot lists must agree in length (barriers: one fewer)",
-                section=section,
-            )
-        dots = []
-        z = 0.0
-        for i in range(n):
-            if i > 0:
-                z += 0.5 * (widths[i - 1] + widths[i]) + barriers[i - 1]
-            dots.append(
-                DotGeometry(
-                    confinement_energy_e_mev=hw_e[i],
-                    confinement_energy_h_mev=hw_h[i],
-                    well_width_nm=widths[i],
-                    z_center_nm=z,
-                )
-            )
-        try:
-            structure = DeviceStructure(
-                dots=tuple(dots),
-                barrier_widths_nm=tuple(barriers),
-                material=material,
-                field_kv_cm=field_kv,
-            )
-        except ExcitonSimError as err:
-            raise ConfigError(str(err), section=section) from err
-
-    grid = _floats(get("field_grid_kv_cm", ""), section, "field_grid_kv_cm")
-    pair_tokens = get("shift_pair", "0 1").split()
-    if len(pair_tokens) != 2:
-        raise ConfigError("shift_pair needs exactly two dots", section=section)
-    pair = (parse_dot(pair_tokens[0], section), parse_dot(pair_tokens[1], section))
-    dipoles = None
-    if get("dipoles") is not None:
-        dipoles = _floats(get("dipoles"), section, "dipoles")
-    return DeviceSection(
-        structure=structure,
-        field_grid_kv_cm=grid,
-        shift_pair=pair,
-        coulomb_rel_tol=float(get("coulomb_rel_tol", "1e-6")),
-        dipoles=dipoles,
-        preset=preset,
-    )
+def _in_range(dot: int, n_qubits: int) -> None:
+    if dot >= n_qubits:
+        raise ValueError(f"dot {dot} out of range for {n_qubits} dots")
 
 
-def _parse_register(parser: configparser.ConfigParser) -> ExcitonRegister:
-    section = "register"
-    options = dict(parser[section])
-    energies_text = options.pop("energies_ev", None)
-    if energies_text is None:
-        raise ConfigError("missing energies_ev", section=section)
-    energies = _floats(energies_text, section, "energies_ev")
-    n = len(energies)
-    dipoles = None
-    dipoles_text = options.pop("dipoles", None)
-    if dipoles_text is not None:
-        dipoles = _floats(dipoles_text, section, "dipoles")
-    shifts = np.zeros((n, n))
-    for key, value in options.items():
-        parts = key.split("_")
-        if len(parts) != 4 or parts[0] != "shift" or parts[1] != "mev":
-            raise ConfigError(f"unknown key {key!r}", section=section)
-        try:
-            i, j = int(parts[2]), int(parts[3])
-        except ValueError as err:
-            raise ConfigError(f"bad pair in key {key!r}", section=section) from err
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ConfigError(f"pair {i},{j} out of range", section=section)
-        shifts[i, j] = shifts[j, i] = float(value)
-    try:
-        return ExcitonRegister(
-            exciton_energies_ev=np.array(energies),
-            shift_matrix_mev=shifts,
-            transition_dipoles=None if dipoles is None else np.array(dipoles),
-        )
-    except ExcitonSimError as err:
-        raise ConfigError(str(err), section=section) from err
+def _read_shifts(items: dict[str, str], n_qubits: int) -> np.ndarray:
+    shifts = np.zeros((n_qubits, n_qubits))
+    for key, text in items.items():
+        with _blame("register", key):
+            i, j = map(int, re.fullmatch(_SHIFT_KEY, key).groups())
+            if i == j or max(i, j) >= n_qubits:
+                raise ValueError(f"pair {i},{j} out of range for {n_qubits} dots")
+            shifts[i, j] = shifts[j, i] = _real(text)
+    return shifts
 
 
-def _parse_gate(text: str, n_qubits: int, key: str) -> tuple[GateSpec, float | None]:
-    section = "program"
+def _write_shifts(config: RunConfig) -> list[str]:
+    s = config.register.shift_matrix_mev
+    n = config.register.n_qubits
+    return [
+        f"shift_mev_{i}_{j} = {fmt(s[i, j])}"
+        for i in range(n)
+        for j in range(i + 1, n)
+        if s[i, j] != 0.0
+    ]
+
+
+def _gate(text: str, n_qubits: int) -> tuple[GateSpec, float | None]:
     tokens = text.split()
     if not tokens:
-        raise ConfigError(f"{key}: empty gate entry", section=section)
-    kind = tokens[0]
+        raise ValueError("empty gate entry")
     fields: dict[str, str] = {}
     for tok in tokens[1:]:
         name, sep, value = tok.partition("=")
         if not sep:
-            raise ConfigError(f"{key}: cannot parse token {tok!r}", section=section)
+            raise ValueError(f"cannot parse token {tok!r}")
         fields[name] = value
     unknown = set(fields) - {"target", "angle", "when", "control", "start"}
     if unknown:
-        raise ConfigError(f"{key}: unknown fields {sorted(unknown)}", section=section)
+        raise ValueError(f"unknown fields {sorted(unknown)}")
     if "target" not in fields:
-        raise ConfigError(f"{key}: gate needs a target", section=section)
-    target = parse_dot(fields["target"], section)
-    if target >= n_qubits:
-        raise ConfigError(f"{key}: target dot {target} out of range", section=section)
+        raise ValueError("gate needs a target")
+    target = parse_dot(fields["target"])
     conditions: list[tuple[int, int]] = []
     if "control" in fields:
-        conditions.append((parse_dot(fields["control"], section), 1))
-    if "when" in fields:
-        for item in fields["when"].split(","):
-            dot_tok, sep, occ_tok = item.partition(":")
-            if not sep or occ_tok not in ("0", "1"):
-                raise ConfigError(
-                    f"{key}: conditions look like when=a:1,b:0", section=section
-                )
-            conditions.append((parse_dot(dot_tok, section), int(occ_tok)))
-    for dot, _ in conditions:
-        if dot >= n_qubits:
-            raise ConfigError(f"{key}: condition dot {dot} out of range", section)
-    angle = (
-        parse_angle(fields["angle"], section) if "angle" in fields else math.pi
-    )
-    start: float | None = None
-    if "start" in fields and fields["start"] != "auto":
-        try:
-            start = float(fields["start"])
-        except ValueError as err:
-            raise ConfigError(f"{key}: bad start time", section=section) from err
-    try:
-        spec = GateSpec(
-            kind=kind, target=target, angle=angle, conditions=tuple(conditions)
-        )
-    except ExcitonSimError as err:
-        raise ConfigError(f"{key}: {err}", section=section) from err
-    return spec, start
+        conditions.append((parse_dot(fields["control"]), 1))
+    for item in fields["when"].split(",") if "when" in fields else ():
+        dot_tok, sep, occ_tok = item.partition(":")
+        if not sep or occ_tok not in ("0", "1"):
+            raise ValueError("conditions look like when=a:1,b:0")
+        conditions.append((parse_dot(dot_tok), int(occ_tok)))
+    for dot in [target, *(d for d, _ in conditions)]:
+        _in_range(dot, n_qubits)
+    angle, start = parse_angle(fields.get("angle", "pi")), fields.get("start", "auto")
+    spec = GateSpec(tokens[0], target, angle, tuple(conditions))
+    return spec, None if start == "auto" else _real(start)
 
 
-def _parse_program(
-    parser: configparser.ConfigParser, n_qubits: int
+def _read_program(
+    items: dict[str, str], n_qubits: int
 ) -> list[tuple[GateSpec, float | None]]:
-    section = "program"
-    if not parser.has_section(section):
-        return []
-    entries = []
-    for key in parser.options(section):
-        if not key.startswith("gate."):
-            raise ConfigError(f"unknown key {key!r}", section=section)
-        try:
-            order = int(key.split(".", 1)[1])
-        except ValueError as err:
-            raise ConfigError(f"bad gate key {key!r}", section=section) from err
-        entries.append((order, key))
-    entries.sort()
-    return [
-        _parse_gate(parser[section][key], n_qubits, key) for _, key in entries
-    ]
+    program = []
+    for key in sorted(items, key=lambda k: (int(k.split(".")[1]), k)):
+        with _blame("program", key):
+            program.append(_gate(items[key], n_qubits))
+    return program
 
 
-def _parse_pulses(parser: configparser.ConfigParser) -> tuple[TimingPolicy, str]:
-    section = "pulses"
-    if not parser.has_section(section):
-        return TimingPolicy(), "global"
-    _check_keys(parser, section)
-    get = parser[section].get
-    tau_text = get("tau_ps", "auto")
-    tau = None if tau_text.strip() == "auto" else float(tau_text)
-    addressing = get("addressing", "global")
-    if addressing not in ("global", "local"):
-        raise ConfigError("addressing must be global or local", section=section)
-    policy = TimingPolicy(
-        tau_ps=tau,
-        selectivity_fraction=float(get("selectivity_fraction", "0.25")),
-        fallback_tau_ps=float(get("fallback_tau_ps", "0.1")),
-        gap_factor=float(get("gap_factor", "8.0")),
-    )
-    return policy, addressing
+def _write_program(config: RunConfig) -> list[str]:
+    lines = []
+    for i, (spec, start) in enumerate(config.program, start=1):
+        parts = [spec.kind, f"target={spec.target}", f"angle={fmt(spec.angle)}"]
+        if spec.conditions:
+            parts.append("when=" + ",".join(f"{d}:{o}" for d, o in spec.conditions))
+        parts.append("start=" + ("auto" if start is None else fmt(start)))
+        lines.append(f"gate.{i} = " + " ".join(parts))
+    return lines
 
 
-def _parse_channels(
-    parser: configparser.ConfigParser, n_qubits: int
-) -> list[LindbladChannel]:
-    section = "channels"
-    if not parser.has_section(section):
-        return []
+def _read_channels(items: dict[str, str], n_qubits: int) -> list[LindbladChannel]:
     channels = []
-    for key in parser.options(section):
-        kind_tok, sep, dot_tok = key.partition(".")
-        kinds = {"decay": "decay", "dephasing": "pure-dephasing"}
-        if not sep or kind_tok not in kinds:
-            raise ConfigError(f"unknown key {key!r}", section=section)
-        dot = parse_dot(dot_tok, section)
-        if dot >= n_qubits:
-            raise ConfigError(f"channel dot {dot} out of range", section=section)
-        rate = float(parser[section][key])
-        channels.append(LindbladChannel(kinds[kind_tok], dot, rate))
+    for key, text in items.items():
+        with _blame("channels", key):
+            kind, _, dot_tok = key.partition(".")
+            dot = parse_dot(dot_tok)
+            _in_range(dot, n_qubits)
+            channels.append(LindbladChannel(_CHANNEL_KINDS[kind], dot, _real(text)))
     return channels
 
 
-def _parse_integration(parser: configparser.ConfigParser) -> SimulationConfig:
-    section = "integration"
-    if not parser.has_section(section):
-        return SimulationConfig()
-    _check_keys(parser, section)
-    get = parser[section].get
-    kwargs = {}
-    if get("time_step_ps") is not None:
-        kwargs["time_step_ps"] = float(get("time_step_ps"))
-    if get("frame") is not None:
-        kwargs["frame"] = get("frame")
-    if get("integrator_order") is not None:
-        kwargs["integrator_order"] = int(get("integrator_order"))
-    if get("sample_stride") is not None:
-        kwargs["sample_stride"] = int(get("sample_stride"))
-    if get("reference_energy_ev") is not None:
-        kwargs["reference_energy_ev"] = float(get("reference_energy_ev"))
-    if get("duration_ps") is not None:
-        kwargs["duration_ps"] = float(get("duration_ps"))
-    if get("trace_tol") is not None:
-        kwargs["trace_tol"] = float(get("trace_tol"))
-    if get("eig_floor") is not None:
-        kwargs["eig_floor"] = float(get("eig_floor"))
-    try:
-        return SimulationConfig(**kwargs)
-    except ExcitonSimError as err:
-        raise ConfigError(str(err), section=section) from err
+def _write_channels(config: RunConfig) -> list[str]:
+    names = {kind: name for name, kind in _CHANNEL_KINDS.items()}
+    return [f"{names[c.kind]}.{c.dot} = {fmt(c.rate_per_ps)}" for c in config.channels]
 
 
-def _parse_outputs(parser: configparser.ConfigParser, dim: int) -> OutputsSection:
-    section = "outputs"
-    out = OutputsSection()
-    if not parser.has_section(section):
-        return out
-    _check_keys(parser, section)
-    get = parser[section].get
-    target_text = get("fidelity_target")
-    if target_text is not None:
-        target_text = target_text.strip()
-        out.fidelity_target_text = target_text
-        if target_text == "bell":
-            if dim != 4:
-                raise ConfigError(
-                    "fidelity_target = bell needs a two-qubit register", section
-                )
-            vec = np.zeros(4, dtype=complex)
-            vec[0] = vec[3] = 1.0 / math.sqrt(2.0)
-        else:
-            try:
-                vec = np.array([complex(tok) for tok in target_text.split()])
-            except ValueError as err:
-                raise ConfigError("cannot parse fidelity_target", section) from err
-            if vec.size != dim:
-                raise ConfigError(
-                    f"fidelity_target needs {dim} amplitudes", section
-                )
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                raise ConfigError("fidelity_target must be nonzero", section)
-            vec = vec / norm
-        out.fidelity_target = vec
-    if get("spectrum_linewidth_mev") is not None:
-        out.spectrum_linewidth_mev = float(get("spectrum_linewidth_mev"))
-    if get("biexcitonic_conditioning") is not None:
-        text = get("biexcitonic_conditioning").strip()
-        out.biexcitonic_conditioning_text = text
-        patterns = []
-        for chunk in text.split(";"):
-            pattern: dict[int, int] = {}
-            for item in chunk.split(","):
-                dot_tok, sep, occ_tok = item.partition(":")
-                if not sep or occ_tok.strip() not in ("0", "1"):
-                    raise ConfigError(
-                        "biexcitonic_conditioning looks like a:1 or a:1;b:1",
-                        section,
-                    )
-                pattern[parse_dot(dot_tok, section)] = int(occ_tok)
-            patterns.append(pattern)
-        out.biexcitonic_conditionings = patterns
-    if get("coherence_pair") is not None:
-        toks = get("coherence_pair").split(":")
-        if len(toks) != 2:
-            raise ConfigError("coherence_pair looks like 0:3", section)
-        out.coherence_pair = (int(toks[0]), int(toks[1]))
-    return out
+@dataclass(frozen=True)
+class Key:
+    """One fixed key; get finds its resolved value for dump_config."""
+
+    section: str
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    get: Callable[[RunConfig], Any]
+    check: Callable[[Any], None] | None = None
+    dump: Callable[[Any], str | None] = _text
+
+    def lines(self, config: RunConfig) -> list[str]:
+        text = self.dump(self.get(config))
+        return [] if text is None else [f"{self.name} = {text}"]
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and resolve a run-configuration file."""
+@dataclass(frozen=True)
+class Family:
+    """Keys numbered or named per dot, matched by pattern, with their writer."""
+
+    section: str
+    pattern: str
+    lines: Callable[[RunConfig], list[str]]
+
+
+def _geometry(get: Callable[[DeviceStructure], Any]) -> Callable[[RunConfig], Any]:
+    """Getter of an explicit-geometry key, which a preset leaves out."""
+    return lambda c: None if c.device.preset else get(c.device.structure)
+
+
+def _per_dot(attr: str) -> Callable[[RunConfig], Any]:
+    return _geometry(lambda s: [getattr(dot, attr) for dot in s.dots])
+
+
+_MATERIAL = ("electron_mass", "hole_mass", "epsilon_r", "band_gap_ev")
+_WELLS = ("well_widths_nm", "hbar_omega_e_mev", "hbar_omega_h_mev", "barriers_nm")
+
+KEYS: tuple[Key | Family, ...] = (
+    Key("device", "preset", _choice(GAAS_TWO_DOT_PRESET_NAME), None,
+        attrgetter("device.preset")),
+    Key("device", "electron_mass", _real, None,
+        _geometry(attrgetter("material.electron_effective_mass")), _positive),
+    Key("device", "hole_mass", _real, None,
+        _geometry(attrgetter("material.hole_effective_mass")), _positive),
+    Key("device", "epsilon_r", _real, None,
+        _geometry(attrgetter("material.relative_permittivity")), _at_least_one),
+    Key("device", "band_gap_ev", _real, None,
+        _geometry(attrgetter("material.band_gap_ev")), _positive),
+    Key("device", "well_widths_nm", _reals, None,
+        _per_dot("well_width_nm"), _positive_list),
+    Key("device", "hbar_omega_e_mev", _reals, None,
+        _per_dot("confinement_energy_e_mev"), _positive),
+    Key("device", "hbar_omega_h_mev", _reals, None,
+        _per_dot("confinement_energy_h_mev"), _positive),
+    Key("device", "barriers_nm", _reals, [],
+        _geometry(attrgetter("barrier_widths_nm")), _positive),
+    Key("device", "field_kv_cm", _real, 30.0,
+        attrgetter("device.structure.field_kv_cm"), _nonnegative),
+    Key("device", "field_grid_kv_cm", _reals, [],
+        attrgetter("device.field_grid_kv_cm"), _ascending),
+    Key("device", "shift_pair", _pair(" ", parse_dot), (0, 1),
+        attrgetter("device.shift_pair")),
+    Key("device", "coulomb_rel_tol", _real, 1e-6,
+        attrgetter("device.coulomb_rel_tol"), _positive),
+    Key("device", "dipoles", _reals, None,
+        attrgetter("device.dipoles"), _nonnegative),
+    Key("register", "energies_ev", _reals, None,
+        attrgetter("register.exciton_energies_ev"), _positive_list),
+    Family("register", _SHIFT_KEY, _write_shifts),
+    Key("register", "dipoles", _reals, None,
+        attrgetter("register.transition_dipoles"), _nonnegative),
+    Family("program", _GATE_KEY, _write_program),
+    Key("pulses", "tau_ps", _auto, None,
+        attrgetter("policy.tau_ps"), _positive, _auto_text),
+    Key("pulses", "selectivity_fraction", _real, 0.25,
+        attrgetter("policy.selectivity_fraction"), _positive),
+    Key("pulses", "fallback_tau_ps", _real, 0.1,
+        attrgetter("policy.fallback_tau_ps"), _positive),
+    Key("pulses", "gap_factor", _real, 8.0,
+        attrgetter("policy.gap_factor"), _positive),
+    Key("pulses", "addressing", _choice("global", "local"), "global",
+        attrgetter("simulation.addressing")),
+    Family("channels", _CHANNEL_KEY, _write_channels),
+    Key("integration", "time_step_ps", _real, 1e-3,
+        attrgetter("simulation.time_step_ps"), _positive),
+    Key("integration", "frame", _choice("rotating", "lab"), "rotating",
+        attrgetter("simulation.frame")),
+    Key("integration", "sample_stride", int, 10,
+        attrgetter("simulation.sample_stride"), _at_least_one),
+    Key("integration", "reference_energy_ev", _real, None,
+        attrgetter("simulation.reference_energy_ev")),
+    Key("integration", "duration_ps", _real, None,
+        attrgetter("simulation.duration_ps"), _nonnegative),
+    Key("integration", "trace_tol", _real, 1e-7,
+        attrgetter("simulation.trace_tol"), _positive),
+    Key("integration", "eig_floor", _real, -1e-6,
+        attrgetter("simulation.eig_floor")),
+    Key("outputs", "fidelity_target", _target, None,
+        attrgetter("outputs.fidelity_target")),
+    Key("outputs", "spectrum_linewidth_mev", _real, 0.5,
+        attrgetter("outputs.spectrum_linewidth_mev"), _positive),
+    Key("outputs", "biexcitonic_conditioning", _conditionings, None,
+        attrgetter("outputs.biexcitonic_conditioning"), dump=_conditionings_text),
+    Key("outputs", "coherence_pair", _pair(":", int), None,
+        attrgetter("simulation.coherence_pair"), dump=_pair_text),
+)
+
+SECTIONS = tuple(dict.fromkeys(row.section for row in KEYS))
+_FAMILIES = {row.section: row.pattern for row in KEYS if isinstance(row, Family)}
+
+
+def _read_sections(path: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(
         delimiters=("=",), inline_comment_prefixes=("#",), interpolation=None
     )
-    parser.optionxform = str.lower  # type: ignore[assignment]
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -512,48 +480,172 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     except configparser.Error as err:
         raise ConfigError(f"malformed config file {path}: {err}") from err
+    return {name: dict(parser[name]) for name in parser.sections()}
 
-    known = set(_SECTION_KEYS)
-    for section in parser.sections():
-        if section not in known:
+
+def _read_keys(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, Any]]:
+    """Parse and check every fixed key; leave only family keys in sections."""
+    values: dict[str, dict[str, Any]] = {section: {} for section in SECTIONS}
+    for row in KEYS:
+        if isinstance(row, Family):
+            continue
+        text = sections.get(row.section, {}).pop(row.name, None)
+        value = row.default
+        if text is not None:
+            with _blame(row.section, row.name):
+                value = row.parse(text)
+                if row.check is not None and value is not None:
+                    row.check(value)
+        values[row.section][row.name] = value
+    for section, items in sections.items():
+        for key in items:
+            if section not in _FAMILIES or not re.fullmatch(_FAMILIES[section], key):
+                raise ConfigError(f"unknown key {key!r}", section)
+    return values
+
+
+def _explicit_structure(v: dict[str, Any]) -> DeviceStructure:
+    for key in _MATERIAL + _WELLS[:-1]:
+        if v[key] is None:
+            raise ConfigError("required without a preset", "device", key)
+    widths, barriers = v["well_widths_nm"], v["barriers_nm"]
+    n = len(widths)
+    for key, want in zip(_WELLS[1:], (n, n, n - 1)):
+        if len(v[key]) != want:
+            raise ConfigError(f"needs {want} values for {n} wells", "device", key)
+    # well centers: half of each neighboring well plus the barrier between
+    steps = (0.5 * (widths[i - 1] + widths[i]) + barriers[i - 1] for i in range(1, n))
+    centers = accumulate(steps, initial=0.0)
+    dots = zip(v["hbar_omega_e_mev"], v["hbar_omega_h_mev"], widths, centers)
+    with _blame("device"):
+        return DeviceStructure(
+            dots=tuple(DotGeometry(*dot) for dot in dots),
+            barrier_widths_nm=tuple(barriers),
+            material=MaterialParams(*(v[key] for key in _MATERIAL)),
+            field_kv_cm=v["field_kv_cm"],
+        )
+
+
+def _device_section(v: dict[str, Any]) -> DeviceSection:
+    if v["preset"] is None:
+        structure = _explicit_structure(v)
+    else:
+        explicit = [key for key in _MATERIAL + _WELLS if v[key] not in (None, [])]
+        if explicit:
+            raise ConfigError(f"conflicts with keys {explicit}", "device", "preset")
+        structure = gaas_two_dot(field_kv_cm=v["field_kv_cm"])
+    n = structure.n_dots
+    if v["dipoles"] is not None and len(v["dipoles"]) != n:
+        raise ConfigError(f"needs one value per dot ({n})", "device", "dipoles")
+    fields = ("field_grid_kv_cm", "shift_pair", "coulomb_rel_tol", "dipoles", "preset")
+    return DeviceSection(structure, *(v[key] for key in fields))
+
+
+def _register_section(v: dict[str, Any], shifts: dict[str, str]) -> ExcitonRegister:
+    energies, dipoles = v["energies_ev"], v["dipoles"]
+    if energies is None:
+        raise ConfigError("is required", "register", "energies_ev")
+    n = len(energies)
+    if dipoles is not None and len(dipoles) != n:
+        raise ConfigError(f"needs one value per dot ({n})", "register", "dipoles")
+    with _blame("register"):
+        return ExcitonRegister(
+            exciton_energies_ev=np.array(energies),
+            shift_matrix_mev=_read_shifts(shifts, n),
+            transition_dipoles=None if dipoles is None else np.array(dipoles),
+        )
+
+
+def _check_outputs(v: dict[str, Any], n_qubits: int) -> None:
+    """The [outputs] checks that depend on the register size."""
+    dim = 2**n_qubits
+    target, pair = v["fidelity_target"], v["coherence_pair"]
+    if target is not None and (4 if target == "bell" else len(target)) != dim:
+        raise ConfigError(f"needs {dim} amplitudes", "outputs", "fidelity_target")
+    for pattern in v["biexcitonic_conditioning"] or ():
+        if max(pattern) >= n_qubits:
+            raise ConfigError("dot out of range", "outputs", "biexcitonic_conditioning")
+    if pair is not None and max(pair) >= dim:
+        raise ConfigError(f"indices must be below {dim}", "outputs", "coherence_pair")
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse and resolve a run-configuration file."""
+    sections = _read_sections(path)
+    for section in sections:
+        if section not in SECTIONS:
             raise ConfigError("unknown section", section=section)
-
-    has_device = parser.has_section("device")
-    has_register = parser.has_section("register")
-    if has_device and has_register:
+    if "device" in sections and "register" in sections:
         raise ConfigError(
             "give either a device section or a register section, not both",
             section="register",
         )
-    if not has_device and not has_register:
+    if "device" not in sections and "register" not in sections:
         raise ConfigError("a device or register section is required", section="register")
 
-    device = _parse_device(parser) if has_device else None
+    v = _read_keys(sections)
+    device = _device_section(v["device"]) if "device" in sections else None
     if device is not None:
-        register = build_register(
-            device.structure,
-            transition_dipoles=device.dipoles,
-            rel_tol=device.coulomb_rel_tol,
-        )
-        register_source = "device"
-        raw_register = {}
+        with _blame("device"):
+            register = build_register(
+                device.structure,
+                transition_dipoles=device.dipoles,
+                rel_tol=device.coulomb_rel_tol,
+            )
     else:
-        register = _parse_register(parser)
-        register_source = "register"
-        raw_register = dict(parser["register"])
-
-    policy, addressing = _parse_pulses(parser)
-    simulation = _parse_integration(parser)
-    simulation.addressing = addressing
+        register = _register_section(v["register"], sections["register"])
+    n = register.n_qubits
+    _check_outputs(v["outputs"], n)
+    addressing = v["pulses"].pop("addressing")
+    with _blame("pulses"):
+        policy = TimingPolicy(**v["pulses"])
+    with _blame("integration"):
+        simulation = SimulationConfig(
+            addressing=addressing,
+            coherence_pair=v["outputs"].pop("coherence_pair"),
+            **v["integration"],
+        )
     return RunConfig(
         register=register,
-        register_source=register_source,
         device=device,
-        program=_parse_program(parser, register.n_qubits),
+        program=_read_program(sections.get("program", {}), n),
         policy=policy,
-        addressing=addressing,
-        channels=_parse_channels(parser, register.n_qubits),
+        channels=_read_channels(sections.get("channels", {}), n),
         simulation=simulation,
-        outputs=_parse_outputs(parser, register.dimension),
-        raw_register_section=raw_register,
+        outputs=OutputsSection(**v["outputs"]),
     )
+
+
+def dump_config(config: RunConfig) -> list[str]:
+    """Config-file lines that load back to the same RunConfig (the manifest body)."""
+    lines: list[str] = []
+    for section in SECTIONS:
+        if section == ("register" if config.device else "device"):
+            continue
+        rows = [row for row in KEYS if row.section == section]
+        body = [line for row in rows for line in row.lines(config)]
+        if body:
+            lines += ["", f"[{section}]", *body]
+    return lines[1:]
+
+
+def sweep_device(config: RunConfig) -> DeviceSection:
+    """The [device] section of a shift sweep: a field grid and a pair of dots."""
+    device = config.device
+    if device is None:
+        raise ConfigError("the shift subcommand needs a device section", "device")
+    if not device.field_grid_kv_cm:
+        raise ConfigError("must list at least one field", "device", "field_grid_kv_cm")
+    pair, n = device.shift_pair, device.structure.n_dots
+    if pair[0] == pair[1] or max(pair) >= n:
+        raise ConfigError(f"needs two distinct dots of {n}", "device", "shift_pair")
+    return device
+
+
+def program_error(err: ExcitonSimError) -> ConfigError:
+    """A compile_program failure as a ConfigError: a pulse shorter than the
+    selectivity floor (the gate's CompileError, chained as the cause, carries
+    required_tau_ps) is the explicit tau_ps's fault, the rest the program's."""
+    if getattr(err.__cause__, "required_tau_ps", None) is not None:
+        return ConfigError(str(err), "pulses", "tau_ps")
+    return ConfigError(str(err), "program")

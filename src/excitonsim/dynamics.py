@@ -88,8 +88,8 @@ class LindbladChannel:
     def __post_init__(self):
         if self.kind not in ("decay", "pure-dephasing"):
             raise InvalidParameterError(f"unknown channel kind {self.kind!r}")
-        if self.rate_per_ps < 0:
-            raise InvalidParameterError("channel rate must be non-negative")
+        if not 0 <= self.rate_per_ps < math.inf:
+            raise InvalidParameterError("channel rate must be non-negative and finite")
 
 
 def channel_operator(register: ExcitonRegister, channel: LindbladChannel) -> np.ndarray:
@@ -116,7 +116,6 @@ class SimulationConfig:
 
     time_step_ps: float = 1e-3
     frame: str = "rotating"
-    integrator_order: int = 4
     sample_stride: int = 10
     reference_energy_ev: float | None = None
     duration_ps: float | None = None
@@ -127,14 +126,19 @@ class SimulationConfig:
     coherence_pair: tuple[int, int] | None = None  # None: (0, dim - 1)
 
     def __post_init__(self):
-        if self.time_step_ps <= 0:
-            raise InvalidParameterError("time step must be positive")
+        for name in ("time_step_ps", "trace_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
         if self.frame not in ("lab", "rotating"):
             raise InvalidParameterError(f"unknown frame {self.frame!r}")
-        if self.integrator_order not in (2, 4):
-            raise InvalidParameterError("integrator order must be 2 or 4")
         if self.sample_stride < 1:
             raise InvalidParameterError("sample stride must be >= 1")
+        for name in ("eig_floor", "reference_energy_ev"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite")
+        if self.duration_ps is not None and not 0 <= self.duration_ps < math.inf:
+            raise InvalidParameterError("duration_ps must be non-negative and finite")
 
 
 @dataclass
@@ -270,15 +274,11 @@ def integrate_master_equation(
     sample(t_start_ps, rho)
     t = t_start_ps
     for step in range(1, n_steps + 1):
-        if config.integrator_order == 4:
-            k1 = rhs(t, rho)
-            k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-            k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-            k4 = rhs(t + dt, rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:  # midpoint rule
-            k1 = rhs(t, rho)
-            rho = rho + dt * rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k1 = rhs(t, rho)
+        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.T.conj())
         t = t_start_ps + step * dt
         drift = abs(np.trace(rho).real - 1.0)

@@ -72,10 +72,15 @@ class UnsupportedDimensionError(ExcitonSimError, ValueError):
 class ConfigError(ExcitonSimError, ValueError):
     """A run-configuration file is missing or inconsistent.
 
-    ``section`` names the config section (and optionally key) at fault.
+    ``section`` and ``key`` name the config entry at fault; the message
+    reads "[section] key: ...".
     """
 
-    def __init__(self, message: str, section: str | None = None):
+    def __init__(
+        self, message: str, section: str | None = None, key: str | None = None
+    ):
+        if key:
+            message = f"{key}: {message}"
         if section is not None:
             message = f"[{section}] {message}"
         super().__init__(message)

@@ -66,8 +66,10 @@ class ExcitonRegister:
             raise InvalidParameterError(
                 f"shift matrix shape {s.shape} does not match {n} qubits"
             )
-        if np.any(e <= 0):
-            raise InvalidParameterError("exciton energies must be positive")
+        if not np.all((e > 0) & np.isfinite(e)):
+            raise InvalidParameterError("exciton energies must be positive and finite")
+        if not np.all(np.isfinite(s)):
+            raise InvalidParameterError("shift matrix must be finite")
         if np.any(np.diag(s) != 0.0):
             raise InvalidParameterError("shift matrix must have zero diagonal")
         if not np.array_equal(s, s.T):
@@ -76,8 +78,8 @@ class ExcitonRegister:
         d = np.ones(n) if d is None else np.atleast_1d(np.asarray(d, dtype=float))
         if d.shape != (n,):
             raise InvalidParameterError("one transition dipole per dot required")
-        if np.any(d < 0):
-            raise InvalidParameterError("transition dipoles must be non-negative")
+        if not np.all((d >= 0) & np.isfinite(d)):
+            raise InvalidParameterError("dipoles must be non-negative and finite")
         for name, arr in (
             ("exciton_energies_ev", e),
             ("shift_matrix_mev", s),

@@ -51,12 +51,14 @@ class Pulse:
     target_dipole: int = 0
 
     def __post_init__(self):
-        if self.tau_ps <= 0:
-            raise InvalidParameterError("pulse duration must be positive")
-        if self.area_rad < 0:
-            raise InvalidParameterError("pulse area must be non-negative")
-        if self.carrier_energy_ev <= 0:
-            raise InvalidParameterError("carrier energy must be positive")
+        if not 0 < self.tau_ps < math.inf:
+            raise InvalidParameterError("pulse duration must be positive and finite")
+        if not 0 <= self.area_rad < math.inf:
+            raise InvalidParameterError("pulse area must be non-negative and finite")
+        if not 0 < self.carrier_energy_ev < math.inf:
+            raise InvalidParameterError("carrier energy must be positive and finite")
+        if not (math.isfinite(self.center_ps) and math.isfinite(self.phase_rad)):
+            raise InvalidParameterError("pulse center and phase must be finite")
 
     @property
     def start_ps(self) -> float:
@@ -156,10 +158,11 @@ class TimingPolicy:
     gap_factor: float = 8.0  # center-to-center spacing in units of tau
 
     def __post_init__(self):
-        if self.tau_ps is not None and self.tau_ps <= 0:
-            raise InvalidParameterError("tau must be positive")
-        if self.selectivity_fraction <= 0:
-            raise InvalidParameterError("selectivity fraction must be positive")
+        if self.tau_ps is not None and not 0 < self.tau_ps < math.inf:
+            raise InvalidParameterError("tau must be positive and finite")
+        for name in ("selectivity_fraction", "fallback_tau_ps", "gap_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
 
 
 def conditional_frequency(

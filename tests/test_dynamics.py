@@ -70,6 +70,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             pure_state_density([1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["time_step_ps", "trace_tol", "eig_floor", "reference_energy_ev", "duration_ps"],
+    )
+    def test_simulation_config_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SimulationConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_channel_rejects_non_finite_or_negative_rate(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LindbladChannel("decay", 0, bad)
+
 
 class TestLiouvillian:
     def test_diagonal_state_is_stationary_without_drive(self):

@@ -95,6 +95,19 @@ class TestRegisterValidation:
         reg = two_dot_register()
         assert np.array_equal(reg.transition_dipoles, [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["energy", "shift", "dipole"])
+    def test_non_finite_rejected(self, field, bad):
+        energies, shifts, dipoles = [1.70, 1.71], np.zeros((2, 2)), [1.0, 1.0]
+        if field == "energy":
+            energies[1] = bad
+        elif field == "shift":
+            shifts[0, 1] = shifts[1, 0] = bad
+        else:
+            dipoles[1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ExcitonRegister(np.array(energies), shifts, np.array(dipoles))
+
 
 class TestBuildHamiltonian:
     def test_two_dot_reference_values(self):

@@ -307,3 +307,22 @@ class TestSequenceSpan:
     def test_empty_sequence(self):
         seq = PulseSequence(())
         assert seq.total_span_ps == 0.0
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["carrier_energy_ev", "center_ps", "tau_ps", "area_rad", "phase_rad"]
+    )
+    def test_pulse_rejects_non_finite(self, field, bad):
+        fields = dict(carrier_energy_ev=1.71, center_ps=0.0, tau_ps=0.1, area_rad=1.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Pulse(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["tau_ps", "selectivity_fraction", "fallback_tau_ps", "gap_factor"]
+    )
+    def test_timing_policy_rejects_non_finite(self, field, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TimingPolicy(**{field: bad})
