@@ -8,7 +8,8 @@ two-qubit logic.  The package covers the chain end to end:
 
 - device: field-displaced single-particle states, Coulomb integrals,
   exciton energies, and biexcitonic shifts from geometry;
-- model: the diagonal register Hamiltonian and its operators;
+- model: the basis bit table, the diagonal register Hamiltonian and its
+  operators;
 - pulses: gate-to-pulse compilation under a spectral selectivity budget;
 - dynamics: Liouville-von Neumann propagation with Lindblad channels;
 - analysis: fidelity, concurrence, gate fidelity, absorption spectra;
@@ -57,9 +58,9 @@ from .dynamics import (
     validate_density_matrix,
 )
 from .model import (
-    EffectiveHamiltonian,
     ExcitonRegister,
     basis_label,
+    bit_table,
     build_hamiltonian,
     occupation_number_operator,
     renormalized_energy,

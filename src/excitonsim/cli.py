@@ -36,6 +36,7 @@ from .config import (
     fmt as _fmt,
     load_config,
     program_error,
+    step_error,
     sweep_device,
 )
 from .device import shift_vs_field
@@ -45,6 +46,7 @@ from .errors import (
     ExcitonSimError,
     NumericalConsistencyError,
     PropagationDiagnosticsError,
+    TimeStepError,
 )
 from .model import basis_label
 from .pulses import PulseSequence, compile_program
@@ -233,9 +235,12 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
     if len(sequence) == 0 and sim.duration_ps is None:
         sim = dataclasses.replace(sim, duration_ps=1.0)
     started = time.perf_counter()
-    traj = propagate(
-        _initial_state(config), sequence, config.register, config.channels, sim
-    )
+    try:
+        traj = propagate(
+            _initial_state(config), sequence, config.register, config.channels, sim
+        )
+    except TimeStepError as err:
+        raise step_error(err) from err
     wall = time.perf_counter() - started
     _write_sequence(out_dir / "sequence.csv", sequence)
     _write_trajectory(out_dir / "trajectory.csv", traj, config.register.n_qubits)

@@ -46,7 +46,7 @@ from .device import (
     gaas_two_dot,
 )
 from .dynamics import LindbladChannel, SimulationConfig
-from .errors import ConfigError, ExcitonSimError
+from .errors import ConfigError, ExcitonSimError, TimeStepError
 from .model import ExcitonRegister
 from .pulses import GateSpec, TimingPolicy
 
@@ -267,13 +267,22 @@ def _in_range(dot: int, n_qubits: int) -> None:
         raise ValueError(f"dot {dot} out of range for {n_qubits} dots")
 
 
+def _claim(seen: dict[Any, str], what: Any, key: str) -> None:
+    """Record key as the name of what, unless an earlier key named it."""
+    if what in seen:
+        raise ValueError(f"duplicates {seen[what]}")
+    seen[what] = key
+
+
 def _read_shifts(items: dict[str, str], n_qubits: int) -> np.ndarray:
     shifts = np.zeros((n_qubits, n_qubits))
+    seen: dict[Any, str] = {}
     for key, text in items.items():
         with _blame("register", key):
             i, j = map(int, re.fullmatch(_SHIFT_KEY, key).groups())
             if i == j or max(i, j) >= n_qubits:
                 raise ValueError(f"pair {i},{j} out of range for {n_qubits} dots")
+            _claim(seen, (min(i, j), max(i, j)), key)
             shifts[i, j] = shifts[j, i] = _real(text)
     return shifts
 
@@ -343,11 +352,13 @@ def _write_program(config: RunConfig) -> list[str]:
 
 def _read_channels(items: dict[str, str], n_qubits: int) -> list[LindbladChannel]:
     channels = []
+    seen: dict[Any, str] = {}
     for key, text in items.items():
         with _blame("channels", key):
             kind, _, dot_tok = key.partition(".")
             dot = parse_dot(dot_tok)
             _in_range(dot, n_qubits)
+            _claim(seen, (kind, dot), key)
             channels.append(LindbladChannel(_CHANNEL_KINDS[kind], dot, _real(text)))
     return channels
 
@@ -649,3 +660,8 @@ def program_error(err: ExcitonSimError) -> ConfigError:
     if getattr(err.__cause__, "required_tau_ps", None) is not None:
         return ConfigError(str(err), "pulses", "tau_ps")
     return ConfigError(str(err), "program")
+
+
+def step_error(err: TimeStepError) -> ConfigError:
+    """A step too coarse for the pulses or the frame, blamed on the step."""
+    return ConfigError(str(err), "integration", "time_step_ps")

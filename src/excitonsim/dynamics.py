@@ -30,8 +30,9 @@ from .errors import (
     InvalidParameterError,
     NumericalConsistencyError,
     PropagationDiagnosticsError,
+    TimeStepError,
 )
-from .model import ExcitonRegister, build_hamiltonian, lowering_operator
+from .model import ExcitonRegister, bit_table, build_hamiltonian, lowering_operator
 from .pulses import PulseSequence, field_at
 
 LAB_FRAME_MAX_STEP_PS = 5e-5  # 0.05 fs
@@ -98,9 +99,7 @@ def channel_operator(register: ExcitonRegister, channel: LindbladChannel) -> np.
         return math.sqrt(channel.rate_per_ps) * lowering_operator(
             register, channel.dot
         )
-    n = register.n_qubits
-    bits = np.array([(idx >> channel.dot) & 1 for idx in range(2**n)], dtype=float)
-    z = np.diag(1.0 - 2.0 * bits)
+    z = np.diag(1.0 - 2.0 * bit_table(register.n_qubits)[:, channel.dot])
     return math.sqrt(channel.rate_per_ps / 2.0) * z
 
 
@@ -251,10 +250,7 @@ def integrate_master_equation(
     pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
     if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
         raise InvalidParameterError(f"coherence pair {pair} out of range")
-    occupation_masks = [
-        np.array([(idx >> l) & 1 for idx in range(dim)], dtype=float)
-        for l in range(n_qubits)
-    ]
+    occupation_masks = bit_table(n_qubits).T.astype(float, order="C")
 
     times, pops, occs, cohs, kept = [], [], [], [], []
 
@@ -348,21 +344,18 @@ def propagate(
     if len(sequence) > 0:
         tau_min = min(p.tau_ps for p in sequence)
         if config.frame == "rotating" and config.time_step_ps > tau_min / 20.0:
-            raise InvalidParameterError(
+            raise TimeStepError(
                 f"time step {config.time_step_ps} ps too coarse: must be at most "
                 f"tau_min/20 = {tau_min / 20.0:.3e} ps"
             )
     if config.frame == "lab" and config.time_step_ps > LAB_FRAME_MAX_STEP_PS:
-        raise InvalidParameterError(
+        raise TimeStepError(
             f"lab-frame steps must be at most {LAB_FRAME_MAX_STEP_PS} ps to resolve "
             "the optical carrier"
         )
 
-    diag_ev = build_hamiltonian(register).diagonal_ev
-    n = register.n_qubits
-    occupancy = np.array(
-        [sum((idx >> l) & 1 for l in range(n)) for idx in range(2**n)], dtype=float
-    )
+    diag_ev = build_hamiltonian(register)
+    occupancy = bit_table(register.n_qubits).sum(axis=1).astype(float)
     if config.frame == "rotating":
         ref = (
             config.reference_energy_ev

@@ -9,6 +9,10 @@ class InvalidParameterError(ExcitonSimError, ValueError):
     """A physical parameter violates its constraints."""
 
 
+class TimeStepError(InvalidParameterError):
+    """An integration step too coarse for the pulses or the frame."""
+
+
 class ConvergenceError(ExcitonSimError, RuntimeError):
     """Quadrature failed to reach the configured tolerance.
 

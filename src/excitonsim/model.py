@@ -1,4 +1,4 @@
-"""Computational-space register model.
+"""Computational-space register model: bit table, diagonal Hamiltonian, operators.
 
 An exciton register is a set of N dots, each carrying one qubit encoded in
 the absence/presence of a ground-state exciton.  Restricted to this space
@@ -9,12 +9,15 @@ biexcitonic shifts,
 
 Basis convention (used by every module): qubit 0 is the least-significant
 bit of the basis index, so for two dots the order is |00>, |10>, |01>, |11>
-with the first digit naming dot 0.
+with the first digit naming dot 0.  :func:`bit_table` is the one place
+that convention lives: every occupation bit of a basis index, here and in
+the pulse and dynamics modules, is read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,11 +25,28 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+@lru_cache(maxsize=None)
+def bit_table(n_qubits: int) -> np.ndarray:
+    """Read-only (2^N, N) occupation table: row idx holds (n_0, ..., n_{N-1}).
+
+    Qubit 0 is the least-significant bit of the basis index.
+    """
+    table = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    table.setflags(write=False)
+    return table
+
+
+def check_dot(l: int, n_qubits: int) -> None:
+    """IndexError unless l names one of the n_qubits dots."""
+    if not 0 <= l < n_qubits:
+        raise IndexError(f"dot index {l} out of range for {n_qubits} qubits")
+
+
 def occupations_of_index(index: int, n_qubits: int) -> tuple[int, ...]:
     """Occupation bits (n_0, ..., n_{N-1}) of a basis index, qubit 0 = LSB."""
     if not 0 <= index < 2**n_qubits:
         raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    return tuple((index >> l) & 1 for l in range(n_qubits))
+    return tuple(map(int, bit_table(n_qubits)[index]))
 
 
 def index_of_occupations(bits: Sequence[int]) -> int:
@@ -97,88 +117,54 @@ class ExcitonRegister:
         return 2**self.n_qubits
 
 
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """Diagonal of the computational-space Hamiltonian, eV per basis state."""
+def build_hamiltonian(register: ExcitonRegister) -> np.ndarray:
+    """Read-only diagonal H(n) over all 2^N occupation patterns, eV.
 
-    diagonal_ev: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal_ev, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "diagonal_ev", d)
-
-    @property
-    def dimension(self) -> int:
-        return self.diagonal_ev.size
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal_ev)
-
-
-def _diagonal_entry(
-    energies_ev: np.ndarray, shifts_mev: np.ndarray, bits: Sequence[int]
-) -> float:
-    # Canonical summation order: energies in ascending dot index, then shift
-    # terms in lexicographic (l, l') order, each converted meV -> eV per term.
-    # Keeping the order fixed makes enumeration checks bit-reproducible.
-    n = len(bits)
-    value = 0.0
-    for l in range(n):
-        if bits[l]:
-            value += energies_ev[l]
-    for l in range(n):
-        if not bits[l]:
-            continue
-        for lp in range(n):
-            if lp != l and bits[lp]:
-                value += 0.5 * (shifts_mev[l, lp] * 1.0e-3)
-    return value
-
-
-def build_hamiltonian(register: ExcitonRegister) -> EffectiveHamiltonian:
-    """Diagonal H(n) over all 2^N occupation patterns; vacuum entry is 0."""
+    The vacuum entry is 0.  Each entry is summed in one canonical order:
+    energies in ascending dot index, then shift terms over ordered pairs
+    (l, l') in lexicographic order, each converted meV -> eV per term.
+    Entries without a term add an exact 0.0, so the sum equals the
+    term-by-term enumeration bit-for-bit.
+    """
     n = register.n_qubits
-    diag = np.empty(2**n)
-    for idx in range(2**n):
-        bits = occupations_of_index(idx, n)
-        diag[idx] = _diagonal_entry(
-            register.exciton_energies_ev, register.shift_matrix_mev, bits
-        )
-    return EffectiveHamiltonian(diag)
+    bits = bit_table(n).astype(bool)
+    e, s = register.exciton_energies_ev, register.shift_matrix_mev
+    diag = np.zeros(2**n)
+    for l in range(n):
+        diag += np.where(bits[:, l], e[l], 0.0)
+    for l in range(n):
+        for lp in range(n):
+            if lp != l:
+                pair = bits[:, l] & bits[:, lp]
+                diag += np.where(pair, 0.5 * (s[l, lp] * 1.0e-3), 0.0)
+    diag.setflags(write=False)
+    return diag
 
 
 def occupation_number_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     """Diagonal projector n_l on the 2^N space."""
-    n = register.n_qubits
-    if not 0 <= l < n:
-        raise IndexError(f"dot index {l} out of range for {n} qubits")
-    bits = np.array([(idx >> l) & 1 for idx in range(2**n)], dtype=float)
-    return np.diag(bits)
-
-
-def transition_operator(register: ExcitonRegister, l: int) -> np.ndarray:
-    """Bit-flip X_l: <n'|X_l|n> = 1 iff n' equals n with bit l toggled."""
-    n = register.n_qubits
-    if not 0 <= l < n:
-        raise IndexError(f"dot index {l} out of range for {n} qubits")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    # qubit 0 is the LSB, so it sits in the rightmost kron factor
-    op = np.kron(np.eye(2 ** (n - 1 - l)), np.kron(x, np.eye(2**l)))
-    return op
+    check_dot(l, register.n_qubits)
+    return np.diag(bit_table(register.n_qubits)[:, l].astype(float))
 
 
 def lowering_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     """sigma^-_l = |0_l><1_l|, destroying the exciton in dot l."""
     n = register.n_qubits
-    if not 0 <= l < n:
-        raise IndexError(f"dot index {l} out of range for {n} qubits")
-    sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
-    return np.kron(np.eye(2 ** (n - 1 - l)), np.kron(sm, np.eye(2**l)))
+    check_dot(l, n)
+    occupied = np.flatnonzero(bit_table(n)[:, l])
+    sm = np.zeros((2**n, 2**n))
+    sm[occupied ^ (1 << l), occupied] = 1.0
+    return sm
+
+
+def transition_operator(register: ExcitonRegister, l: int) -> np.ndarray:
+    """Bit-flip X_l: <n'|X_l|n> = 1 iff n' equals n with bit l toggled."""
+    sm = lowering_operator(register, l)
+    return sm + sm.T
 
 
 def _occupation_bits(
-    register: ExcitonRegister, l: int, occupations: Mapping[int, int] | Sequence[int]
+    register: ExcitonRegister, occupations: Mapping[int, int] | Sequence[int]
 ) -> list[int]:
     n = register.n_qubits
     bits = [0] * n
@@ -187,8 +173,7 @@ def _occupation_bits(
     else:
         items = enumerate(occupations)
     for dot, occ in items:
-        if not 0 <= dot < n:
-            raise IndexError(f"dot index {dot} out of range for {n} qubits")
+        check_dot(dot, n)
         if occ not in (0, 1):
             raise InvalidParameterError(f"occupation must be 0 or 1, got {occ}")
         bits[dot] = occ
@@ -203,17 +188,12 @@ def renormalized_energy(
     """Conditional transition energy of dot l, eV.
 
     E~_l = E_l + sum_{l' != l} dE_{ll'} n_{l'}, evaluated as the difference
-    of the two diagonal entries with bit l set and clear so that it matches
-    diagonal differences of :func:`build_hamiltonian` bit-for-bit.
+    of the two entries of :func:`build_hamiltonian` with bit l set and
+    clear, so that it equals the diagonal differences bit-for-bit.
     """
-    n = register.n_qubits
-    if not 0 <= l < n:
-        raise IndexError(f"dot index {l} out of range for {n} qubits")
-    bits = _occupation_bits(register, l, occupations)
-    bits_clear = list(bits)
-    bits_clear[l] = 0
-    bits_set = list(bits)
-    bits_set[l] = 1
-    e = register.exciton_energies_ev
-    s = register.shift_matrix_mev
-    return _diagonal_entry(e, s, bits_set) - _diagonal_entry(e, s, bits_clear)
+    check_dot(l, register.n_qubits)
+    bits = _occupation_bits(register, occupations)
+    bits[l] = 0
+    clear = index_of_occupations(bits)
+    diag = build_hamiltonian(register)
+    return float(diag[clear | (1 << l)] - diag[clear])

@@ -25,9 +25,12 @@ import numpy as np
 
 from . import units
 from .errors import CompileError, InvalidGateError, InvalidParameterError
-from .model import ExcitonRegister, occupations_of_index, renormalized_energy
+from .model import ExcitonRegister, bit_table, check_dot, renormalized_energy
 
 ENVELOPE_CUTOFF = 4.0  # Gaussian envelopes are truncated at +- 4 tau
+# Conditional frequencies closer than this are one branch: rounding splits
+# equal sums by ~1e-12 meV, physical splittings are 1e-3 meV or more.
+SAME_BRANCH_MEV = 1e-9
 COMPILED_PHASE_RAD = math.pi / 2.0
 
 GATE_KINDS = ("rotation", "conditional-rotation", "cnot", "unconditional-not")
@@ -180,30 +183,48 @@ def conditional_frequency(
     return renormalized_energy(register, target, cond)
 
 
+def _coupled(register: ExcitonRegister, target: int) -> list[int]:
+    """Dots whose occupation shifts the target's transition (nonzero shift)."""
+    return [
+        l for l in range(register.n_qubits)
+        if l != target and register.shift_matrix_mev[target, l] != 0.0
+    ]
+
+
+def _neighbor_patterns(register: ExcitonRegister, target: int) -> list[dict[int, int]]:
+    """Every occupation pattern of the dots coupled to the target."""
+    coupled = _coupled(register, target)
+    return [dict(zip(coupled, map(int, row))) for row in bit_table(len(coupled))]
+
+
+def _distinct_branches(freqs: Iterable[float]) -> list[float]:
+    """Ascending frequencies, one per branch (gaps above SAME_BRANCH_MEV)."""
+    kept: list[float] = []
+    for f in sorted(freqs):
+        if not kept or (f - kept[-1]) * units.MEV_PER_EV > SAME_BRANCH_MEV:
+            kept.append(f)
+    return kept
+
+
 def conditional_frequencies(register: ExcitonRegister, target: int) -> list[float]:
     """All conditional transition energies of one dot, ascending, eV.
 
     Enumerates occupation patterns of the dots coupled to the target
-    (nonzero shift), which is where the frequency branches come from.
+    (nonzero shift), which is where the frequency branches come from;
+    frequencies that differ only by rounding count once.
     """
-    n = register.n_qubits
-    coupled = [
-        l for l in range(n) if l != target and register.shift_matrix_mev[target, l] != 0.0
-    ]
-    freqs = set()
-    for pattern in range(2 ** len(coupled)):
-        cond = {dot: (pattern >> i) & 1 for i, dot in enumerate(coupled)}
-        freqs.add(conditional_frequency(register, target, cond))
-    return sorted(freqs)
+    return _distinct_branches(
+        conditional_frequency(register, target, cond)
+        for cond in _neighbor_patterns(register, target)
+    )
 
 
 def _min_gap_mev(register: ExcitonRegister, target: int, addressed_ev: float) -> float:
     gaps = [
         abs(f - addressed_ev) * units.MEV_PER_EV
         for f in conditional_frequencies(register, target)
-        if f != addressed_ev
     ]
-    return min(gaps) if gaps else math.inf
+    return min((g for g in gaps if g > SAME_BRANCH_MEV), default=math.inf)
 
 
 def required_tau_ps(
@@ -232,25 +253,16 @@ def pulse_amplitude(pulse: Pulse, dipole: float) -> float:
 
 
 def _branch_patterns(register: ExcitonRegister, spec: GateSpec) -> list[dict[int, int]]:
-    if spec.kind in ("rotation", "conditional-rotation"):
+    if spec.kind != "unconditional-not":
         return [dict(spec.conditions)]
-    if spec.kind == "cnot":
-        return [dict(spec.conditions)]
-    # unconditional-not: one color per occupation pattern of coupled neighbors
-    coupled = [
-        l
-        for l in range(register.n_qubits)
-        if l != spec.target and register.shift_matrix_mev[spec.target, l] != 0.0
-    ]
+    # one color per occupation pattern of coupled neighbors
+    coupled = _coupled(register, spec.target)
     if len(coupled) > 4:
         raise CompileError(
             f"unconditional-not on dot {spec.target} would need "
             f"2^{len(coupled)} colors; at most 4 coupled neighbors are supported"
         )
-    return [
-        {dot: (pattern >> i) & 1 for i, dot in enumerate(coupled)}
-        for pattern in range(2 ** len(coupled))
-    ]
+    return _neighbor_patterns(register, spec.target)
 
 
 def compile_gate(
@@ -267,7 +279,7 @@ def compile_gate(
     """
     angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
     patterns = _branch_patterns(register, spec)
-    carriers = sorted(
+    carriers = _distinct_branches(
         conditional_frequency(register, spec.target, pat) for pat in patterns
     )
     tau_required = max(
@@ -385,11 +397,6 @@ def field_at(
     return out
 
 
-def _rotation_block(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
 def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:
     """Unitary an ideally selective compiled gate implements on 2^N space.
 
@@ -401,38 +408,23 @@ def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:
     unconditional-not rotates every branch.
     """
     n = register.n_qubits
-    dim = 2**n
-    u = np.zeros((dim, dim))
+    bits = bit_table(n)
     angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
-    block = _rotation_block(angle)
-    bit = 1 << spec.target
-    conditions = dict(spec.conditions)
-    unconditional = spec.kind == "unconditional-not"
-    for idx in range(dim):
-        if idx & bit:
-            continue
-        bits = occupations_of_index(idx, n)
-        selected = True
-        if not unconditional:
-            for dot in range(n):
-                if dot == spec.target:
-                    continue
-                if dot in conditions:
-                    required = conditions[dot]
-                elif register.shift_matrix_mev[spec.target, dot] != 0.0:
-                    required = 0  # addressed carrier assumes empty neighbors
-                else:
-                    continue
-                if bits[dot] != required:
-                    selected = False
-                    break
-        j0, j1 = idx, idx | bit
-        if selected:
-            u[j0, j0] = block[0, 0]
-            u[j1, j0] = block[1, 0]
-            u[j0, j1] = block[0, 1]
-            u[j1, j1] = block[1, 1]
-        else:
-            u[j0, j0] = 1.0
-            u[j1, j1] = 1.0
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    check_dot(spec.target, n)
+    selected = bits[:, spec.target] == 0
+    if spec.kind != "unconditional-not":
+        # the addressed carrier assumes empty coupled neighbors
+        required = {dot: 0 for dot in _coupled(register, spec.target)}
+        required.update(spec.conditions)
+        for dot, occ in required.items():
+            check_dot(dot, n)
+            selected &= bits[:, dot] == occ
+    j0 = np.flatnonzero(selected)
+    j1 = j0 | (1 << spec.target)
+    u = np.eye(2**n)
+    u[j0, j0] = c
+    u[j1, j0] = s
+    u[j0, j1] = -s
+    u[j1, j1] = c
     return u

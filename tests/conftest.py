@@ -21,7 +21,7 @@ def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, referenc
     dim = 2**register.n_qubits
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
     h0 = (
-        build_hamiltonian(register).diagonal_ev - reference_energy_ev * occupancy
+        build_hamiltonian(register) - reference_energy_ev * occupancy
     ) * units.MEV_PER_EV
     raising = []
     for l in range(register.n_qubits):

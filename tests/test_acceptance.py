@@ -430,7 +430,7 @@ class TestDiagonalRuleOracle:
             reg = ExcitonRegister(
                 exciton_energies_ev=energies, shift_matrix_mev=shifts
             )
-            diag = build_hamiltonian(reg).diagonal_ev
+            diag = build_hamiltonian(reg)
             # literal transcription of the diagonal rule
             for idx in range(2**n):
                 bits = occupations_of_index(idx, n)

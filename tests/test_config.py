@@ -334,6 +334,16 @@ def with_line(section, line):
         ("register", "shift_mev_0_1 = nan", "[register] shift_mev_0_1: "),
         ("channels", "decay.a = inf", "[channels] decay.a: "),
         ("channels", "decay.a = x", "[channels] decay.a: "),
+        (
+            "register",
+            "shift_mev_0_1 = 4.5\nshift_mev_1_0 = 3.0",
+            "[register] shift_mev_1_0: duplicates shift_mev_0_1",
+        ),
+        (
+            "channels",
+            "decay.a = 0.002\ndecay.0 = 0.003",
+            "[channels] decay.0: duplicates decay.a",
+        ),
         ("integration", "time_step_ps = fast", "[integration] time_step_ps: "),
         ("integration", "time_step_ps = nan", "[integration] time_step_ps: "),
         ("outputs", "fidelity_target = 1 0 0 nanj", "[outputs] fidelity_target: "),
@@ -353,3 +363,21 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {cfg}: {named}"), err
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("time_step_ps = 0.5", "too coarse"),
+        ("time_step_ps = 0.001\nframe = lab", "lab-frame steps"),
+    ],
+    ids=["coarser-than-pulses", "lab-frame-limit"],
+)
+def test_too_coarse_step_exits_2_naming_time_step(step, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_line("integration", step), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [integration] time_step_ps: "), err
+    assert message in err

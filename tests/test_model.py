@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from excitonsim.dynamics import LindbladChannel, channel_operator
 from excitonsim.errors import InvalidParameterError
 from excitonsim.model import (
     ExcitonRegister,
     basis_label,
+    bit_table,
     build_hamiltonian,
     index_of_occupations,
+    lowering_operator,
     occupation_number_operator,
     occupations_of_index,
     renormalized_energy,
     transition_operator,
 )
+from excitonsim.pulses import GATE_KINDS, GateSpec, ideal_gate_unitary
 
 
 def two_dot_register(shift=4.5):
@@ -50,6 +56,127 @@ def random_register(rng, n):
         for lp in range(l + 1, n):
             shifts[l, lp] = shifts[lp, l] = rng.uniform(-5.0, 5.0)
     return ExcitonRegister(exciton_energies_ev=energies, shift_matrix_mev=shifts)
+
+
+def sparse_register(rng, n):
+    """Random register where about half the pairs have no shift."""
+    reg = random_register(rng, n)
+    keep = np.triu(rng.random((n, n)) < 0.5, 1)
+    shifts = reg.shift_matrix_mev * (keep | keep.T)
+    return ExcitonRegister(reg.exciton_energies_ev, shifts)
+
+
+# Constructions the bit table replaced, kept as literal references.
+
+
+def kron_lowering(n, l):
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+    return np.kron(np.eye(2 ** (n - 1 - l)), np.kron(sm, np.eye(2**l)))
+
+
+def kron_transition(n, l):
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # qubit 0 is the LSB, so it sits in the rightmost kron factor
+    return np.kron(np.eye(2 ** (n - 1 - l)), np.kron(x, np.eye(2**l)))
+
+
+def comprehension_bits(n, l):
+    return np.array([(idx >> l) & 1 for idx in range(2**n)], dtype=float)
+
+
+def loop_ideal_gate_unitary(register, spec):
+    """Per-index transcription of the branch-selection loop."""
+    n = register.n_qubits
+    dim = 2**n
+    u = np.zeros((dim, dim))
+    angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    block = np.array([[c, -s], [s, c]])
+    bit = 1 << spec.target
+    conditions = dict(spec.conditions)
+    unconditional = spec.kind == "unconditional-not"
+    for idx in range(dim):
+        if idx & bit:
+            continue
+        bits = [(idx >> l) & 1 for l in range(n)]
+        selected = True
+        if not unconditional:
+            for dot in range(n):
+                if dot == spec.target:
+                    continue
+                if dot in conditions:
+                    required = conditions[dot]
+                elif register.shift_matrix_mev[spec.target, dot] != 0.0:
+                    required = 0
+                else:
+                    continue
+                if bits[dot] != required:
+                    selected = False
+                    break
+        j0, j1 = idx, idx | bit
+        if selected:
+            u[j0, j0] = block[0, 0]
+            u[j1, j0] = block[1, 0]
+            u[j0, j1] = block[0, 1]
+            u[j1, j1] = block[1, 1]
+        else:
+            u[j0, j0] = 1.0
+            u[j1, j1] = 1.0
+    return u
+
+
+class TestBitTable:
+    def test_rows_are_occupations_and_read_only(self):
+        table = bit_table(3)
+        assert table.shape == (8, 3)
+        assert [tuple(row) for row in table] == [
+            occupations_of_index(idx, 3) for idx in range(8)
+        ]
+        assert bit_table(3) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        rate=st.floats(min_value=0.0, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_operators_match_kron_and_comprehension(self, n, rate):
+        reg = random_register(np.random.default_rng(n), n)
+        for l in range(n):
+            bits = comprehension_bits(n, l)
+            assert np.array_equal(lowering_operator(reg, l), kron_lowering(n, l))
+            assert np.array_equal(transition_operator(reg, l), kron_transition(n, l))
+            assert np.array_equal(occupation_number_operator(reg, l), np.diag(bits))
+            decay = channel_operator(reg, LindbladChannel("decay", l, rate))
+            assert np.array_equal(decay, math.sqrt(rate) * kron_lowering(n, l))
+            z = math.sqrt(rate / 2.0) * np.diag(1.0 - 2.0 * bits)
+            dephasing = LindbladChannel("pure-dephasing", l, rate)
+            assert np.array_equal(channel_operator(reg, dephasing), z)
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(GATE_KINDS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_ideal_gate_unitary_matches_index_loop(self, n, seed, kind):
+        assume(kind != "cnot" or n > 1)
+        rng = np.random.default_rng(seed)
+        reg = sparse_register(rng, n)
+        target = int(rng.integers(n))
+        others = [dot for dot in range(n) if dot != target]
+        if kind == "cnot":
+            conditions = ((int(rng.choice(others)), 1),)
+        elif kind == "unconditional-not":
+            conditions = ()
+        else:
+            conditions = tuple(
+                (dot, int(rng.integers(2))) for dot in others if rng.random() < 0.5
+            )
+        spec = GateSpec(kind, target, float(rng.uniform(0.0, 2 * math.pi)), conditions)
+        expected = loop_ideal_gate_unitary(reg, spec)
+        assert np.array_equal(ideal_gate_unitary(reg, spec), expected)
 
 
 class TestBasisIndex:
@@ -113,14 +240,14 @@ class TestBuildHamiltonian:
     def test_two_dot_reference_values(self):
         ham = build_hamiltonian(two_dot_register())
         expected = np.array([0.0, 1.70, 1.71, 1.70 + 1.71 + 4.5e-3])
-        assert ham.diagonal_ev == pytest.approx(expected, abs=1e-12)
-        assert ham.diagonal_ev[0] == 0.0
-        assert ham.diagonal_ev[3] == pytest.approx(3.4145, abs=1e-12)
+        assert ham == pytest.approx(expected, abs=1e-12)
+        assert ham[0] == 0.0
+        assert ham[3] == pytest.approx(3.4145, abs=1e-12)
 
     def test_zero_shift_is_noninteracting_sum(self):
         reg = two_dot_register(shift=0.0)
         ham = build_hamiltonian(reg)
-        assert ham.diagonal_ev[3] == ham.diagonal_ev[1] + ham.diagonal_ev[2]
+        assert ham[3] == ham[1] + ham[2]
 
     def test_three_dot_chain_matches_enumeration(self):
         energies = np.array([1.5, 1.6, 1.7])
@@ -129,7 +256,7 @@ class TestBuildHamiltonian:
         )
         reg = ExcitonRegister(exciton_energies_ev=energies, shift_matrix_mev=shifts)
         ham = build_hamiltonian(reg)
-        assert np.array_equal(ham.diagonal_ev, brute_force_diagonal(energies, shifts))
+        assert np.array_equal(ham, brute_force_diagonal(energies, shifts))
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -143,7 +270,7 @@ class TestBuildHamiltonian:
         expected = brute_force_diagonal(
             reg.exciton_energies_ev, reg.shift_matrix_mev
         )
-        assert np.array_equal(ham.diagonal_ev, expected)
+        assert np.array_equal(ham, expected)
 
     def test_qubit_relabeling_permutes_diagonal(self):
         rng = np.random.default_rng(7)
@@ -154,8 +281,8 @@ class TestBuildHamiltonian:
             exciton_energies_ev=reg.exciton_energies_ev[perm],
             shift_matrix_mev=reg.shift_matrix_mev[np.ix_(perm, perm)],
         )
-        ham = build_hamiltonian(reg).diagonal_ev
-        ham_p = build_hamiltonian(reg_p).diagonal_ev
+        ham = build_hamiltonian(reg)
+        ham_p = build_hamiltonian(reg_p)
         for idx in range(2**n):
             bits = occupations_of_index(idx, n)
             bits_p = tuple(bits[perm[l]] for l in range(n))
@@ -207,7 +334,7 @@ class TestOperators:
 
     def test_hamiltonian_commutes_with_occupations(self):
         reg = two_dot_register()
-        h = build_hamiltonian(reg).as_matrix()
+        h = np.diag(build_hamiltonian(reg))
         for l in range(2):
             op = occupation_number_operator(reg, l)
             assert np.array_equal(h @ op, op @ h)
@@ -236,7 +363,7 @@ class TestRenormalizedEnergy:
         rng = np.random.default_rng(11)
         for n in (2, 3, 6):
             reg = random_register(rng, n)
-            diag = build_hamiltonian(reg).diagonal_ev
+            diag = build_hamiltonian(reg)
             for idx in range(2**n):
                 bits = list(occupations_of_index(idx, n))
                 for l in range(n):

@@ -142,6 +142,36 @@ class TestCompileGate:
         seq = compile_gate(reg, GateSpec("rotation", 0, angle=math.pi))
         assert seq.pulses[0].tau_ps == TimingPolicy().fallback_tau_ps
 
+    def test_rounding_split_of_one_branch_falls_back(self):
+        # uncoupled dots: the a:1 carrier (1.70 + 1.71) - 1.70 rounds to
+        # 1.7100000000000002 against the bare 1.71, which is the same branch
+        reg = ExcitonRegister(
+            exciton_energies_ev=np.array([1.70, 1.71]),
+            shift_matrix_mev=np.zeros((2, 2)),
+        )
+        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1),))
+        assert conditional_frequency(reg, 1, {0: 1}) != 1.71
+        seq = compile_gate(reg, spec)
+        assert seq.pulses[0].tau_ps == TimingPolicy().fallback_tau_ps
+
+    def test_equal_shift_chain_keeps_the_physical_gap(self):
+        # the middle dot's a:1 and c:1 branches are one frequency, split by
+        # rounding into 1.7145 and 1.7145000000000004 eV
+        shifts = np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 4.5], [0.0, 4.5, 0.0]])
+        reg = ExcitonRegister(np.array([1.70, 1.71, 1.72]), shifts)
+        assert conditional_frequencies(reg, 1) == pytest.approx(
+            [1.71, 1.7145, 1.719], abs=1e-12
+        )
+        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1),))
+        tau = compile_gate(reg, spec).pulses[0].tau_ps
+        assert tau == pytest.approx(HBAR / (0.25 * 4.5), rel=1e-12)
+        assert tau == pytest.approx(0.585, abs=1e-3)
+        # one pi pulse per branch, not two on the shared one
+        seq = compile_gate(reg, GateSpec("unconditional-not", 1))
+        assert [p.carrier_energy_ev for p in seq] == pytest.approx(
+            [1.71, 1.7145, 1.719], abs=1e-12
+        )
+
     def test_pulses_never_overlap(self, register):
         seq = compile_gate(register, GateSpec("unconditional-not", target=1))
         centers = [p.center_ps for p in seq.pulses]
