@@ -25,13 +25,14 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def bit_table(n_qubits: int) -> np.ndarray:
     """Read-only (2^N, N) occupation table: row idx holds (n_0, ..., n_{N-1}).
 
     Qubit 0 is the least-significant bit of the basis index.
     """
-    table = (np.arange(2**n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    index = np.arange(2**n_qubits)[:, None]
+    table = ((index >> np.arange(n_qubits)) & 1).astype(np.uint8)
     table.setflags(write=False)
     return table
 
@@ -46,7 +47,7 @@ def occupations_of_index(index: int, n_qubits: int) -> tuple[int, ...]:
     """Occupation bits (n_0, ..., n_{N-1}) of a basis index, qubit 0 = LSB."""
     if not 0 <= index < 2**n_qubits:
         raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    return tuple(map(int, bit_table(n_qubits)[index]))
+    return tuple((index >> l) & 1 for l in range(n_qubits))
 
 
 def index_of_occupations(bits: Sequence[int]) -> int:
@@ -117,26 +118,34 @@ class ExcitonRegister:
         return 2**self.n_qubits
 
 
-def build_hamiltonian(register: ExcitonRegister) -> np.ndarray:
-    """Read-only diagonal H(n) over all 2^N occupation patterns, eV.
+def _diagonal(register: ExcitonRegister, bits: np.ndarray) -> np.ndarray:
+    """H(n) of each row of a boolean (k, N) occupation array, eV.
 
-    The vacuum entry is 0.  Each entry is summed in one canonical order:
-    energies in ascending dot index, then shift terms over ordered pairs
-    (l, l') in lexicographic order, each converted meV -> eV per term.
-    Entries without a term add an exact 0.0, so the sum equals the
-    term-by-term enumeration bit-for-bit.
+    Each entry is summed in one canonical order: energies in ascending dot
+    index, then shift terms over ordered pairs (l, l') in lexicographic
+    order, each converted meV -> eV per term.  Absent terms would add an
+    exact 0.0 and are skipped, so the sum equals the term-by-term
+    enumeration bit-for-bit whichever rows are asked for.
     """
-    n = register.n_qubits
-    bits = bit_table(n).astype(bool)
     e, s = register.exciton_energies_ev, register.shift_matrix_mev
-    diag = np.zeros(2**n)
+    n = register.n_qubits
+    diag = np.zeros(len(bits))
     for l in range(n):
         diag += np.where(bits[:, l], e[l], 0.0)
     for l in range(n):
         for lp in range(n):
-            if lp != l:
+            if lp != l and s[l, lp] != 0.0:
                 pair = bits[:, l] & bits[:, lp]
                 diag += np.where(pair, 0.5 * (s[l, lp] * 1.0e-3), 0.0)
+    return diag
+
+
+def build_hamiltonian(register: ExcitonRegister) -> np.ndarray:
+    """Read-only diagonal H(n) over all 2^N occupation patterns, eV.
+
+    The vacuum entry is 0; see :func:`_diagonal` for the summation order.
+    """
+    diag = _diagonal(register, bit_table(register.n_qubits).astype(bool))
     diag.setflags(write=False)
     return diag
 
@@ -163,23 +172,6 @@ def transition_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     return sm + sm.T
 
 
-def _occupation_bits(
-    register: ExcitonRegister, occupations: Mapping[int, int] | Sequence[int]
-) -> list[int]:
-    n = register.n_qubits
-    bits = [0] * n
-    if isinstance(occupations, Mapping):
-        items = occupations.items()
-    else:
-        items = enumerate(occupations)
-    for dot, occ in items:
-        check_dot(dot, n)
-        if occ not in (0, 1):
-            raise InvalidParameterError(f"occupation must be 0 or 1, got {occ}")
-        bits[dot] = occ
-    return bits
-
-
 def renormalized_energy(
     register: ExcitonRegister,
     l: int,
@@ -188,12 +180,19 @@ def renormalized_energy(
     """Conditional transition energy of dot l, eV.
 
     E~_l = E_l + sum_{l' != l} dE_{ll'} n_{l'}, evaluated as the difference
-    of the two entries of :func:`build_hamiltonian` with bit l set and
-    clear, so that it equals the diagonal differences bit-for-bit.
+    of the diagonal entries with bit l set and clear, summed as in
+    :func:`build_hamiltonian`, so that it equals the diagonal differences
+    bit-for-bit without building the 2^N diagonal.
     """
-    check_dot(l, register.n_qubits)
-    bits = _occupation_bits(register, occupations)
-    bits[l] = 0
-    clear = index_of_occupations(bits)
-    diag = build_hamiltonian(register)
-    return float(diag[clear | (1 << l)] - diag[clear])
+    n = register.n_qubits
+    check_dot(l, n)
+    rows = np.zeros((2, n), dtype=bool)
+    named = isinstance(occupations, Mapping)
+    for dot, occ in occupations.items() if named else enumerate(occupations):
+        check_dot(dot, n)
+        if occ not in (0, 1):
+            raise InvalidParameterError(f"occupation must be 0 or 1, got {occ}")
+        rows[:, dot] = occ
+    rows[:, l] = (True, False)
+    with_l, without_l = _diagonal(register, rows)
+    return float(with_l - without_l)

@@ -18,7 +18,7 @@ on its branch (in the interaction picture of the static Hamiltonian).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -191,19 +191,28 @@ def _coupled(register: ExcitonRegister, target: int) -> list[int]:
     ]
 
 
-def _neighbor_patterns(register: ExcitonRegister, target: int) -> list[dict[int, int]]:
-    """Every occupation pattern of the dots coupled to the target."""
-    coupled = _coupled(register, target)
-    return [dict(zip(coupled, map(int, row))) for row in bit_table(len(coupled))]
+def _branches(
+    register: ExcitonRegister, target: int, dots: Sequence[int]
+) -> list[tuple[float, list[dict[int, int]]]]:
+    """The target's conditional frequencies over every occupation pattern of
+    dots, ascending, each with the patterns that sit at it.
 
-
-def _distinct_branches(freqs: Iterable[float]) -> list[float]:
-    """Ascending frequencies, one per branch (gaps above SAME_BRANCH_MEV)."""
-    kept: list[float] = []
-    for f in sorted(freqs):
-        if not kept or (f - kept[-1]) * units.MEV_PER_EV > SAME_BRANCH_MEV:
-            kept.append(f)
-    return kept
+    Frequencies closer than SAME_BRANCH_MEV are one branch, kept at the
+    lowest of them.
+    """
+    patterns = [dict(zip(dots, map(int, row))) for row in bit_table(len(dots))]
+    found = sorted(
+        ((conditional_frequency(register, target, p), p) for p in patterns),
+        key=lambda item: item[0],
+    )
+    branches: list[tuple[float, list[dict[int, int]]]] = []
+    for freq, pattern in found:
+        gap_mev = (freq - branches[-1][0]) * units.MEV_PER_EV if branches else math.inf
+        if gap_mev <= SAME_BRANCH_MEV:
+            branches[-1][1].append(pattern)
+        else:
+            branches.append((freq, [pattern]))
+    return branches
 
 
 def conditional_frequencies(register: ExcitonRegister, target: int) -> list[float]:
@@ -213,31 +222,24 @@ def conditional_frequencies(register: ExcitonRegister, target: int) -> list[floa
     (nonzero shift), which is where the frequency branches come from;
     frequencies that differ only by rounding count once.
     """
-    return _distinct_branches(
-        conditional_frequency(register, target, cond)
-        for cond in _neighbor_patterns(register, target)
-    )
+    branches = _branches(register, target, _coupled(register, target))
+    return [freq for freq, _ in branches]
 
 
-def _min_gap_mev(register: ExcitonRegister, target: int, addressed_ev: float) -> float:
-    gaps = [
-        abs(f - addressed_ev) * units.MEV_PER_EV
-        for f in conditional_frequencies(register, target)
-    ]
-    return min((g for g in gaps if g > SAME_BRANCH_MEV), default=math.inf)
+def _gap_mev(freqs: Sequence[float], i: int) -> float:
+    """Distance from branch i to its nearest neighbour branch, meV."""
+    near = [freqs[j] for j in (i - 1, i + 1) if 0 <= j < len(freqs)]
+    return min((abs(f - freqs[i]) * units.MEV_PER_EV for f in near), default=math.inf)
 
 
-def required_tau_ps(
-    register: ExcitonRegister,
-    target: int,
-    addressed_ev: float,
-    selectivity_fraction: float,
-) -> float:
-    """Minimum duration keeping hbar/tau below the fraction of the gap."""
-    gap = _min_gap_mev(register, target, addressed_ev)
-    if math.isinf(gap):
+def required_tau_ps(gap_mev: float, selectivity_fraction: float) -> float:
+    """Minimum duration keeping hbar/tau below the fraction of the gap.
+
+    0 for an unbounded gap: there is nothing to resolve.
+    """
+    if math.isinf(gap_mev):
         return 0.0
-    return units.HBAR_MEV_PS / (selectivity_fraction * gap)
+    return units.HBAR_MEV_PS / (selectivity_fraction * gap_mev)
 
 
 def pulse_amplitude(pulse: Pulse, dipole: float) -> float:
@@ -252,17 +254,18 @@ def pulse_amplitude(pulse: Pulse, dipole: float) -> float:
     return pulse.area_rad * units.HBAR_MEV_PS / (pulse.tau_ps * math.sqrt(2.0 * math.pi))
 
 
-def _branch_patterns(register: ExcitonRegister, spec: GateSpec) -> list[dict[int, int]]:
-    if spec.kind != "unconditional-not":
-        return [dict(spec.conditions)]
-    # one color per occupation pattern of coupled neighbors
-    coupled = _coupled(register, spec.target)
-    if len(coupled) > 4:
-        raise CompileError(
-            f"unconditional-not on dot {spec.target} would need "
-            f"2^{len(coupled)} colors; at most 4 coupled neighbors are supported"
-        )
-    return _neighbor_patterns(register, spec.target)
+def _addressed_pattern(
+    register: ExcitonRegister, spec: GateSpec
+) -> dict[int, int]:
+    """Neighbour occupations a conditional gate's carrier selects: its
+    conditions, with the other coupled dots empty."""
+    pattern = {dot: 0 for dot in _coupled(register, spec.target)}
+    pattern.update(spec.conditions)
+    return pattern
+
+
+def _pattern_text(pattern: Mapping[int, int]) -> str:
+    return ", ".join(f"n_{dot}={occ}" for dot, occ in sorted(pattern.items()))
 
 
 def compile_gate(
@@ -276,15 +279,39 @@ def compile_gate(
     equal to the angle; cnot becomes a pi pulse conditioned on its control;
     unconditional-not emits one pi pulse per neighbor-occupation branch,
     ordered by ascending carrier energy and spaced gap_factor * tau apart.
+
+    A pulse rotates every neighbour pattern at its carrier, so a gate that
+    must leave a pattern at the addressed frequency untouched (a condition
+    on a dot that does not shift the target, or two patterns whose shifts
+    sum alike) needs an infinite duration and raises CompileError.
     """
     angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
-    patterns = _branch_patterns(register, spec)
-    carriers = _distinct_branches(
-        conditional_frequency(register, spec.target, pat) for pat in patterns
-    )
+    coupled = _coupled(register, spec.target)
+    if spec.kind == "unconditional-not":
+        if len(coupled) > 4:
+            raise CompileError(
+                f"unconditional-not on dot {spec.target} would need "
+                f"2^{len(coupled)} colors; at most 4 coupled neighbors are supported"
+            )
+        branches = _branches(register, spec.target, coupled)
+        addressed = range(len(branches))
+    else:
+        wanted = _addressed_pattern(register, spec)
+        branches = _branches(register, spec.target, list(wanted))
+        (i,) = (i for i, (_, patterns) in enumerate(branches) if wanted in patterns)
+        addressed = [i]
+        others = [pattern for pattern in branches[i][1] if pattern != wanted]
+        if others:
+            raise CompileError(
+                f"dot {spec.target} has the same transition energy with "
+                f"{_pattern_text(others[0])} as with {_pattern_text(wanted)}, "
+                "so no pulse resolves the condition",
+                required_tau_ps=math.inf,
+            )
+    freqs = [freq for freq, _ in branches]
     tau_required = max(
-        required_tau_ps(register, spec.target, c, policy.selectivity_fraction)
-        for c in carriers
+        required_tau_ps(_gap_mev(freqs, i), policy.selectivity_fraction)
+        for i in addressed
     )
     if policy.tau_ps is None:
         tau = tau_required if tau_required > 0 else policy.fallback_tau_ps
@@ -301,14 +328,14 @@ def compile_gate(
     )
     pulses = [
         Pulse(
-            carrier_energy_ev=carrier,
-            center_ps=first_center + i * policy.gap_factor * tau,
+            carrier_energy_ev=freqs[i],
+            center_ps=first_center + k * policy.gap_factor * tau,
             tau_ps=tau,
             area_rad=angle,
             phase_rad=COMPILED_PHASE_RAD,
             target_dipole=spec.target,
         )
-        for i, carrier in enumerate(carriers)
+        for k, i in enumerate(addressed)
     ]
     return PulseSequence(tuple(pulses))
 
@@ -330,14 +357,7 @@ def compile_program(
         try:
             if start is None:
                 start = cursor  # None for the very first gate: compile default
-            gate_policy = TimingPolicy(
-                tau_ps=policy.tau_ps,
-                selectivity_fraction=policy.selectivity_fraction,
-                start_ps=start,
-                fallback_tau_ps=policy.fallback_tau_ps,
-                gap_factor=policy.gap_factor,
-            )
-            seq = compile_gate(register, spec, gate_policy)
+            seq = compile_gate(register, spec, replace(policy, start_ps=start))
         except (CompileError, InvalidGateError) as err:
             raise CompileError(f"gate {gate_index + 1}: {err}") from err
         pulses.extend(seq.pulses)
@@ -414,10 +434,7 @@ def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:
     check_dot(spec.target, n)
     selected = bits[:, spec.target] == 0
     if spec.kind != "unconditional-not":
-        # the addressed carrier assumes empty coupled neighbors
-        required = {dot: 0 for dot in _coupled(register, spec.target)}
-        required.update(spec.conditions)
-        for dot, occ in required.items():
+        for dot, occ in _addressed_pattern(register, spec).items():
             check_dot(dot, n)
             selected &= bits[:, dot] == occ
     j0 = np.flatnonzero(selected)

@@ -5,8 +5,6 @@ reported in eV only at interface boundaries (register energies, carriers,
 spectra).
 """
 
-import math
-
 # Reduced Planck constant, meV ps
 HBAR_MEV_PS = 0.6582119514
 
@@ -31,11 +29,3 @@ EV_PER_MEV = 1.0e-3
 def hbar_sq_over_m(mass_rel: float) -> float:
     """hbar^2 / (mass_rel * m0) in meV nm^2."""
     return HBAR_SQ_OVER_M0 / mass_rel
-
-
-def energy_mev_to_angular_freq(energy_mev: float) -> float:
-    """Convert an energy in meV to an angular frequency in rad/ps."""
-    return energy_mev / HBAR_MEV_PS
-
-
-PI = math.pi

@@ -344,6 +344,11 @@ def with_line(section, line):
             "decay.a = 0.002\ndecay.0 = 0.003",
             "[channels] decay.0: duplicates decay.a",
         ),
+        (
+            "register",
+            "shift_mev_0_1 = 0",
+            "[pulses] tau_ps: gate 2: dot 1 has the same transition energy",
+        ),
         ("integration", "time_step_ps = fast", "[integration] time_step_ps: "),
         ("integration", "time_step_ps = nan", "[integration] time_step_ps: "),
         ("outputs", "fidelity_target = 1 0 0 nanj", "[outputs] fidelity_target: "),

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from excitonsim import units
 from excitonsim.errors import CompileError, InvalidGateError, InvalidParameterError
-from excitonsim.model import ExcitonRegister
+from excitonsim.model import ExcitonRegister, occupations_of_index
 from excitonsim.pulses import (
+    GATE_KINDS,
+    SAME_BRANCH_MEV,
     GateSpec,
     Pulse,
     PulseSequence,
@@ -142,17 +146,28 @@ class TestCompileGate:
         seq = compile_gate(reg, GateSpec("rotation", 0, angle=math.pi))
         assert seq.pulses[0].tau_ps == TimingPolicy().fallback_tau_ps
 
-    def test_rounding_split_of_one_branch_falls_back(self):
-        # uncoupled dots: the a:1 carrier (1.70 + 1.71) - 1.70 rounds to
-        # 1.7100000000000002 against the bare 1.71, which is the same branch
+    def test_condition_on_uncoupled_dot_rejected(self):
+        # dot a does not shift dot b: a pulse at b's one frequency flips b
+        # whatever a holds, so "b when a:1" has no finite duration.  The a:1
+        # energy (1.70 + 1.71) - 1.70 rounds to 1.7100000000000002, one
+        # branch with the bare 1.71.
         reg = ExcitonRegister(
             exciton_energies_ev=np.array([1.70, 1.71]),
             shift_matrix_mev=np.zeros((2, 2)),
         )
-        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1),))
         assert conditional_frequency(reg, 1, {0: 1}) != 1.71
-        seq = compile_gate(reg, spec)
-        assert seq.pulses[0].tau_ps == TimingPolicy().fallback_tau_ps
+        for spec in (
+            GateSpec("cnot", 1, conditions=((0, 1),)),
+            GateSpec("conditional-rotation", 1, math.pi, ((0, 0),)),
+        ):
+            for policy in (TimingPolicy(), TimingPolicy(tau_ps=1e6)):
+                with pytest.raises(CompileError, match="same transition energy") as err:
+                    compile_gate(reg, spec, policy)
+                assert err.value.required_tau_ps == math.inf
+        # the unconditioned gates need no selectivity
+        for spec in (GateSpec("rotation", 1), GateSpec("unconditional-not", 1)):
+            seq = compile_gate(reg, spec)
+            assert [p.tau_ps for p in seq] == [TimingPolicy().fallback_tau_ps]
 
     def test_equal_shift_chain_keeps_the_physical_gap(self):
         # the middle dot's a:1 and c:1 branches are one frequency, split by
@@ -162,15 +177,25 @@ class TestCompileGate:
         assert conditional_frequencies(reg, 1) == pytest.approx(
             [1.71, 1.7145, 1.719], abs=1e-12
         )
-        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1),))
+        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1), (2, 1)))
         tau = compile_gate(reg, spec).pulses[0].tau_ps
         assert tau == pytest.approx(HBAR / (0.25 * 4.5), rel=1e-12)
         assert tau == pytest.approx(0.585, abs=1e-3)
-        # one pi pulse per branch, not two on the shared one
+        # a:1 with c empty shares its energy with a:0, c:1, which the gate
+        # must leave alone: no pulse selects one of the two
+        for conditions in (((0, 1),), ((0, 1), (2, 0)), ((0, 0), (2, 1))):
+            spec = GateSpec("conditional-rotation", 1, math.pi, conditions)
+            with pytest.raises(CompileError, match="same transition energy") as err:
+                compile_gate(reg, spec)
+            assert err.value.required_tau_ps == math.inf
+        # unconditional-not rotates every pattern: one pi pulse per branch,
+        # not two on the shared one (a 2 pi rotation there)
         seq = compile_gate(reg, GateSpec("unconditional-not", 1))
         assert [p.carrier_energy_ev for p in seq] == pytest.approx(
             [1.71, 1.7145, 1.719], abs=1e-12
         )
+        assert len({p.tau_ps for p in seq}) == 1
+        assert seq.pulses[0].tau_ps == pytest.approx(HBAR / (0.25 * 4.5), rel=1e-12)
 
     def test_pulses_never_overlap(self, register):
         seq = compile_gate(register, GateSpec("unconditional-not", target=1))
@@ -324,6 +349,73 @@ class TestIdealUnitary:
         # which is the identity on density matrices
         prod = u2 @ u1
         assert np.allclose(np.abs(prod), np.eye(4), atol=1e-12)
+
+
+class TestCompiledSelection:
+    """A compiled gate's pulses rotate exactly what ideal_gate_unitary rotates.
+
+    A pulse rotates every basis state whose conditional frequency of the
+    target lies on its carrier.  Shifts are drawn from a few values, zero
+    among them, so that uncoupled condition dots and shift sums that
+    coincide (the same frequency reached by different neighbour patterns)
+    are common.
+    """
+
+    @given(
+        n=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(GATE_KINDS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_carriers_select_the_ideal_branches(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        shifts = np.triu(rng.choice([0.0, 3.0, 4.5, -4.5], size=(n, n)), 1)
+        energies = 1.70 + 0.01 * np.arange(n)
+        reg = ExcitonRegister(energies, shifts + shifts.T)
+        target = int(rng.integers(n))
+        others = [dot for dot in range(n) if dot != target]
+        if kind == "cnot":
+            conditions = ((int(rng.choice(others)), 1),)
+        elif kind == "unconditional-not":
+            conditions = ()
+        else:
+            conditions = tuple(
+                (dot, int(rng.integers(2))) for dot in others if rng.random() < 0.5
+            )
+        assume(kind != "conditional-rotation" or conditions)
+        spec = GateSpec(kind, target, math.pi / 2, conditions)
+        u = ideal_gate_unitary(reg, spec)
+        rotated, frequency = {}, {}
+        for idx in range(2**n):
+            occ = occupations_of_index(idx, n)
+            if occ[target] == 0:
+                rotated[idx] = u[idx | (1 << target), idx] != 0.0
+                neighbours = {dot: occ[dot] for dot in others}
+                frequency[idx] = conditional_frequency(reg, target, neighbours)
+
+        def same(f, g):
+            return abs(f - g) * units.MEV_PER_EV <= SAME_BRANCH_MEV
+
+        try:
+            seq = compile_gate(reg, spec)
+        except CompileError as err:
+            # only when a state the gate must leave alone shares the
+            # frequency of one it must rotate
+            assert err.required_tau_ps == math.inf
+            assert any(
+                same(frequency[i], frequency[j])
+                for i in frequency
+                for j in frequency
+                if rotated[i] and not rotated[j]
+            )
+            return
+        for idx, f in frequency.items():
+            hits = sum(same(f, pulse.carrier_energy_ev) for pulse in seq)
+            assert hits == int(rotated[idx]), (idx, f, [p.carrier_energy_ev for p in seq])
+
+    def test_required_tau_from_gap(self):
+        assert required_tau_ps(4.5, 0.25) == HBAR / (0.25 * 4.5)
+        assert required_tau_ps(math.inf, 0.25) == 0.0
 
 
 class TestSequenceSpan:
