@@ -242,21 +242,12 @@ def default_fidelity_states(n_qubits: int) -> list[np.ndarray]:
     superpositions (|0...0> + |e_l>)/sqrt2 and (|e_l> + |1...1>)/sqrt2;
     the latter pairs are sensitive to conditional-phase errors.
     """
-    dim = 2**n_qubits
-    states = []
-    for idx in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        states.append(v)
-    top = dim - 1
+    basis = np.eye(2**n_qubits, dtype=complex)
+    states = list(basis)
     for l in range(n_qubits):
-        v = np.zeros(dim, dtype=complex)
-        v[0] = v[1 << l] = 1.0 / math.sqrt(2.0)
-        states.append(v)
-        w = np.zeros(dim, dtype=complex)
-        w[1 << l] = w[top] = 1.0 / math.sqrt(2.0)
-        if top != (1 << l):
-            states.append(w)
+        states.append((basis[0] + basis[2**l]) / math.sqrt(2.0))
+        if 2**l != len(basis) - 1:
+            states.append((basis[2**l] + basis[-1]) / math.sqrt(2.0))
     return states
 
 

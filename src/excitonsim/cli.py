@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .analysis import (
     absorption_spectrum,
@@ -31,6 +29,7 @@ from .analysis import (
 )
 from .config import (
     RunConfig,
+    check_driven_dipoles,
     dot_label,
     dump_config,
     fmt as _fmt,
@@ -58,11 +57,6 @@ EXIT_DIAGNOSTICS = 3
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _initial_state(config: RunConfig) -> np.ndarray:
-    n = config.register.n_qubits
-    return basis_state_density(n, 0)
 
 
 def cmd_shift(config: RunConfig, out_dir: Path) -> int:
@@ -118,6 +112,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 def _compiled_sequence(config: RunConfig) -> PulseSequence:
     if not config.program:
         return PulseSequence(())
+    check_driven_dipoles(config)
     try:
         return compile_program(config.register, config.program, config.policy)
     except ExcitonSimError as err:
@@ -236,9 +231,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
         sim = dataclasses.replace(sim, duration_ps=1.0)
     started = time.perf_counter()
     try:
-        traj = propagate(
-            _initial_state(config), sequence, config.register, config.channels, sim
-        )
+        vacuum = basis_state_density(config.register.n_qubits, 0)
+        traj = propagate(vacuum, sequence, config.register, config.channels, sim)
     except TimeStepError as err:
         raise step_error(err) from err
     wall = time.perf_counter() - started

@@ -449,8 +449,6 @@ KEYS: tuple[Key | Family, ...] = (
         attrgetter("policy.fallback_tau_ps"), _positive),
     Key("pulses", "gap_factor", _real, 8.0,
         attrgetter("policy.gap_factor"), _positive),
-    Key("pulses", "addressing", _choice("global", "local"), "global",
-        attrgetter("simulation.addressing")),
     Family("channels", _CHANNEL_KEY, _write_channels),
     Key("integration", "time_step_ps", _real, 1e-3,
         attrgetter("simulation.time_step_ps"), _positive),
@@ -574,8 +572,13 @@ def _check_outputs(v: dict[str, Any], n_qubits: int) -> None:
     if target is not None and (4 if target == "bell" else len(target)) != dim:
         raise ConfigError(f"needs {dim} amplitudes", "outputs", "fidelity_target")
     for pattern in v["biexcitonic_conditioning"] or ():
-        if max(pattern) >= n_qubits:
-            raise ConfigError("dot out of range", "outputs", "biexcitonic_conditioning")
+        if max(pattern) >= n_qubits or not 0 < sum(pattern.values()) < n_qubits:
+            raise ConfigError(
+                f"pattern {_conditionings_text([pattern])} must name dots below "
+                f"{n_qubits}, occupy one or more and leave one empty to emit",
+                "outputs",
+                "biexcitonic_conditioning",
+            )
     if pair is not None and max(pair) >= dim:
         raise ConfigError(f"indices must be below {dim}", "outputs", "coherence_pair")
 
@@ -607,12 +610,10 @@ def load_config(path: str) -> RunConfig:
         register = _register_section(v["register"], sections["register"])
     n = register.n_qubits
     _check_outputs(v["outputs"], n)
-    addressing = v["pulses"].pop("addressing")
     with _blame("pulses"):
         policy = TimingPolicy(**v["pulses"])
     with _blame("integration"):
         simulation = SimulationConfig(
-            addressing=addressing,
             coherence_pair=v["outputs"].pop("coherence_pair"),
             **v["integration"],
         )
@@ -651,6 +652,16 @@ def sweep_device(config: RunConfig) -> DeviceSection:
     if pair[0] == pair[1] or max(pair) >= n:
         raise ConfigError(f"needs two distinct dots of {n}", "device", "shift_pair")
     return device
+
+
+def check_driven_dipoles(config: RunConfig) -> None:
+    """ConfigError naming the dipoles key unless every gate's target dot has a
+    nonzero dipole: its pulses are calibrated on that dipole."""
+    for i, (spec, _) in enumerate(config.program, start=1):
+        if config.register.transition_dipoles[spec.target] == 0.0:
+            message = f"gate {i} drives dot {dot_label(spec.target)}, whose dipole is 0"
+            section = "device" if config.device else "register"
+            raise ConfigError(message, section, "dipoles")
 
 
 def program_error(err: ExcitonSimError) -> ConfigError:

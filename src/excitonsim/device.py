@@ -37,12 +37,13 @@ class MaterialParams:
     band_gap_ev: float
 
     def __post_init__(self):
-        if self.electron_effective_mass <= 0 or self.hole_effective_mass <= 0:
-            raise InvalidParameterError("effective masses must be positive")
-        if self.relative_permittivity < 1:
-            raise InvalidParameterError("relative permittivity must be >= 1")
-        if self.band_gap_ev <= 0:
-            raise InvalidParameterError("band gap must be positive")
+        masses = (self.electron_effective_mass, self.hole_effective_mass)
+        if not all(0 < m < math.inf for m in masses):
+            raise InvalidParameterError("effective masses must be positive and finite")
+        if not 1 <= self.relative_permittivity < math.inf:
+            raise InvalidParameterError("relative permittivity must be >= 1 and finite")
+        if not 0 < self.band_gap_ev < math.inf:
+            raise InvalidParameterError("band gap must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,11 @@ class DotGeometry:
     z_center_nm: float
 
     def __post_init__(self):
-        if self.confinement_energy_e_mev <= 0 or self.confinement_energy_h_mev <= 0:
-            raise InvalidParameterError("confinement energies must be positive")
-        if self.well_width_nm <= 0:
-            raise InvalidParameterError("well width must be positive")
+        energies = (self.confinement_energy_e_mev, self.confinement_energy_h_mev)
+        if not all(0 < e < math.inf for e in energies):
+            raise InvalidParameterError("confinement energies must be finite and > 0")
+        if not (0 < self.well_width_nm < math.inf and math.isfinite(self.z_center_nm)):
+            raise InvalidParameterError("well width (> 0) and center must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,10 @@ class DeviceStructure:
             raise InvalidParameterError(
                 f"{len(dots)} dots require {len(dots) - 1} barrier widths"
             )
-        if any(b <= 0 for b in barriers):
-            raise InvalidParameterError("barrier widths must be positive")
-        if self.field_kv_cm < 0:
-            raise InvalidParameterError("field must be non-negative")
+        if not all(0 < b < math.inf for b in barriers):
+            raise InvalidParameterError("barrier widths must be positive and finite")
+        if not 0 <= self.field_kv_cm < math.inf:
+            raise InvalidParameterError("field must be non-negative and finite")
         for i in range(len(dots) - 1):
             lo, hi = dots[i], dots[i + 1]
             if hi.z_center_nm <= lo.z_center_nm:
@@ -116,8 +118,8 @@ class ZProfile:
     def __post_init__(self):
         if self.kind not in ("infinite-well", "gaussian"):
             raise InvalidParameterError(f"unknown z-profile kind {self.kind!r}")
-        if self.width_nm <= 0:
-            raise InvalidParameterError("z-profile width must be positive")
+        if not (0 < self.width_nm < math.inf and math.isfinite(self.center_nm)):
+            raise InvalidParameterError("z-profile width > 0 and center must be finite")
 
     def density(self, z) -> np.ndarray:
         """Probability density evaluated at z (nm)."""
@@ -144,8 +146,8 @@ class InPlaneGaussian:
     std_nm: float
 
     def __post_init__(self):
-        if self.std_nm <= 0:
-            raise InvalidParameterError("in-plane std must be positive")
+        if not (0 < self.std_nm < math.inf and all(map(math.isfinite, self.center_nm))):
+            raise InvalidParameterError("in-plane std (> 0) and center must be finite")
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,9 @@ class ChargeDensity:
     def __post_init__(self):
         if self.charge not in (-1, 1):
             raise InvalidParameterError("charge must be +1 or -1 (elementary units)")
-        if self.inplane_std_nm <= 0:
-            raise InvalidParameterError("in-plane std must be positive")
+        std, center = self.inplane_std_nm, self.inplane_center_nm
+        if not (0 < std < math.inf and all(map(math.isfinite, center))):
+            raise InvalidParameterError("in-plane std (> 0) and center must be finite")
         object.__setattr__(
             self, "inplane_center_nm", tuple(float(c) for c in self.inplane_center_nm)
         )
@@ -446,8 +449,6 @@ def shift_vs_field(
     grid = list(field_grid_kv_cm)
     if not grid:
         raise InvalidParameterError("field grid must be non-empty")
-    if any(f < 0 for f in grid):
-        raise InvalidParameterError("field values must be non-negative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("field grid must be strictly ascending")
     out = []

@@ -9,7 +9,9 @@ with a classical fixed-step 4th-order integrator (reproducible trajectories,
 no adaptive stepping).  The drive couples through the bit-flip operators:
 H_drive = -sum_l (f_l(t) sigma+_l + conj(f_l(t)) sigma-_l), where f_l is the
 per-dot amplitude returned by pulses.field_at (real in the lab frame,
-complex half-amplitude in the rotating frame).
+complex half-amplitude in the rotating frame).  It is written straight into
+the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low> and
+-conj(f_l) at <low|H|high> of every pair that flips dot l.
 
 Default frame: rotating at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the optical
@@ -32,7 +34,13 @@ from .errors import (
     PropagationDiagnosticsError,
     TimeStepError,
 )
-from .model import ExcitonRegister, bit_table, build_hamiltonian, lowering_operator
+from .model import (
+    ExcitonRegister,
+    bit_table,
+    build_hamiltonian,
+    flip_pairs,
+    lowering_operator,
+)
 from .pulses import PulseSequence, field_at
 
 LAB_FRAME_MAX_STEP_PS = 5e-5  # 0.05 fs
@@ -118,7 +126,6 @@ class SimulationConfig:
     sample_stride: int = 10
     reference_energy_ev: float | None = None
     duration_ps: float | None = None
-    addressing: str = "global"
     trace_tol: float = 1e-7
     eig_floor: float = -1e-6
     store_states: bool = False
@@ -182,20 +189,19 @@ def liouvillian_apply(
     t_ps: float,
     h0_diag_mev: np.ndarray,
     drive: Callable[[float], np.ndarray] | None,
-    raising_ops: Sequence[np.ndarray],
     channel_ops: Sequence[np.ndarray],
 ) -> np.ndarray:
     """Exact generator d(rho)/dt at time t, meV-ps units.
 
-    drive(t) returns per-dot amplitudes f_l (meV); raising_ops are the
-    sigma+_l matrices the drive couples to.
+    drive(t) returns per-dot amplitudes f_l (meV), written into the
+    bit-flip pairs of H; each off-diagonal entry belongs to one pair.
     """
     h = np.diag(h0_diag_mev).astype(complex)
     if drive is not None:
-        amps = drive(t_ps)
-        for f_l, sp in zip(amps, raising_ops):
-            if f_l != 0.0:
-                h -= f_l * sp + np.conj(f_l) * sp.T.conj()
+        f = drive(t_ps)
+        low, high, dot = flip_pairs(len(h0_diag_mev).bit_length() - 1)
+        h[high, low] -= f[dot]
+        h[low, high] -= np.conj(f)[dot]
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
     for lk, lk_dag, lk_dag_lk in channel_ops:
         out += lk @ rho @ lk_dag - 0.5 * (lk_dag_lk @ rho + rho @ lk_dag_lk)
@@ -215,7 +221,6 @@ def integrate_master_equation(
     rho0: np.ndarray,
     h0_diag_mev: np.ndarray,
     drive: Callable[[float], np.ndarray] | None,
-    raising_ops: Sequence[np.ndarray],
     channel_matrices: Sequence[np.ndarray],
     t_start_ps: float,
     t_end_ps: float,
@@ -264,7 +269,7 @@ def integrate_master_equation(
             kept.append(state.copy())
 
     def rhs(t, state):
-        return liouvillian_apply(state, t, h0, drive, raising_ops, channel_ops)
+        return liouvillian_apply(state, t, h0, drive, channel_ops)
 
     max_drift = abs(np.trace(rho).real - 1.0)
     sample(t_start_ps, rho)
@@ -307,12 +312,6 @@ def integrate_master_equation(
         max_trace_drift=max_drift,
         states=np.array(kept) if config.store_states else None,
     )
-
-
-def _raising_operators(register: ExcitonRegister) -> list[np.ndarray]:
-    return [
-        lowering_operator(register, l).T.conj() for l in range(register.n_qubits)
-    ]
 
 
 def default_reference_energy(
@@ -372,20 +371,9 @@ def propagate(
 
     dipoles = register.transition_dipoles
     frame = config.frame
-    addressing = config.addressing
 
-    if len(sequence) > 0:
-        def drive(t: float) -> np.ndarray:
-            return field_at(
-                sequence,
-                t,
-                dipoles,
-                frame=frame,
-                reference_energy_ev=ref if frame == "rotating" else None,
-                addressing=addressing,
-            )
-    else:
-        drive = None
+    def drive(t: float) -> np.ndarray:  # field_at ignores ref in the lab frame
+        return field_at(sequence, t, dipoles, frame=frame, reference_energy_ev=ref)
 
     t_start = min(0.0, sequence.start_ps) if len(sequence) else 0.0
     t_end = sequence.end_ps if len(sequence) else 0.0
@@ -395,8 +383,7 @@ def propagate(
     return integrate_master_equation(
         rho0,
         h0,
-        drive,
-        _raising_operators(register),
+        drive if len(sequence) > 0 else None,
         [channel_operator(register, ch) for ch in channels],
         t_start,
         t_end,

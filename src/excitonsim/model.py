@@ -11,7 +11,8 @@ Basis convention (used by every module): qubit 0 is the least-significant
 bit of the basis index, so for two dots the order is |00>, |10>, |01>, |11>
 with the first digit naming dot 0.  :func:`bit_table` is the one place
 that convention lives: every occupation bit of a basis index, here and in
-the pulse and dynamics modules, is read from it.
+the pulse and dynamics modules, is read from it, and every pair of basis
+states one exciton flip apart from :func:`flip_pairs`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ def bit_table(n_qubits: int) -> np.ndarray:
     table = ((index >> np.arange(n_qubits)) & 1).astype(np.uint8)
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def flip_pairs(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (low, high, dot) of the N 2^(N-1) basis pairs that differ only
+    in bit dot, which is clear in low; ordered by dot, then by low."""
+    dot, low = np.nonzero(bit_table(n_qubits).T == 0)
+    pairs = (low, low | (1 << dot), dot)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
 
 
 def check_dot(l: int, n_qubits: int) -> None:
@@ -160,9 +172,9 @@ def lowering_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     """sigma^-_l = |0_l><1_l|, destroying the exciton in dot l."""
     n = register.n_qubits
     check_dot(l, n)
-    occupied = np.flatnonzero(bit_table(n)[:, l])
+    low, high, dot = flip_pairs(n)
     sm = np.zeros((2**n, 2**n))
-    sm[occupied ^ (1 << l), occupied] = 1.0
+    sm[low[dot == l], high[dot == l]] = 1.0
     return sm
 
 

@@ -25,7 +25,13 @@ import numpy as np
 
 from . import units
 from .errors import CompileError, InvalidGateError, InvalidParameterError
-from .model import ExcitonRegister, bit_table, check_dot, renormalized_energy
+from .model import (
+    ExcitonRegister,
+    bit_table,
+    check_dot,
+    flip_pairs,
+    renormalized_energy,
+)
 
 ENVELOPE_CUTOFF = 4.0  # Gaussian envelopes are truncated at +- 4 tau
 # Conditional frequencies closer than this are one branch: rounding splits
@@ -41,9 +47,8 @@ class Pulse:
     """One Gaussian pulse.
 
     area_rad is the on-resonance Rabi angle integrated over the envelope,
-    defined for the dot named by target_dipole.  Under global addressing
-    every dot is illuminated, scaled by its dipole ratio; under local
-    addressing only target_dipole couples.
+    defined for the dot named by target_dipole.  Every dot is illuminated,
+    scaled by its dipole ratio.
     """
 
     carrier_energy_ev: float
@@ -372,9 +377,9 @@ def field_at(
     dipoles: Sequence[float],
     frame: str = "lab",
     reference_energy_ev: float | None = None,
-    addressing: str = "global",
 ) -> np.ndarray:
-    """Per-dot drive amplitude at time t, meV.
+    """Per-dot drive amplitude at time t, meV; each pulse reaches every dot,
+    scaled by that dot's dipole over the dipole of its target_dipole.
 
     Lab frame: the real Rabi energy sum_p Omega_p(t) cos(omega_p t + phi_p)
     seen by each dot.  Rotating frame: the complex half-amplitude
@@ -383,8 +388,6 @@ def field_at(
     """
     if frame not in ("lab", "rotating"):
         raise InvalidParameterError(f"unknown frame {frame!r}")
-    if addressing not in ("global", "local"):
-        raise InvalidParameterError(f"unknown addressing mode {addressing!r}")
     if frame == "rotating" and reference_energy_ev is None:
         raise InvalidParameterError("rotating frame requires a reference energy")
     dipoles = np.asarray(dipoles, dtype=float)
@@ -410,10 +413,7 @@ def field_at(
                 * env
                 * np.exp(-1j * (detuning * t + pulse.phase_rad))
             )
-        if addressing == "local":
-            out[pulse.target_dipole] += value
-        else:
-            out += value * dipoles / dipoles[pulse.target_dipole]
+        out += value * dipoles / dipoles[pulse.target_dipole]
     return out
 
 
@@ -432,13 +432,13 @@ def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:
     angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     check_dot(spec.target, n)
-    selected = bits[:, spec.target] == 0
+    low, high, flipped = flip_pairs(n)
+    selected = flipped == spec.target
     if spec.kind != "unconditional-not":
         for dot, occ in _addressed_pattern(register, spec).items():
             check_dot(dot, n)
-            selected &= bits[:, dot] == occ
-    j0 = np.flatnonzero(selected)
-    j1 = j0 | (1 << spec.target)
+            selected &= bits[low, dot] == occ
+    j0, j1 = low[selected], high[selected]
     u = np.eye(2**n)
     u[j0, j0] = c
     u[j1, j0] = s

@@ -303,7 +303,7 @@ class TestPropagatorCorrectness:
         rho0 /= np.trace(rho0).real
         h0 = np.array([0.0, 0.0, 10.0, 14.5])
         config = SimulationConfig(time_step_ps=5e-4)
-        traj = integrate_master_equation(rho0, h0, None, [], [], 0.0, 2.0, config)
+        traj = integrate_master_equation(rho0, h0, None, [], 0.0, 2.0, config)
         u = expm(-1j * np.diag(h0) * 2.0 / HBAR)
         err = np.max(np.abs(traj.final_state - u @ rho0 @ u.conj().T))
         assert err < 1e-8
@@ -331,7 +331,6 @@ class TestPropagatorCorrectness:
             basis_state_density(1, 0),
             np.array([0.0, delta]),
             lambda t: np.array([0.5 * omega], dtype=complex),
-            [SIGMA_PLUS],
             [],
             0.0,
             3.0,

@@ -16,7 +16,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from excitonsim.cli import main
-from excitonsim.config import KEYS, Key, OutputsSection, dump_config, load_config
+from excitonsim.config import (
+    KEYS,
+    Key,
+    OutputsSection,
+    dump_config,
+    load_config,
+    parse_dot,
+)
 from excitonsim.dynamics import SimulationConfig
 from excitonsim.pulses import TimingPolicy
 
@@ -51,8 +58,11 @@ def amplitudes(dim):
 
 
 def conditioning(n):
+    """Patterns the key accepts: each occupies some of the n dots, not all."""
     item = st.tuples(dots(n), st.sampled_from("01"))
-    pattern = st.lists(item, min_size=1, max_size=n)
+    pattern = st.lists(item, min_size=1, max_size=n).filter(
+        lambda p: 0 < list({parse_dot(d): o for d, o in p}.values()).count("1") < n
+    )
     return st.lists(pattern, min_size=1, max_size=3).map(
         lambda ps: ";".join(",".join(f"{d}:{o}" for d, o in p) for p in ps)
     )
@@ -91,7 +101,6 @@ STRATEGIES = {
     ("pulses", "selectivity_fraction"): lambda n: POSITIVE,
     ("pulses", "fallback_tau_ps"): lambda n: POSITIVE,
     ("pulses", "gap_factor"): lambda n: POSITIVE,
-    ("pulses", "addressing"): lambda n: st.sampled_from(["global", "local"]),
     ("integration", "time_step_ps"): lambda n: POSITIVE,
     ("integration", "frame"): lambda n: st.sampled_from(["rotating", "lab"]),
     ("integration", "sample_stride"): lambda n: st.integers(1, 1000).map(str),
@@ -143,7 +152,7 @@ def drawn(source, key, n):
         return "always" if source == "preset" else "never"
     if key in GEOMETRY + WELLS:
         return "never" if source == "preset" else "always"
-    if key == "shift_pair" and n < 2:
+    if key in ("shift_pair", "biexcitonic_conditioning") and n < 2:
         return "never"
     return "always" if key == "energies_ev" else "maybe"
 
@@ -355,10 +364,22 @@ def with_line(section, line):
         ("outputs", "coherence_pair = a:b", "[outputs] coherence_pair: "),
         ("outputs", "coherence_pair = 0:9", "[outputs] coherence_pair: "),
         (
+            "outputs",
+            "biexcitonic_conditioning = a:0",
+            "[outputs] biexcitonic_conditioning: pattern 0:0 must name dots below 2",
+        ),
+        (
+            "outputs",
+            "biexcitonic_conditioning = a:1,b:1",
+            "[outputs] biexcitonic_conditioning: pattern 0:1,1:1 must name",
+        ),
+        ("register", "dipoles = 0 1.0", "[register] dipoles: gate 1 drives dot a"),
+        (
             "integration",
             "integrator_order = 4",
             "[integration] unknown key 'integrator_order'",
         ),
+        ("pulses", "addressing = global", "[pulses] unknown key 'addressing'"),
     ],
 )
 def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys):
@@ -368,6 +389,32 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {cfg}: {named}"), err
+
+
+@pytest.mark.parametrize("pattern", ["a:0", "a:1,b:1"])
+def test_bad_conditioning_stops_spectrum_before_any_file(pattern, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    line = f"biexcitonic_conditioning = {pattern}"
+    cfg.write_text(with_line("outputs", line), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 2
+    assert "[outputs] biexcitonic_conditioning: " in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_zero_dipole_on_a_driven_dot_exits_2_naming_dipoles(command, tmp_path, capsys):
+    text = (REPO / "configs" / "device_derived.cfg").read_text(encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    text = text.replace("[device]\n", "[device]\ndipoles = 1.0 0\n")
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [device] dipoles: gate 2 drives dot b"), err
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from excitonsim.device import (
     ChargeDensity,
     DeviceStructure,
     DotGeometry,
+    InPlaneGaussian,
     MaterialParams,
     ZProfile,
     biexcitonic_shift,
@@ -316,6 +317,57 @@ class TestShiftVsField:
             shift_vs_field(s, 0, 1, [10.0, 5.0])
         with pytest.raises(InvalidParameterError):
             shift_vs_field(s, 0, 1, [-1.0, 5.0])
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("field", range(4))
+    def test_material(self, field, bad):
+        values = [0.067, 0.34, 12.9, 1.4]
+        values[field] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            MaterialParams(*values)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("field", range(4))
+    def test_dot_geometry(self, field, bad):
+        values = [20.0, 14.0, 5.0, 0.0]
+        values[field] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            DotGeometry(*values)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_device_structure(self, bad):
+        dots = (DotGeometry(20, 14, 5.0, 0.0), DotGeometry(20, 14, 5.0, 15.0))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            DeviceStructure(dots, (bad,), GAAS, 30.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            DeviceStructure(dots, (5.0,), GAAS, bad)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            gaas_two_dot(field_kv_cm=bad)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    @pytest.mark.parametrize("kind", ["gaussian", "infinite-well"])
+    def test_z_profile(self, kind, bad):
+        for center, width in ((bad, 5.0), (0.0, bad)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ZProfile(kind, center, width)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_inplane_gaussian(self, bad):
+        for center, std in (((bad, 0.0), 3.0), ((0.0, bad), 3.0), ((0.0, 0.0), bad)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                InPlaneGaussian(center, std)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_charge_density(self, bad):
+        z = ZProfile("gaussian", 0.0, 3.0)
+        for center, std in (((bad, 0.0), 3.0), ((0.0, bad), 3.0), ((0.0, 0.0), bad)):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ChargeDensity(-1, center, std, z)
 
 
 class TestStructureValidation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from excitonsim import units
@@ -29,8 +31,6 @@ from excitonsim.model import ExcitonRegister, occupation_number_operator
 from excitonsim.pulses import GateSpec, Pulse, PulseSequence, TimingPolicy, compile_gate
 
 HBAR = units.HBAR_MEV_PS
-
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def single_dot_register(energy_ev=1.70):
@@ -85,11 +85,51 @@ class TestValidation:
             LindbladChannel("decay", 0, bad)
 
 
+def dense_drive_generator(rho, h0, amps):
+    """-(i/hbar)[H, rho] for H = diag(h0) - sum_l (f_l sp_l + conj(f_l) sp_l^+),
+    each sigma+_l = sp_l a dense matrix built from the basis-index bits."""
+    dim = h0.size
+    h = np.diag(h0).astype(complex)
+    for l, f_l in enumerate(amps):
+        sp = np.zeros((dim, dim))
+        for idx in range(dim):
+            if not (idx >> l) & 1:
+                sp[idx | (1 << l), idx] = 1.0
+        if f_l != 0.0:
+            h -= f_l * sp + np.conj(f_l) * sp.T.conj()
+    return (-1j / HBAR) * (h @ rho - rho @ h)
+
+
+AMPLITUDE = st.floats(-50.0, 50.0)
+
+
+@st.composite
+def drive_cases(draw):
+    """(rho, h0, amps): N in 1..6, lab-frame real or rotating-frame complex f_l."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        amps = np.array(draw(st.lists(AMPLITUDE, min_size=n, max_size=n)))
+    else:
+        parts = draw(st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=n, max_size=n))
+        amps = np.array([complex(re, im) for re, im in parts])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return rho, rng.normal(scale=100.0, size=dim), amps
+
+
 class TestLiouvillian:
+    @given(drive_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_written_drive_equals_dense_sigma_sum(self, case):
+        rho, h0, amps = case
+        out = liouvillian_apply(rho, 0.3, h0, lambda t: amps, [])
+        assert np.array_equal(out, dense_drive_generator(rho, h0, amps))
+
     def test_diagonal_state_is_stationary_without_drive(self):
         h0 = np.array([0.0, 1700.0, 1710.0, 3414.5])
         rho = basis_state_density(2, 1)
-        out = liouvillian_apply(rho, 0.0, h0, None, [], [])
+        out = liouvillian_apply(rho, 0.0, h0, None, [])
         assert np.max(np.abs(out)) == 0.0
 
     def test_decay_rate_on_population(self):
@@ -99,7 +139,7 @@ class TestLiouvillian:
         rho = basis_state_density(1, 1)
         lk_dag = lk.T.conj()
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, [], [(lk, lk_dag, lk_dag @ lk)]
+            rho, 0.0, np.zeros(2), None, [(lk, lk_dag, lk_dag @ lk)]
         )
         assert out[1, 1].real == pytest.approx(-1.0 / t1, rel=1e-12)
         assert out[0, 0].real == pytest.approx(1.0 / t1, rel=1e-12)
@@ -111,7 +151,7 @@ class TestLiouvillian:
         rho = pure_state_density(np.array([1.0, 1.0]) / math.sqrt(2))
         lk_dag = lk.T.conj()
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, [], [(lk, lk_dag, lk_dag @ lk)]
+            rho, 0.0, np.zeros(2), None, [(lk, lk_dag, lk_dag @ lk)]
         )
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[1, 1] == pytest.approx(0.0, abs=1e-15)
@@ -175,7 +215,7 @@ class TestMatrixExponentialOracle:
         h0 = np.array([0.0, 0.0, 10.0, 14.5])  # rotating-frame diagonal, meV
         config = SimulationConfig(time_step_ps=5e-4, duration_ps=2.0)
         traj = integrate_master_equation(
-            rho0, h0, None, [], [], 0.0, 2.0, config
+            rho0, h0, None, [], 0.0, 2.0, config
         )
         u = expm(-1j * np.diag(h0) * 2.0 / HBAR)
         expected = u @ rho0 @ u.conj().T
@@ -218,12 +258,10 @@ class TestThreeQubitRegister:
             shift_matrix_mev=np.zeros((3, 3)),
         )
         pulse = Pulse(
-            carrier_energy_ev=1.70, center_ps=0.5, tau_ps=0.1,
+            carrier_energy_ev=1.70, center_ps=2.0, tau_ps=0.5,
             area_rad=math.pi, target_dipole=1,
         )
-        config = SimulationConfig(
-            time_step_ps=1e-3, reference_energy_ev=1.70, addressing="local"
-        )
+        config = SimulationConfig(time_step_ps=1e-3, reference_energy_ev=1.70)
         traj = propagate(
             basis_state_density(3, 0), PulseSequence((pulse,)), reg, config=config
         )
@@ -241,7 +279,6 @@ class TestDetunedRabi:
             basis_state_density(1, 0),
             h0,
             lambda t: np.array([0.5 * omega], dtype=complex),
-            [SIGMA_PLUS],
             [],
             0.0,
             3.0,
@@ -309,7 +346,7 @@ class TestFrames:
         rho0 = random_density(rng, 4)
         h0 = np.array([0.0, 3.0, 7.0, 11.5])
         config = SimulationConfig(time_step_ps=5e-4)
-        traj = integrate_master_equation(rho0, h0, None, [], [], 0.0, 1.5, config)
+        traj = integrate_master_equation(rho0, h0, None, [], 0.0, 1.5, config)
         rho_int = traj.final_state_interaction_picture()
         assert np.max(np.abs(rho_int - rho0)) < 1e-8
 

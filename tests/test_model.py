@@ -12,6 +12,7 @@ from excitonsim.model import (
     basis_label,
     bit_table,
     build_hamiltonian,
+    flip_pairs,
     index_of_occupations,
     lowering_operator,
     occupation_number_operator,
@@ -135,6 +136,21 @@ class TestBitTable:
         assert bit_table(3) is table
         with pytest.raises(ValueError):
             table[0, 0] = 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_flip_pairs_match_per_index_bits(self, n):
+        expected = [
+            (idx, idx + 2**l, l)
+            for l in range(n)
+            for idx in range(2**n)
+            if (idx >> l) & 1 == 0
+        ]
+        pairs = flip_pairs(n)
+        assert [tuple(map(int, p)) for p in zip(*pairs)] == expected
+        assert flip_pairs(n) is pairs
+        for arr in pairs:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @given(
         n=st.integers(min_value=1, max_value=6),

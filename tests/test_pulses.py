@@ -289,20 +289,6 @@ class TestFieldAt:
         )
         assert amps[1] == pytest.approx(0.5 * amps[0], rel=1e-12)
 
-    def test_local_addressing_drives_only_target(self):
-        pulse = Pulse(1.71, 0.0, 0.1, math.pi, target_dipole=0)
-        seq = PulseSequence((pulse,))
-        amps = field_at(
-            seq,
-            0.0,
-            [1.0, 1.0],
-            frame="rotating",
-            reference_energy_ev=1.71,
-            addressing="local",
-        )
-        assert amps[0] != 0.0
-        assert amps[1] == 0.0
-
     def test_rotating_needs_reference(self):
         pulse = Pulse(1.71, 0.0, 0.1, math.pi)
         with pytest.raises(InvalidParameterError):
