@@ -49,6 +49,7 @@ from .dynamics import (
     SimulationConfig,
     Trajectory,
     basis_state_density,
+    build_dissipator,
     expectation,
     liouvillian_apply,
     propagate,

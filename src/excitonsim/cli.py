@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .config import (
     RunConfig,
-    check_driven_dipoles,
     dot_label,
     dump_config,
     fmt as _fmt,
@@ -92,6 +91,13 @@ def _write_spectrum(path: Path, spectrum, kind: str) -> None:
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
+    if config.register.n_qubits < 2:
+        key = ("device", "well_widths_nm") if config.device else ("register", "energies_ev")
+        raise ConfigError(
+            "the spectrum subcommand needs two or more dots: one dot has no "
+            "biexcitonic lines",
+            *key,
+        )
     lw = config.outputs.spectrum_linewidth_mev
     exc = absorption_spectrum(config.register, "excitonic", linewidth_mev=lw)
     _write_spectrum(out_dir / "spectrum_excitonic.csv", exc, "excitonic")
@@ -112,11 +118,10 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 def _compiled_sequence(config: RunConfig) -> PulseSequence:
     if not config.program:
         return PulseSequence(())
-    check_driven_dipoles(config)
     try:
         return compile_program(config.register, config.program, config.policy)
     except ExcitonSimError as err:
-        raise program_error(err) from err
+        raise program_error(err, config) from err
 
 
 def _write_sequence(path: Path, sequence: PulseSequence) -> None:

@@ -46,7 +46,7 @@ from .device import (
     gaas_two_dot,
 )
 from .dynamics import LindbladChannel, SimulationConfig
-from .errors import ConfigError, ExcitonSimError, TimeStepError
+from .errors import ConfigError, ExcitonSimError, TimeStepError, ZeroDipoleError
 from .model import ExcitonRegister
 from .pulses import GateSpec, TimingPolicy
 
@@ -654,21 +654,23 @@ def sweep_device(config: RunConfig) -> DeviceSection:
     return device
 
 
-def check_driven_dipoles(config: RunConfig) -> None:
-    """ConfigError naming the dipoles key unless every gate's target dot has a
-    nonzero dipole: its pulses are calibrated on that dipole."""
-    for i, (spec, _) in enumerate(config.program, start=1):
-        if config.register.transition_dipoles[spec.target] == 0.0:
-            message = f"gate {i} drives dot {dot_label(spec.target)}, whose dipole is 0"
-            section = "device" if config.device else "register"
-            raise ConfigError(message, section, "dipoles")
-
-
-def program_error(err: ExcitonSimError) -> ConfigError:
-    """A compile_program failure as a ConfigError: a pulse shorter than the
-    selectivity floor (the gate's CompileError, chained as the cause, carries
-    required_tau_ps) is the explicit tau_ps's fault, the rest the program's."""
-    if getattr(err.__cause__, "required_tau_ps", None) is not None:
+def program_error(err: ExcitonSimError, config: RunConfig) -> ConfigError:
+    """A compile_program failure as a ConfigError: a gate on a dot with zero
+    dipole (the gate's ZeroDipoleError is chained as the cause) is the
+    dipoles key's fault, a pulse shorter than the selectivity floor (the
+    cause carries required_tau_ps) the explicit tau_ps's, the rest the
+    program's."""
+    cause = err.__cause__
+    if isinstance(cause, ZeroDipoleError):
+        # compilation stops at the first failing gate, and every gate on
+        # this dot fails, so the first of them is the one reported
+        gate = next(
+            i for i, (spec, _) in enumerate(config.program, start=1)
+            if spec.target == cause.dot
+        )
+        message = f"gate {gate} drives dot {dot_label(cause.dot)}, whose dipole is 0"
+        return ConfigError(message, "device" if config.device else "register", "dipoles")
+    if getattr(cause, "required_tau_ps", None) is not None:
         return ConfigError(str(err), "pulses", "tau_ps")
     return ConfigError(str(err), "program")
 

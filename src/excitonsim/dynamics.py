@@ -13,6 +13,13 @@ complex half-amplitude in the rotating frame).  It is written straight into
 the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low> and
 -conj(f_l) at <low|H|high> of every pair that flips dot l.
 
+The channels are applied the same way, through the bit table rather than
+as dense operator products: one elementwise rate mask holds every
+anticommutator and dephasing term, and one jump per decaying dot moves the
+flip-pair blocks with that bit set on both sides to where it is clear.
+That is exact up to roundoff and costs O(N 4^N) per call; the dense jump
+operators of channel_operator survive only as the tests' reference.
+
 Default frame: rotating at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the optical
 carrier, so ~fs steps suffice.  The literal lab frame (optical period
@@ -38,6 +45,7 @@ from .model import (
     ExcitonRegister,
     bit_table,
     build_hamiltonian,
+    check_dot,
     flip_pairs,
     lowering_operator,
 )
@@ -102,7 +110,11 @@ class LindbladChannel:
 
 
 def channel_operator(register: ExcitonRegister, channel: LindbladChannel) -> np.ndarray:
-    """Jump operator of one channel on the 2^N space."""
+    """Dense jump operator of one channel on the 2^N space.
+
+    The dissipator that propagation applies is build_dissipator's exact
+    rewrite of sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) over these.
+    """
     if channel.kind == "decay":
         return math.sqrt(channel.rate_per_ps) * lowering_operator(
             register, channel.dot
@@ -184,17 +196,64 @@ def to_interaction_picture(
     return (phases[:, None] * rho) * phases.conj()[None, :]
 
 
+@dataclass(frozen=True)
+class Dissipator:
+    """The Lindblad terms of a channel list, written through the bit table.
+
+    rate_mask holds every diagonal term at (i, j): a decay channel on dot l
+    adds -gamma/2 (n_il + n_jl), a dephasing channel -gamma [n_il != n_jl],
+    which is (gamma/2)(z_i z_j - 1) for L = sqrt(gamma/2)(1 - 2 n_l).  It is
+    real, stored as complex because numpy would cast it on every product
+    with rho anyway.  jumps holds, per decaying dot, the flat (d*d) indices
+    of the flip-pair blocks with bit l clear on both sides (dst) and set on
+    both sides (src), and the dot's summed rate: gamma sigma-_l rho sigma+_l
+    is rho[src] * gamma added at dst.
+    """
+
+    rate_mask: np.ndarray
+    jumps: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+
+
+def build_dissipator(
+    channels: Sequence[LindbladChannel], n_qubits: int
+) -> Dissipator | None:
+    """The exact dissipator of the channels on N dots; None without channels."""
+    if not channels:
+        return None
+    dim = 2**n_qubits
+    bits = bit_table(n_qubits).astype(float)
+    rate_mask = np.zeros((dim, dim))
+    decay: dict[int, float] = {}
+    for ch in channels:
+        check_dot(ch.dot, n_qubits)
+        occ = bits[:, ch.dot]
+        if ch.kind == "decay":
+            rate_mask -= 0.5 * ch.rate_per_ps * (occ[:, None] + occ[None, :])
+            decay[ch.dot] = decay.get(ch.dot, 0.0) + ch.rate_per_ps
+        else:
+            rate_mask -= ch.rate_per_ps * (occ[:, None] != occ[None, :])
+    low, high, dot = flip_pairs(n_qubits)
+    jumps = []
+    for l, rate in sorted(decay.items()):
+        lo, hi = low[dot == l], high[dot == l]
+        dst, src = (lo[:, None] * dim + lo).ravel(), (hi[:, None] * dim + hi).ravel()
+        jumps.append((dst, src, rate))
+    return Dissipator(rate_mask.astype(complex), tuple(jumps))
+
+
 def liouvillian_apply(
     rho: np.ndarray,
     t_ps: float,
     h0_diag_mev: np.ndarray,
     drive: Callable[[float], np.ndarray] | None,
-    channel_ops: Sequence[np.ndarray],
+    dissipator: Dissipator | None,
 ) -> np.ndarray:
     """Exact generator d(rho)/dt at time t, meV-ps units.
 
     drive(t) returns per-dot amplitudes f_l (meV), written into the
     bit-flip pairs of H; each off-diagonal entry belongs to one pair.
+    dissipator comes from build_dissipator; None (or an empty sequence)
+    applies no channels.
     """
     h = np.diag(h0_diag_mev).astype(complex)
     if drive is not None:
@@ -203,25 +262,19 @@ def liouvillian_apply(
         h[high, low] -= f[dot]
         h[low, high] -= np.conj(f)[dot]
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
-    for lk, lk_dag, lk_dag_lk in channel_ops:
-        out += lk @ rho @ lk_dag - 0.5 * (lk_dag_lk @ rho + rho @ lk_dag_lk)
+    if dissipator:
+        out += dissipator.rate_mask * rho
+        flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)  # out: a fresh C array
+        for dst, src, rate in dissipator.jumps:
+            flat_out[dst] += rate * flat_rho[src]
     return out
-
-
-def _prepare_channel_ops(channel_matrices: Sequence[np.ndarray]):
-    ops = []
-    for lk in channel_matrices:
-        lk = np.asarray(lk, dtype=complex)
-        lk_dag = lk.T.conj()
-        ops.append((lk, lk_dag, lk_dag @ lk))
-    return ops
 
 
 def integrate_master_equation(
     rho0: np.ndarray,
     h0_diag_mev: np.ndarray,
     drive: Callable[[float], np.ndarray] | None,
-    channel_matrices: Sequence[np.ndarray],
+    channels: Sequence[LindbladChannel],
     t_start_ps: float,
     t_end_ps: float,
     config: SimulationConfig,
@@ -244,7 +297,7 @@ def integrate_master_equation(
     h0 = np.asarray(h0_diag_mev, dtype=float)
     if h0.shape != (dim,):
         raise InvalidParameterError("diagonal Hamiltonian does not match state size")
-    channel_ops = _prepare_channel_ops(channel_matrices)
+    dissipator = build_dissipator(channels, n_qubits)
 
     span = t_end_ps - t_start_ps
     if span < 0:
@@ -269,7 +322,7 @@ def integrate_master_equation(
             kept.append(state.copy())
 
     def rhs(t, state):
-        return liouvillian_apply(state, t, h0, drive, channel_ops)
+        return liouvillian_apply(state, t, h0, drive, dissipator)
 
     max_drift = abs(np.trace(rho).real - 1.0)
     sample(t_start_ps, rho)
@@ -335,9 +388,9 @@ def propagate(
     """Propagate the register state through a pulse sequence.
 
     Builds the frame Hamiltonian (full optical energies in the lab frame,
-    reference-shifted in the rotating frame), the drive from field_at, and
-    the channel jump operators, then runs the fixed-step integrator over
-    the sequence span (extended to duration_ps when configured).
+    reference-shifted in the rotating frame) and the drive from field_at,
+    then runs the fixed-step integrator, with the channels' dissipator,
+    over the sequence span (extended to duration_ps when configured).
     """
     config = config or SimulationConfig()
     if len(sequence) > 0:
@@ -384,7 +437,7 @@ def propagate(
         rho0,
         h0,
         drive if len(sequence) > 0 else None,
-        [channel_operator(register, ch) for ch in channels],
+        channels,
         t_start,
         t_end,
         config,

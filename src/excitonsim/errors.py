@@ -46,6 +46,14 @@ class CompileError(ExcitonSimError, ValueError):
         self.required_tau_ps = required_tau_ps
 
 
+class ZeroDipoleError(CompileError):
+    """A gate targets a dot whose transition dipole is zero: no pulse drives it."""
+
+    def __init__(self, dot: int):
+        super().__init__(f"dot {dot} has zero transition dipole, so no pulse drives it")
+        self.dot = dot
+
+
 class PropagationDiagnosticsError(ExcitonSimError, RuntimeError):
     """A propagated state violated its invariants beyond tolerance.
 

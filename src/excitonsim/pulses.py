@@ -24,7 +24,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import units
-from .errors import CompileError, InvalidGateError, InvalidParameterError
+from .errors import (
+    CompileError,
+    InvalidGateError,
+    InvalidParameterError,
+    ZeroDipoleError,
+)
 from .model import (
     ExcitonRegister,
     bit_table,
@@ -288,8 +293,12 @@ def compile_gate(
     A pulse rotates every neighbour pattern at its carrier, so a gate that
     must leave a pattern at the addressed frequency untouched (a condition
     on a dot that does not shift the target, or two patterns whose shifts
-    sum alike) needs an infinite duration and raises CompileError.
+    sum alike) needs an infinite duration and raises CompileError.  Pulse
+    areas are calibrated on the target's dipole, so a target with zero
+    dipole raises ZeroDipoleError.
     """
+    if register.transition_dipoles[spec.target] == 0.0:
+        raise ZeroDipoleError(spec.target)
     angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
     coupled = _coupled(register, spec.target)
     if spec.kind == "unconditional-not":

@@ -403,6 +403,36 @@ def test_bad_conditioning_stops_spectrum_before_any_file(pattern, tmp_path, caps
     assert not list(out.iterdir())
 
 
+ONE_DOT_DEVICE = """[device]
+electron_mass = 0.067
+hole_mass = 0.34
+epsilon_r = 12.9
+band_gap_ev = 1.519
+well_widths_nm = 5.0
+hbar_omega_e_mev = 20.0
+hbar_omega_h_mev = 10.0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[register]\nenergies_ev = 1.7\n", "[register] energies_ev: "),
+        (ONE_DOT_DEVICE, "[device] well_widths_nm: "),
+    ],
+    ids=["register", "device"],
+)
+def test_one_dot_spectrum_exits_2_before_any_file(text, named, tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["spectrum", "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: {named}"), err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["compile", "simulate"])
 def test_zero_dipole_on_a_driven_dot_exits_2_naming_dipoles(command, tmp_path, capsys):
     text = (REPO / "configs" / "device_derived.cfg").read_text(encoding="utf-8")

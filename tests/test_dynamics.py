@@ -11,6 +11,7 @@ from excitonsim.dynamics import (
     LindbladChannel,
     SimulationConfig,
     basis_state_density,
+    build_dissipator,
     channel_operator,
     default_reference_energy,
     expectation,
@@ -118,6 +119,39 @@ def drive_cases(draw):
     return rho, rng.normal(scale=100.0, size=dim), amps
 
 
+def dense_dissipator(register, rho, channels):
+    """sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) from the dense jump operators."""
+    out = np.zeros_like(rho)
+    for ch in channels:
+        lk = channel_operator(register, ch)
+        lk_dag_lk = lk.T.conj() @ lk
+        out += lk @ rho @ lk.T.conj() - 0.5 * (lk_dag_lk @ rho + rho @ lk_dag_lk)
+    return out
+
+
+RATE = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@st.composite
+def channel_cases(draw):
+    """(n, rho, channels): N in 1..6, a random complex rho, and a shuffled
+    channel list holding both kinds on one dot plus further channels, so that
+    dots carry several channels and some rates are 0."""
+    n = draw(st.integers(1, 6))
+    dot = st.integers(0, n - 1)
+    shared = draw(dot)
+    channels = [
+        LindbladChannel("decay", shared, draw(RATE)),
+        LindbladChannel("pure-dephasing", shared, draw(RATE)),
+    ]
+    kind = st.sampled_from(["decay", "pure-dephasing"])
+    channels += draw(st.lists(st.builds(LindbladChannel, kind, dot, RATE), max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return n, rho, draw(st.permutations(channels))
+
+
 class TestLiouvillian:
     @given(drive_cases())
     @settings(max_examples=150, deadline=None)
@@ -135,11 +169,10 @@ class TestLiouvillian:
     def test_decay_rate_on_population(self):
         reg = single_dot_register()
         t1 = 2.0
-        lk = channel_operator(reg, LindbladChannel("decay", 0, 1.0 / t1))
+        channels = [LindbladChannel("decay", 0, 1.0 / t1)]
         rho = basis_state_density(1, 1)
-        lk_dag = lk.T.conj()
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, [(lk, lk_dag, lk_dag @ lk)]
+            rho, 0.0, np.zeros(2), None, build_dissipator(channels, reg.n_qubits)
         )
         assert out[1, 1].real == pytest.approx(-1.0 / t1, rel=1e-12)
         assert out[0, 0].real == pytest.approx(1.0 / t1, rel=1e-12)
@@ -147,15 +180,25 @@ class TestLiouvillian:
     def test_pure_dephasing_touches_only_coherences(self):
         reg = single_dot_register()
         gamma = 0.37
-        lk = channel_operator(reg, LindbladChannel("pure-dephasing", 0, gamma))
+        channels = [LindbladChannel("pure-dephasing", 0, gamma)]
         rho = pure_state_density(np.array([1.0, 1.0]) / math.sqrt(2))
-        lk_dag = lk.T.conj()
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, [(lk, lk_dag, lk_dag @ lk)]
+            rho, 0.0, np.zeros(2), None, build_dissipator(channels, reg.n_qubits)
         )
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[1, 1] == pytest.approx(0.0, abs=1e-15)
         assert out[0, 1] == pytest.approx(-gamma * rho[0, 1], rel=1e-12)
+
+
+    @given(channel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_dissipator_equals_dense_lindblad_sum(self, case):
+        n, rho, channels = case
+        reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
+        dissipator = build_dissipator(channels, n)
+        out = liouvillian_apply(rho, 0.0, np.zeros(2**n), None, dissipator)
+        bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
+        assert np.max(np.abs(out - dense_dissipator(reg, rho, channels))) <= bound
 
 
 class TestAnalyticChannels:

@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from excitonsim import units
-from excitonsim.errors import CompileError, InvalidGateError, InvalidParameterError
+from excitonsim.errors import (
+    CompileError,
+    InvalidGateError,
+    InvalidParameterError,
+    ZeroDipoleError,
+)
 from excitonsim.model import ExcitonRegister, occupations_of_index
 from excitonsim.pulses import (
     GATE_KINDS,
@@ -224,6 +229,22 @@ class TestCompileGate:
             GateSpec("rotation", target=0, angle=-0.1)
         with pytest.raises(InvalidGateError):
             GateSpec("rotation", target=0, angle=2 * math.pi + 0.1)
+
+    @pytest.mark.parametrize("kind", ["rotation", "cnot", "unconditional-not"])
+    def test_zero_dipole_target_rejected(self, kind):
+        reg = ExcitonRegister(
+            exciton_energies_ev=np.array([1.70, 1.71]),
+            shift_matrix_mev=np.array([[0.0, 4.5], [4.5, 0.0]]),
+            transition_dipoles=np.array([0.0, 1.0]),
+        )
+        spec = GateSpec(kind, 0, conditions=((1, 1),) if kind == "cnot" else ())
+        with pytest.raises(ZeroDipoleError) as err:
+            compile_gate(reg, spec)
+        assert err.value.dot == 0
+        program = [(GateSpec("rotation", 1), None), (spec, None)]
+        with pytest.raises(CompileError, match="gate 2: dot 0 has zero transition"):
+            compile_program(reg, program)
+        assert len(compile_gate(reg, GateSpec("rotation", 1))) == 1
 
 
 class TestCompileProgram:
