@@ -50,7 +50,6 @@ from .dynamics import (
     Trajectory,
     basis_state_density,
     build_dissipator,
-    expectation,
     liouvillian_apply,
     propagate,
     pure_state_density,
@@ -63,9 +62,7 @@ from .model import (
     basis_label,
     bit_table,
     build_hamiltonian,
-    occupation_number_operator,
     renormalized_energy,
-    transition_operator,
 )
 from .pulses import (
     GateSpec,

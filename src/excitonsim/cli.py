@@ -42,7 +42,6 @@ from .dynamics import Trajectory, basis_state_density, propagate, purity
 from .errors import (
     ConfigError,
     ExcitonSimError,
-    NumericalConsistencyError,
     PropagationDiagnosticsError,
     TimeStepError,
 )
@@ -183,7 +182,7 @@ def _write_trajectory(path: Path, traj: Trajectory, n_qubits: int) -> None:
     comment = (
         f"# basis index sum_l n_l 2^l with dot a least significant; pop columns "
         f"list occupations (n_a n_b ...); coherence = <{basis_label(i, n_qubits)}"
-        f"|rho|{basis_label(j, n_qubits)}> in the {traj.frame} frame, reference "
+        f"|rho|{basis_label(j, n_qubits)}> in the rotating frame, reference "
         f"{_fmt(traj.reference_energy_ev)} eV"
     )
     lines = [comment, header]
@@ -291,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compile":
             return cmd_compile(config, out_dir)
         return cmd_simulate(config, out_dir, config_path)
-    except (PropagationDiagnosticsError, NumericalConsistencyError) as err:
+    except PropagationDiagnosticsError as err:
         print(f"error: {config_path}: {err}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
     except ExcitonSimError as err:

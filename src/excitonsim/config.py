@@ -452,8 +452,6 @@ KEYS: tuple[Key | Family, ...] = (
     Family("channels", _CHANNEL_KEY, _write_channels),
     Key("integration", "time_step_ps", _real, 1e-3,
         attrgetter("simulation.time_step_ps"), _positive),
-    Key("integration", "frame", _choice("rotating", "lab"), "rotating",
-        attrgetter("simulation.frame")),
     Key("integration", "sample_stride", int, 10,
         attrgetter("simulation.sample_stride"), _at_least_one),
     Key("integration", "reference_energy_ev", _real, None,
@@ -676,5 +674,5 @@ def program_error(err: ExcitonSimError, config: RunConfig) -> ConfigError:
 
 
 def step_error(err: TimeStepError) -> ConfigError:
-    """A step too coarse for the pulses or the frame, blamed on the step."""
+    """A step too coarse for the shortest pulse, blamed on the step."""
     return ConfigError(str(err), "integration", "time_step_ps")

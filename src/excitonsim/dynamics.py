@@ -8,10 +8,9 @@ Solves the Liouville-von Neumann equation with optional Lindblad channels,
 with a classical fixed-step 4th-order integrator (reproducible trajectories,
 no adaptive stepping).  The drive couples through the bit-flip operators:
 H_drive = -sum_l (f_l(t) sigma+_l + conj(f_l(t)) sigma-_l), where f_l is the
-per-dot amplitude returned by pulses.field_at (real in the lab frame,
-complex half-amplitude in the rotating frame).  It is written straight into
-the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low> and
--conj(f_l) at <low|H|high> of every pair that flips dot l.
+complex per-dot half-amplitude returned by pulses.field_at.  It is written
+straight into the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low>
+and -conj(f_l) at <low|H|high> of every pair that flips dot l.
 
 The channels are applied the same way, through the bit table rather than
 as dense operator products: one elementwise rate mask holds every
@@ -20,10 +19,9 @@ flip-pair blocks with that bit set on both sides to where it is clear.
 That is exact up to roundoff and costs O(N 4^N) per call; the dense jump
 operators of channel_operator survive only as the tests' reference.
 
-Default frame: rotating at a reference energy, which keeps every meV-scale
-detuning and inter-color cross term while removing only the optical
-carrier, so ~fs steps suffice.  The literal lab frame (optical period
-~2.4 fs) is retained for validation with steps of at most 0.05 fs.
+The frame rotates at a reference energy, which keeps every meV-scale
+detuning and inter-color cross term while removing only the ~2.4 fs optical
+carrier, so ~fs steps suffice.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import units
-from .errors import (
-    InvalidParameterError,
-    NumericalConsistencyError,
-    PropagationDiagnosticsError,
-    TimeStepError,
-)
+from .errors import InvalidParameterError, PropagationDiagnosticsError, TimeStepError
 from .model import (
     ExcitonRegister,
     bit_table,
@@ -50,8 +43,6 @@ from .model import (
     lowering_operator,
 )
 from .pulses import PulseSequence, field_at
-
-LAB_FRAME_MAX_STEP_PS = 5e-5  # 0.05 fs
 
 
 def pure_state_density(vector: Sequence[complex]) -> np.ndarray:
@@ -127,14 +118,15 @@ def channel_operator(register: ExcitonRegister, channel: LindbladChannel) -> np.
 class SimulationConfig:
     """Integration controls.
 
-    reference_energy_ev: rotating-frame reference; None picks the exciton
-    energy of the first pulse's target dot.  duration_ps extends the
-    integration window beyond the pulse span (required for empty
-    sequences).  trace_tol / eig_floor are the per-step diagnostic limits.
+    time_step_ps: at most tau/20 of the shortest pulse, checked by
+    propagate.  reference_energy_ev: rotating-frame reference; None picks
+    the exciton energy of the first pulse's target dot.  duration_ps
+    extends the integration window beyond the pulse span (required for
+    empty sequences).  trace_tol / eig_floor are the per-step diagnostic
+    limits.
     """
 
     time_step_ps: float = 1e-3
-    frame: str = "rotating"
     sample_stride: int = 10
     reference_energy_ev: float | None = None
     duration_ps: float | None = None
@@ -147,8 +139,6 @@ class SimulationConfig:
         for name in ("time_step_ps", "trace_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidParameterError(f"{name} must be positive and finite")
-        if self.frame not in ("lab", "rotating"):
-            raise InvalidParameterError(f"unknown frame {self.frame!r}")
         if self.sample_stride < 1:
             raise InvalidParameterError("sample stride must be >= 1")
         for name in ("eig_floor", "reference_energy_ev"):
@@ -170,7 +160,6 @@ class Trajectory:
     coherence_pair: tuple[int, int]
     final_state: np.ndarray
     final_time_ps: float
-    frame: str
     reference_energy_ev: float
     h0_diag_mev: np.ndarray
     n_steps: int
@@ -278,7 +267,6 @@ def integrate_master_equation(
     t_start_ps: float,
     t_end_ps: float,
     config: SimulationConfig,
-    frame: str = "rotating",
     reference_energy_ev: float = 0.0,
 ) -> Trajectory:
     """Fixed-step integration of the master equation over [t_start, t_end].
@@ -358,7 +346,6 @@ def integrate_master_equation(
         coherence_pair=pair,
         final_state=rho,
         final_time_ps=t,
-        frame=frame,
         reference_energy_ev=reference_energy_ev,
         h0_diag_mev=h0,
         n_steps=n_steps,
@@ -387,46 +374,31 @@ def propagate(
 ) -> Trajectory:
     """Propagate the register state through a pulse sequence.
 
-    Builds the frame Hamiltonian (full optical energies in the lab frame,
-    reference-shifted in the rotating frame) and the drive from field_at,
-    then runs the fixed-step integrator, with the channels' dissipator,
-    over the sequence span (extended to duration_ps when configured).
+    Builds the Hamiltonian shifted by the reference energy per exciton and
+    the rotating-frame drive from field_at, then runs the fixed-step
+    integrator, with the channels' dissipator, over the sequence span
+    (extended to duration_ps when configured).
     """
     config = config or SimulationConfig()
     if len(sequence) > 0:
         tau_min = min(p.tau_ps for p in sequence)
-        if config.frame == "rotating" and config.time_step_ps > tau_min / 20.0:
+        if config.time_step_ps > tau_min / 20.0:
             raise TimeStepError(
                 f"time step {config.time_step_ps} ps too coarse: must be at most "
                 f"tau_min/20 = {tau_min / 20.0:.3e} ps"
             )
-    if config.frame == "lab" and config.time_step_ps > LAB_FRAME_MAX_STEP_PS:
-        raise TimeStepError(
-            f"lab-frame steps must be at most {LAB_FRAME_MAX_STEP_PS} ps to resolve "
-            "the optical carrier"
-        )
 
-    diag_ev = build_hamiltonian(register)
+    ref = (
+        config.reference_energy_ev
+        if config.reference_energy_ev is not None
+        else default_reference_energy(sequence, register)
+    )
     occupancy = bit_table(register.n_qubits).sum(axis=1).astype(float)
-    if config.frame == "rotating":
-        ref = (
-            config.reference_energy_ev
-            if config.reference_energy_ev is not None
-            else default_reference_energy(sequence, register)
-        )
-        h0 = (diag_ev - ref * occupancy) * units.MEV_PER_EV
-    else:
-        ref = 0.0
-        h0 = diag_ev * units.MEV_PER_EV
-        # global energy offset is gauge (cancels in rho); centering the
-        # spectrum halves the stiffest phase the integrator must resolve
-        h0 = h0 - 0.5 * (h0.max() + h0.min())
-
+    h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
     dipoles = register.transition_dipoles
-    frame = config.frame
 
-    def drive(t: float) -> np.ndarray:  # field_at ignores ref in the lab frame
-        return field_at(sequence, t, dipoles, frame=frame, reference_energy_ev=ref)
+    def drive(t: float) -> np.ndarray:
+        return field_at(sequence, t, dipoles, reference_energy_ev=ref)
 
     t_start = min(0.0, sequence.start_ps) if len(sequence) else 0.0
     t_end = sequence.end_ps if len(sequence) else 0.0
@@ -441,26 +413,8 @@ def propagate(
         t_start,
         t_end,
         config,
-        frame=frame,
         reference_energy_ev=ref,
     )
-
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    """Real expectation value trace(op rho).
-
-    The imaginary residue must stay below 1e-8; residues below 1e-10 are
-    silently discarded, anything between is still accepted but indicates
-    marginal Hermiticity.
-    """
-    if op.shape != rho.shape:
-        raise InvalidParameterError("operator and state dimensions differ")
-    value = complex(np.trace(op @ rho))
-    if abs(value.imag) > 1e-8:
-        raise NumericalConsistencyError(
-            f"expectation value has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
 
 
 def purity(rho: np.ndarray) -> float:

@@ -10,7 +10,7 @@ class InvalidParameterError(ExcitonSimError, ValueError):
 
 
 class TimeStepError(InvalidParameterError):
-    """An integration step too coarse for the pulses or the frame."""
+    """An integration step too coarse for the shortest pulse."""
 
 
 class ConvergenceError(ExcitonSimError, RuntimeError):
@@ -63,10 +63,6 @@ class PropagationDiagnosticsError(ExcitonSimError, RuntimeError):
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} at step {step}")
         self.step = step
-
-
-class NumericalConsistencyError(ExcitonSimError, RuntimeError):
-    """A quantity that should be real carries too large an imaginary part."""
 
 
 class InvalidConditioningError(ExcitonSimError, ValueError):

@@ -162,12 +162,6 @@ def build_hamiltonian(register: ExcitonRegister) -> np.ndarray:
     return diag
 
 
-def occupation_number_operator(register: ExcitonRegister, l: int) -> np.ndarray:
-    """Diagonal projector n_l on the 2^N space."""
-    check_dot(l, register.n_qubits)
-    return np.diag(bit_table(register.n_qubits)[:, l].astype(float))
-
-
 def lowering_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     """sigma^-_l = |0_l><1_l|, destroying the exciton in dot l."""
     n = register.n_qubits
@@ -176,12 +170,6 @@ def lowering_operator(register: ExcitonRegister, l: int) -> np.ndarray:
     sm = np.zeros((2**n, 2**n))
     sm[low[dot == l], high[dot == l]] = 1.0
     return sm
-
-
-def transition_operator(register: ExcitonRegister, l: int) -> np.ndarray:
-    """Bit-flip X_l: <n'|X_l|n> = 1 iff n' equals n with bit l toggled."""
-    sm = lowering_operator(register, l)
-    return sm + sm.T
 
 
 def renormalized_energy(

@@ -112,12 +112,6 @@ class PulseSequence:
     def end_ps(self) -> float:
         return max((p.end_ps for p in self.pulses), default=0.0)
 
-    @property
-    def total_span_ps(self) -> float:
-        return self.end_ps - self.start_ps
-
-    def concatenate(self, other: "PulseSequence") -> "PulseSequence":
-        return PulseSequence(self.pulses + other.pulses)
 
 
 @dataclass(frozen=True)
@@ -384,44 +378,34 @@ def field_at(
     sequence: PulseSequence,
     t: float,
     dipoles: Sequence[float],
-    frame: str = "lab",
-    reference_energy_ev: float | None = None,
+    reference_energy_ev: float,
 ) -> np.ndarray:
-    """Per-dot drive amplitude at time t, meV; each pulse reaches every dot,
-    scaled by that dot's dipole over the dipole of its target_dipole.
+    """Per-dot rotating-frame drive amplitude at time t, meV; each pulse
+    reaches every dot, scaled by that dot's dipole over the dipole of its
+    target_dipole.
 
-    Lab frame: the real Rabi energy sum_p Omega_p(t) cos(omega_p t + phi_p)
-    seen by each dot.  Rotating frame: the complex half-amplitude
+    The complex half-amplitude
     sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) relative to
-    the declared reference carrier; its conjugate drives the lowering part.
+    the reference carrier omega_ref; its conjugate drives the lowering part.
     """
-    if frame not in ("lab", "rotating"):
-        raise InvalidParameterError(f"unknown frame {frame!r}")
-    if frame == "rotating" and reference_energy_ev is None:
-        raise InvalidParameterError("rotating frame requires a reference energy")
     dipoles = np.asarray(dipoles, dtype=float)
-    n = dipoles.size
-    out = np.zeros(n, dtype=float if frame == "lab" else complex)
+    out = np.zeros(dipoles.size, dtype=complex)
     for pulse in sequence:
         env = pulse.envelope(t)
         if env == 0.0:
             continue
         omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
-        if frame == "lab":
-            omega_opt = pulse.carrier_energy_ev * units.MEV_PER_EV / units.HBAR_MEV_PS
-            value = omega0 * env * math.cos(omega_opt * t + pulse.phase_rad)
-        else:
-            detuning = (
-                (pulse.carrier_energy_ev - reference_energy_ev)
-                * units.MEV_PER_EV
-                / units.HBAR_MEV_PS
-            )
-            value = (
-                0.5
-                * omega0
-                * env
-                * np.exp(-1j * (detuning * t + pulse.phase_rad))
-            )
+        detuning = (
+            (pulse.carrier_energy_ev - reference_energy_ev)
+            * units.MEV_PER_EV
+            / units.HBAR_MEV_PS
+        )
+        value = (
+            0.5
+            * omega0
+            * env
+            * np.exp(-1j * (detuning * t + pulse.phase_rad))
+        )
         out += value * dipoles / dipoles[pulse.target_dipole]
     return out
 

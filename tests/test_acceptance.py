@@ -451,14 +451,14 @@ class TestDiagonalRuleOracle:
 
 
 class TestDeterminism:
-    def test_repeated_simulate_runs_byte_identical(self, tmp_path):
+    def test_repeated_simulate_runs_byte_identical(self, bell_run, tmp_path):
         cfg = REPO / "configs" / "bell_two_dot.cfg"
-        outs = []
-        for name in ("first", "second"):
-            out = tmp_path / name
-            rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
-            assert rc == 0
-            outs.append(out)
+        rc, first = bell_run
+        assert rc == 0
+        second = tmp_path / "second"
+        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(second)])
+        assert rc == 0
+        outs = [first, second]
         for artifact in ("trajectory.csv", "sequence.csv", "metrics.txt"):
             a = (outs[0] / artifact).read_bytes()
             b = (outs[1] / artifact).read_bytes()

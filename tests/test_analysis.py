@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,12 +29,29 @@ from excitonsim.pulses import (
 )
 
 
-@pytest.fixture
-def register():
+def two_dot_register():
     return ExcitonRegister(
         exciton_energies_ev=np.array([1.70, 1.71]),
         shift_matrix_mev=np.array([[0.0, 4.5], [4.5, 0.0]]),
     )
+
+
+@pytest.fixture
+def register():
+    return two_dot_register()
+
+
+@pytest.fixture(scope="module")
+def coherent_cnot():
+    """The compiled CNOT on the two-dot register, its ideal unitary, the
+    step it runs at, and its channel-free gate fidelity, computed once."""
+    reg = two_dot_register()
+    spec = GateSpec("cnot", 1, conditions=((0, 1),))
+    seq = compile_gate(reg, spec)
+    config = SimulationConfig(time_step_ps=1e-3)
+    ideal = ideal_gate_unitary(reg, spec)
+    fidelity = gate_fidelity(seq, reg, [], config, ideal)
+    return SimpleNamespace(sequence=seq, config=config, ideal=ideal, fidelity=fidelity)
 
 
 def random_local_unitary(rng):
@@ -174,26 +192,19 @@ class TestGateFidelity:
         )
         assert f == pytest.approx(1.0, abs=1e-9)
 
-    def test_compiled_cnot_high_fidelity(self, register):
-        spec = GateSpec("cnot", 1, conditions=((0, 1),))
-        seq = compile_gate(register, spec)
-        config = SimulationConfig(time_step_ps=1e-3)
-        f = gate_fidelity(seq, register, [], config, ideal_gate_unitary(register, spec))
+    def test_compiled_cnot_high_fidelity(self, coherent_cnot):
+        f = coherent_cnot.fidelity
         assert f >= 0.95
 
-    def test_dephasing_degrades_fidelity(self, register):
-        spec = GateSpec("cnot", 1, conditions=((0, 1),))
-        seq = compile_gate(register, spec)
-        config = SimulationConfig(time_step_ps=1e-3)
-        ideal = ideal_gate_unitary(register, spec)
-        clean = gate_fidelity(seq, register, [], config, ideal)
+    def test_dephasing_degrades_fidelity(self, register, coherent_cnot):
+        clean = coherent_cnot.fidelity
         noisy = gate_fidelity(
-            seq,
+            coherent_cnot.sequence,
             register,
             [LindbladChannel("pure-dephasing", 0, 10.0),
              LindbladChannel("pure-dephasing", 1, 10.0)],
-            config,
-            ideal,
+            coherent_cnot.config,
+            coherent_cnot.ideal,
         )
         assert noisy < clean
 
@@ -213,7 +224,7 @@ class TestGateFidelity:
                 start_ps=seq.pulses[-1].center_ps + 8 * seq.pulses[-1].tau_ps
             ),
         )
-        both = seq.concatenate(inverse)
+        both = PulseSequence(seq.pulses + inverse.pulses)
         config = SimulationConfig(time_step_ps=1e-3)
         f = gate_fidelity(both, reg, [], config, np.eye(2))
         assert f == pytest.approx(1.0, abs=1e-6)

@@ -218,23 +218,15 @@ class TestCompileCommand:
 
 
 class TestSimulateCommand:
-    def test_bell_sequence_end_to_end(self, tmp_path):
-        rc = main(
-            [
-                "simulate",
-                "--config",
-                str(CONFIGS / "bell_two_dot.cfg"),
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
+    def test_bell_sequence_end_to_end(self, bell_run):
+        rc, out = bell_run
         assert rc == 0
-        metrics = read_metrics(tmp_path)
+        metrics = read_metrics(out)
         assert metrics["fidelity_vs_target"] >= 0.95
         assert metrics["concurrence"] >= 0.90
         assert 0.45 <= metrics["final_n_a"] <= 0.55
         assert 0.45 <= metrics["final_n_b"] <= 0.55
-        traj = (tmp_path / "trajectory.csv").read_text().splitlines()
+        traj = (out / "trajectory.csv").read_text().splitlines()
         assert traj[1].startswith("t_ps,pop_00,pop_10,pop_01,pop_11,n_a,n_b")
 
     def test_coherence_pair_override(self, tmp_path):
@@ -296,33 +288,9 @@ class TestSimulateCommand:
 
 
 class TestDeterminism:
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        for out in (out1, out2):
-            rc = main(
-                [
-                    "simulate",
-                    "--config",
-                    str(CONFIGS / "bell_two_dot.cfg"),
-                    "--out-dir",
-                    str(out),
-                ]
-            )
-            assert rc == 0
-        for name in ("trajectory.csv", "sequence.csv", "metrics.txt"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_manifest_reproduces_run(self, tmp_path):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        rc = main(
-            [
-                "simulate",
-                "--config",
-                str(CONFIGS / "bell_two_dot.cfg"),
-                "--out-dir",
-                str(out1),
-            ]
-        )
+    def test_manifest_reproduces_run(self, bell_run, tmp_path):
+        rc, out1 = bell_run
+        out2 = tmp_path / "r2"
         assert rc == 0
         rc = main(
             [

@@ -15,10 +15,8 @@ from excitonsim.model import (
     flip_pairs,
     index_of_occupations,
     lowering_operator,
-    occupation_number_operator,
     occupations_of_index,
     renormalized_energy,
-    transition_operator,
 )
 from excitonsim.pulses import GATE_KINDS, GateSpec, ideal_gate_unitary
 
@@ -73,12 +71,6 @@ def sparse_register(rng, n):
 def kron_lowering(n, l):
     sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
     return np.kron(np.eye(2 ** (n - 1 - l)), np.kron(sm, np.eye(2**l)))
-
-
-def kron_transition(n, l):
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    # qubit 0 is the LSB, so it sits in the rightmost kron factor
-    return np.kron(np.eye(2 ** (n - 1 - l)), np.kron(x, np.eye(2**l)))
 
 
 def comprehension_bits(n, l):
@@ -162,8 +154,6 @@ class TestBitTable:
         for l in range(n):
             bits = comprehension_bits(n, l)
             assert np.array_equal(lowering_operator(reg, l), kron_lowering(n, l))
-            assert np.array_equal(transition_operator(reg, l), kron_transition(n, l))
-            assert np.array_equal(occupation_number_operator(reg, l), np.diag(bits))
             decay = channel_operator(reg, LindbladChannel("decay", l, rate))
             assert np.array_equal(decay, math.sqrt(rate) * kron_lowering(n, l))
             z = math.sqrt(rate / 2.0) * np.diag(1.0 - 2.0 * bits)
@@ -308,59 +298,19 @@ class TestBuildHamiltonian:
 
 
 class TestOperators:
-    def test_occupation_diagonal(self):
-        reg = two_dot_register()
-        n0 = occupation_number_operator(reg, 0)
-        assert np.array_equal(np.diag(n0), [0, 1, 0, 1])
-        n1 = occupation_number_operator(reg, 1)
-        assert np.array_equal(np.diag(n1), [0, 0, 1, 1])
-
-    def test_occupation_is_projector(self):
-        reg = two_dot_register()
-        for l in range(2):
-            op = occupation_number_operator(reg, l)
-            assert np.array_equal(op @ op, op)
-
-    def test_total_occupation_counts(self):
-        reg = two_dot_register()
-        total = sum(occupation_number_operator(reg, l) for l in range(2))
-        assert total[3, 3] == 2.0
-
-    def test_transition_single_qubit(self):
-        reg = ExcitonRegister(
-            exciton_energies_ev=np.array([1.7]), shift_matrix_mev=np.zeros((1, 1))
-        )
-        x = transition_operator(reg, 0)
-        assert np.array_equal(x, [[0, 1], [1, 0]])
-
-    def test_transition_is_involution(self):
-        reg = two_dot_register()
-        for l in range(2):
-            x = transition_operator(reg, l)
-            assert np.array_equal(x @ x, np.eye(4))
-            assert np.array_equal(x, x.T.conj())
-
-    def test_transition_composition(self):
-        reg = two_dot_register()
-        x0 = transition_operator(reg, 0)
-        x1 = transition_operator(reg, 1)
-        vac = np.zeros(4)
-        vac[0] = 1.0
-        assert np.argmax(x0 @ x1 @ vac) == 3
-
     def test_hamiltonian_commutes_with_occupations(self):
         reg = two_dot_register()
         h = np.diag(build_hamiltonian(reg))
         for l in range(2):
-            op = occupation_number_operator(reg, l)
+            op = np.diag(bit_table(2)[:, l])
             assert np.array_equal(h @ op, op @ h)
 
     def test_index_out_of_range(self):
         reg = two_dot_register()
         with pytest.raises(IndexError):
-            occupation_number_operator(reg, 2)
+            lowering_operator(reg, 2)
         with pytest.raises(IndexError):
-            transition_operator(reg, -1)
+            lowering_operator(reg, -1)
 
 
 class TestRenormalizedEnergy:
