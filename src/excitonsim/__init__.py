@@ -49,7 +49,7 @@ from .dynamics import (
     SimulationConfig,
     Trajectory,
     basis_state_density,
-    build_dissipator,
+    build_generator,
     liouvillian_apply,
     propagate,
     pure_state_density,
@@ -75,6 +75,7 @@ from .pulses import (
     field_at,
     ideal_gate_unitary,
     pulse_amplitude,
+    tabulate_drive,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,6 +19,14 @@ flip-pair blocks with that bit set on both sides to where it is clear.
 That is exact up to roundoff and costs O(N 4^N) per call; the dense jump
 operators of channel_operator survive only as the tests' reference.
 
+Everything that stays fixed through a propagation is built once before
+the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
+the flat flip-pair indices, the rate mask and the jumps), so each RK4
+stage does only the work that depends on its time.  Trace drift is tested
+after every step; positivity is tested on every step's state too, but in
+batches of EIG_BATCH_BYTES with one eigvalsh call, and the earliest
+failing step is the one reported.
+
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
 carrier, so ~fs steps suffice.
@@ -42,7 +50,7 @@ from .model import (
     flip_pairs,
     lowering_operator,
 )
-from .pulses import PulseSequence, field_at
+from .pulses import PulseSequence, field_at, tabulate_drive
 
 
 def pure_state_density(vector: Sequence[complex]) -> np.ndarray:
@@ -68,14 +76,17 @@ def validate_density_matrix(
     trace_tol: float = 1e-9,
     eig_floor: float = -1e-9,
 ) -> None:
-    """Check Hermiticity, unit trace, and positivity within tolerances."""
+    """Check Hermiticity, unit trace, and positivity within tolerances.
+
+    Each test fails closed: NaN or inf anywhere in rho fails the first.
+    """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidParameterError("density matrix must be square")
-    if np.max(np.abs(rho - rho.T.conj())) > herm_tol:
-        raise InvalidParameterError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
+    if not np.max(np.abs(rho - rho.T.conj())) <= herm_tol:
+        raise InvalidParameterError("density matrix is not Hermitian or not finite")
+    if not abs(np.trace(rho).real - 1.0) <= trace_tol:
         raise InvalidParameterError("density matrix trace differs from 1")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() < eig_floor:
+    if not np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() >= eig_floor:
         raise InvalidParameterError("density matrix has a negative eigenvalue")
 
 
@@ -103,7 +114,7 @@ class LindbladChannel:
 def channel_operator(register: ExcitonRegister, channel: LindbladChannel) -> np.ndarray:
     """Dense jump operator of one channel on the 2^N space.
 
-    The dissipator that propagation applies is build_dissipator's exact
+    The dissipator that propagation applies is build_generator's exact
     rewrite of sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) over these.
     """
     if channel.kind == "decay":
@@ -186,32 +197,42 @@ def to_interaction_picture(
 
 
 @dataclass(frozen=True)
-class Dissipator:
-    """The Lindblad terms of a channel list, written through the bit table.
+class Generator:
+    """The parts of the Liouvillian that stay fixed through a propagation.
 
-    rate_mask holds every diagonal term at (i, j): a decay channel on dot l
-    adds -gamma/2 (n_il + n_jl), a dephasing channel -gamma [n_il != n_jl],
-    which is (gamma/2)(z_i z_j - 1) for L = sqrt(gamma/2)(1 - 2 n_l).  It is
-    real, stored as complex because numpy would cast it on every product
-    with rho anyway.  jumps holds, per decaying dot, the flat (d*d) indices
-    of the flip-pair blocks with bit l clear on both sides (dst) and set on
-    both sides (src), and the dot's summed rate: gamma sigma-_l rho sigma+_l
-    is rho[src] * gamma added at dst.
+    h0 is the complex diagonal matrix of H0.  pairs holds the flat (d*d)
+    indices of every flip pair, <high|H|low> entries first and then their
+    <low|H|high> mirrors, and pair_dots the index into (f, conj(f)) that
+    each entry takes.  rate_mask holds every diagonal Lindblad term at
+    (i, j): a decay channel on dot l adds -gamma/2 (n_il + n_jl), a
+    dephasing channel -gamma [n_il != n_jl], which is (gamma/2)(z_i z_j - 1)
+    for L = sqrt(gamma/2)(1 - 2 n_l); it is real, stored as complex because
+    numpy would cast it on every product with rho anyway, and None without
+    channels.  jumps holds, per decaying dot, the flat indices of the
+    flip-pair blocks with bit l clear on both sides (dst) and set on both
+    sides (src), and the dot's summed rate: gamma sigma-_l rho sigma+_l is
+    rho[src] * gamma added at dst.
     """
 
-    rate_mask: np.ndarray
+    h0: np.ndarray
+    pairs: np.ndarray
+    pair_dots: np.ndarray
+    rate_mask: np.ndarray | None
     jumps: tuple[tuple[np.ndarray, np.ndarray, float], ...]
 
 
-def build_dissipator(
-    channels: Sequence[LindbladChannel], n_qubits: int
-) -> Dissipator | None:
-    """The exact dissipator of the channels on N dots; None without channels."""
-    if not channels:
-        return None
-    dim = 2**n_qubits
+def build_generator(
+    h0_diag_mev: np.ndarray, channels: Sequence[LindbladChannel] = ()
+) -> Generator:
+    """The static parts of the generator of H0 (meV) and the channels."""
+    h0 = np.asarray(h0_diag_mev, dtype=float)
+    dim = h0.size
+    n_qubits = dim.bit_length() - 1
+    low, high, dot = flip_pairs(n_qubits)
+    pairs = np.concatenate((high * dim + low, low * dim + high))
+    pair_dots = np.concatenate((dot, dot + n_qubits))
     bits = bit_table(n_qubits).astype(float)
-    rate_mask = np.zeros((dim, dim))
+    rate_mask = np.zeros((dim, dim)) if channels else None
     decay: dict[int, float] = {}
     for ch in channels:
         check_dot(ch.dot, n_qubits)
@@ -221,42 +242,99 @@ def build_dissipator(
             decay[ch.dot] = decay.get(ch.dot, 0.0) + ch.rate_per_ps
         else:
             rate_mask -= ch.rate_per_ps * (occ[:, None] != occ[None, :])
-    low, high, dot = flip_pairs(n_qubits)
     jumps = []
     for l, rate in sorted(decay.items()):
         lo, hi = low[dot == l], high[dot == l]
         dst, src = (lo[:, None] * dim + lo).ravel(), (hi[:, None] * dim + hi).ravel()
         jumps.append((dst, src, rate))
-    return Dissipator(rate_mask.astype(complex), tuple(jumps))
+    return Generator(
+        np.diag(h0).astype(complex),
+        pairs,
+        pair_dots,
+        None if rate_mask is None else rate_mask.astype(complex),
+        tuple(jumps),
+    )
 
 
 def liouvillian_apply(
     rho: np.ndarray,
     t_ps: float,
-    h0_diag_mev: np.ndarray,
+    generator: Generator,
     drive: Callable[[float], np.ndarray] | None,
-    dissipator: Dissipator | None,
 ) -> np.ndarray:
     """Exact generator d(rho)/dt at time t, meV-ps units.
 
-    drive(t) returns per-dot amplitudes f_l (meV), written into the
-    bit-flip pairs of H; each off-diagonal entry belongs to one pair.
-    dissipator comes from build_dissipator; None (or an empty sequence)
-    applies no channels.
+    Copies the generator's H0 and writes -f_l and -conj(f_l), the per-dot
+    amplitudes of drive(t) (meV), into the bit-flip pairs; each
+    off-diagonal entry belongs to one pair.  The channels of
+    build_generator are applied as one rate mask plus one jump per
+    decaying dot.
     """
-    h = np.diag(h0_diag_mev).astype(complex)
+    h = generator.h0.copy()
     if drive is not None:
         f = drive(t_ps)
-        low, high, dot = flip_pairs(len(h0_diag_mev).bit_length() - 1)
-        h[high, low] -= f[dot]
-        h[low, high] -= np.conj(f)[dot]
+        h.reshape(-1)[generator.pairs] = 0.0 - np.concatenate((f, np.conj(f)))[
+            generator.pair_dots
+        ]
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
-    if dissipator:
-        out += dissipator.rate_mask * rho
+    if generator.rate_mask is not None:
+        out += generator.rate_mask * rho
         flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)  # out: a fresh C array
-        for dst, src, rate in dissipator.jumps:
+        for dst, src, rate in generator.jumps:
             flat_out[dst] += rate * flat_rho[src]
     return out
+
+
+# Positivity is checked on up to this many bytes of recent states at once:
+# one eigvalsh call over the batch instead of one per step.
+EIG_BATCH_BYTES = 64 * 1024
+
+
+class _PositivityCheck:
+    """Every integration step's state, tested against eig_floor in batches.
+
+    Each step's state is written into the next slot of a buffer and added
+    once its trace has passed; check() runs one eigvalsh over the added
+    states and raises for the earliest failing step, so the error is the
+    one a per-step test would raise, only later.  A non-finite state fails
+    too, unless an earlier one already did.
+    """
+
+    def __init__(self, dim: int, eig_floor: float):
+        size = max(1, EIG_BATCH_BYTES // (16 * dim * dim))
+        self.states = np.empty((size, dim, dim), dtype=complex)
+        self.eig_floor = eig_floor
+        self.filled = 0
+        self.last_step = 0
+
+    def slot(self) -> np.ndarray:
+        """The buffer slot for the next state; checks a full buffer first."""
+        if self.filled == len(self.states):
+            self.check()
+        return self.states[self.filled]
+
+    def add(self, step: int) -> None:
+        """Count the slot just written as the state of this step."""
+        self.filled += 1
+        self.last_step = step
+
+    def check(self) -> None:
+        states = self.states[: self.filled]
+        first_step = self.last_step - self.filled + 1
+        self.filled = 0
+        finite = np.isfinite(states).all(axis=(1, 2))
+        n_finite = len(finite) if finite.all() else int(np.argmin(finite))
+        min_eigs = np.linalg.eigvalsh(states[:n_finite]).min(axis=1)
+        bad = np.flatnonzero(~(min_eigs >= self.eig_floor))
+        if bad.size:
+            raise PropagationDiagnosticsError(
+                f"negative eigenvalue {min_eigs[bad[0]]:.3e} below {self.eig_floor:.1e}",
+                step=first_step + int(bad[0]),
+            )
+        if n_finite < len(finite):
+            raise PropagationDiagnosticsError(
+                "non-finite density matrix", step=first_step + n_finite
+            )
 
 
 def integrate_master_equation(
@@ -273,8 +351,11 @@ def integrate_master_equation(
 
     The requested step is shrunk to divide the window exactly.  The state
     is re-Hermitized once per step; the trace is never re-normalized, its
-    drift is a diagnostic.  Samples are taken every sample_stride steps
-    plus the final step.
+    drift is a diagnostic.  Every step's state is tested for trace drift at
+    once and for positivity in batches (_PositivityCheck); a failure raises
+    PropagationDiagnosticsError naming the earliest failing step, and a
+    non-finite state fails both.  Samples are taken every sample_stride
+    steps plus the final step.
     """
     rho = np.array(rho0, dtype=complex)
     validate_density_matrix(rho)
@@ -285,13 +366,14 @@ def integrate_master_equation(
     h0 = np.asarray(h0_diag_mev, dtype=float)
     if h0.shape != (dim,):
         raise InvalidParameterError("diagonal Hamiltonian does not match state size")
-    dissipator = build_dissipator(channels, n_qubits)
+    generator = build_generator(h0, channels)
 
     span = t_end_ps - t_start_ps
     if span < 0:
         raise InvalidParameterError("integration window must not be reversed")
     n_steps = max(int(math.ceil(span / config.time_step_ps - 1e-12)), 0)
     dt = span / n_steps if n_steps else 0.0
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
 
     pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
     if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
@@ -303,40 +385,49 @@ def integrate_master_equation(
     def sample(t, state):
         times.append(t)
         diag = np.real(np.diag(state))
-        pops.append(diag)
+        pops.append(diag.copy())  # state may be a reused buffer slot
         occs.append([float(diag @ m) for m in occupation_masks])
         cohs.append(state[pair])
         if config.store_states:
             kept.append(state.copy())
 
-    def rhs(t, state):
-        return liouvillian_apply(state, t, h0, drive, dissipator)
-
-    max_drift = abs(np.trace(rho).real - 1.0)
+    positivity = _PositivityCheck(dim, config.eig_floor)
+    max_drift = abs(rho.trace().real - 1.0)
     sample(t_start_ps, rho)
     t = t_start_ps
     for step in range(1, n_steps + 1):
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.T.conj())
+        t_mid = t + half_dt
+        k1 = liouvillian_apply(rho, t, generator, drive)
+        k2 = liouvillian_apply(rho + half_dt * k1, t_mid, generator, drive)
+        k3 = liouvillian_apply(rho + half_dt * k2, t_mid, generator, drive)
+        k4 = liouvillian_apply(rho + dt * k3, t + dt, generator, drive)
+        # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= sixth_dt
+        k2 += rho
+        rho = positivity.slot()
+        np.add(k2, k2.T.conj(), out=rho)
+        rho *= 0.5
         t = t_start_ps + step * dt
-        drift = abs(np.trace(rho).real - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > config.trace_tol:
+        drift = abs(rho.trace().real - 1.0)
+        if not drift <= config.trace_tol:
+            positivity.check()
+            if not math.isfinite(drift):
+                raise PropagationDiagnosticsError(
+                    "non-finite density matrix", step=step
+                )
             raise PropagationDiagnosticsError(
                 f"trace drift {drift:.3e} exceeds {config.trace_tol:.1e}", step=step
             )
-        min_eig = np.linalg.eigvalsh(rho).min()
-        if min_eig < config.eig_floor:
-            raise PropagationDiagnosticsError(
-                f"negative eigenvalue {min_eig:.3e} below {config.eig_floor:.1e}",
-                step=step,
-            )
+        positivity.add(step)
+        max_drift = max(max_drift, drift)
         if step % config.sample_stride == 0 or step == n_steps:
             sample(t, rho)
+    positivity.check()
 
     return Trajectory(
         times_ps=np.array(times),
@@ -344,7 +435,7 @@ def integrate_master_equation(
         occupations=np.array(occs).reshape(len(times), n_qubits),
         coherences=np.array(cohs),
         coherence_pair=pair,
-        final_state=rho,
+        final_state=rho.copy(),
         final_time_ps=t,
         reference_energy_ev=reference_energy_ev,
         h0_diag_mev=h0,
@@ -395,10 +486,10 @@ def propagate(
     )
     occupancy = bit_table(register.n_qubits).sum(axis=1).astype(float)
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
-    dipoles = register.transition_dipoles
+    table = tabulate_drive(sequence, register.transition_dipoles, ref)
 
     def drive(t: float) -> np.ndarray:
-        return field_at(sequence, t, dipoles, reference_energy_ev=ref)
+        return field_at(table, t)
 
     t_start = min(0.0, sequence.start_ps) if len(sequence) else 0.0
     t_end = sequence.end_ps if len(sequence) else 0.0

@@ -17,6 +17,7 @@ on its branch (in the interaction picture of the static Hamiltonian).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
@@ -374,12 +375,56 @@ def compile_program(
     return PulseSequence(tuple(pulses))
 
 
-def field_at(
+@dataclass(frozen=True)
+class DriveTable:
+    """The per-pulse constants of field_at, computed once per propagation.
+
+    Each row is (center_ps, ENVELOPE_CUTOFF * tau_ps, tau_ps,
+    0.5 * pulse_amplitude, detuning from the reference carrier (rad/ps),
+    phase_rad, dipoles, target dipole), so that field_at only does the work
+    that depends on t.  The dipoles are stored as complex numbers, which is
+    what numpy casts them to in every product with a complex amplitude.
+    """
+
+    n_dots: int
+    rows: tuple[tuple, ...]
+
+
+def tabulate_drive(
     sequence: PulseSequence,
-    t: float,
     dipoles: Sequence[float],
     reference_energy_ev: float,
-) -> np.ndarray:
+) -> DriveTable:
+    """DriveTable of a sequence in the frame rotating at reference_energy_ev.
+
+    Raises InvalidParameterError for a pulse whose target dipole is not
+    positive.
+    """
+    dipoles = np.asarray(dipoles, dtype=float)
+    complex_dipoles = dipoles.astype(complex)
+    rows = []
+    for pulse in sequence:
+        d_target = dipoles[pulse.target_dipole]
+        omega0 = pulse_amplitude(pulse, d_target)
+        detuning = (
+            (pulse.carrier_energy_ev - reference_energy_ev)
+            * units.MEV_PER_EV
+            / units.HBAR_MEV_PS
+        )
+        rows.append((
+            pulse.center_ps,
+            ENVELOPE_CUTOFF * pulse.tau_ps,
+            pulse.tau_ps,
+            0.5 * omega0,
+            detuning,
+            pulse.phase_rad,
+            complex_dipoles,
+            complex_dipoles[pulse.target_dipole],
+        ))
+    return DriveTable(dipoles.size, tuple(rows))
+
+
+def field_at(table: DriveTable, t: float) -> np.ndarray:
     """Per-dot rotating-frame drive amplitude at time t, meV; each pulse
     reaches every dot, scaled by that dot's dipole over the dipole of its
     target_dipole.
@@ -387,26 +432,20 @@ def field_at(
     The complex half-amplitude
     sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) relative to
     the reference carrier omega_ref; its conjugate drives the lowering part.
+    The envelope is Pulse.envelope's truncated Gaussian, and the operations
+    run in the order of the per-pulse formula, so the amplitudes do not
+    depend on the table being built ahead of time.
     """
-    dipoles = np.asarray(dipoles, dtype=float)
-    out = np.zeros(dipoles.size, dtype=complex)
-    for pulse in sequence:
-        env = pulse.envelope(t)
+    out = np.zeros(table.n_dots, complex)
+    for center, cutoff, tau, half_omega0, detuning, phase, dipoles, d_target in table.rows:
+        dt = t - center
+        if abs(dt) > cutoff:
+            continue
+        env = math.exp(-0.5 * (dt / tau) ** 2)
         if env == 0.0:
             continue
-        omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
-        detuning = (
-            (pulse.carrier_energy_ev - reference_energy_ev)
-            * units.MEV_PER_EV
-            / units.HBAR_MEV_PS
-        )
-        value = (
-            0.5
-            * omega0
-            * env
-            * np.exp(-1j * (detuning * t + pulse.phase_rad))
-        )
-        out += value * dipoles / dipoles[pulse.target_dipole]
+        value = half_omega0 * env * cmath.exp(-1j * (detuning * t + phase))
+        out += value * dipoles / d_target
     return out
 
 

@@ -11,7 +11,7 @@ from excitonsim import units
 from excitonsim.cli import main
 from excitonsim.dynamics import integrate_master_equation
 from excitonsim.model import build_hamiltonian
-from excitonsim.pulses import field_at, pulse_amplitude
+from excitonsim.pulses import field_at, pulse_amplitude, tabulate_drive
 
 BELL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bell_two_dot.cfg"
 
@@ -38,13 +38,12 @@ def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, referenc
                 sp[idx | (1 << l), idx] = 1.0
         raising.append(sp)
 
+    table = tabulate_drive(sequence, register.transition_dipoles, reference_energy_ev)
+
     def rhs(t, y):
         rho = y.reshape(dim, dim)
         h = np.diag(h0).astype(complex)
-        amps = field_at(
-            sequence, t, register.transition_dipoles,
-            reference_energy_ev=reference_energy_ev,
-        )
+        amps = field_at(table, t)
         for f_l, op in zip(amps, raising):
             h -= f_l * op + np.conj(f_l) * op.conj().T
         return ((-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)).ravel()
@@ -68,6 +67,39 @@ def adaptive_reference():
     t_end_ps, reference_energy_ev); it returns the final density matrix.
     """
     return _adaptive_reference
+
+
+def _field_reference(sequence, t, dipoles, reference_energy_ev):
+    """Per-dot rotating-frame drive amplitude at time t, pulse by pulse.
+
+    The scalar formula that pulses.field_at evaluates from a DriveTable,
+    written out from the Pulse fields at every call:
+    sum_p Omega_p env_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p))
+    d / d_target.
+    """
+    dipoles = np.asarray(dipoles, dtype=float)
+    out = np.zeros(dipoles.size, dtype=complex)
+    for pulse in sequence:
+        env = pulse.envelope(t)
+        if env == 0.0:
+            continue
+        omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
+        detuning = (
+            (pulse.carrier_energy_ev - reference_energy_ev)
+            * units.MEV_PER_EV
+            / units.HBAR_MEV_PS
+        )
+        value = 0.5 * omega0 * env * np.exp(-1j * (detuning * t + pulse.phase_rad))
+        out += value * dipoles / dipoles[pulse.target_dipole]
+    return out
+
+
+@pytest.fixture(scope="session")
+def field_reference():
+    """The per-pulse drive formula as a callable, the oracle for
+    pulses.field_at: field_reference(sequence, t, dipoles,
+    reference_energy_ev) returns the per-dot amplitudes."""
+    return _field_reference
 
 
 def _lab_frame_reference(register, sequence, rho0, config):

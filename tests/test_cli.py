@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +273,22 @@ class TestSimulateCommand:
         )
         rc = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 3
+
+    def test_overflowing_drive_exits_3_without_traceback(self, tmp_path):
+        # the pulses are calibrated on dot a's 1e-300 dipole, so dot b sees
+        # a 1e300 times stronger drive and the first step overflows
+        text = (CONFIGS / "bell_two_dot.cfg").read_text()
+        assert "dipoles = 1.0 1.0" in text
+        cfg = write_cfg(tmp_path, text.replace("dipoles = 1.0 1.0", "dipoles = 1e-300 1.0"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "excitonsim.cli", "simulate", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.endswith(f"error: {cfg}: non-finite density matrix at step 1\n")
 
     def test_decoherence_lowers_concurrence(self, tmp_path):
         rc = main(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from excitonsim import units
+from excitonsim import dynamics, units
 from excitonsim.dynamics import (
     LindbladChannel,
     SimulationConfig,
     basis_state_density,
-    build_dissipator,
+    build_generator,
     channel_operator,
     default_reference_energy,
     integrate_master_equation,
@@ -61,6 +62,17 @@ class TestValidation:
     def test_wrong_trace_rejected(self):
         with pytest.raises(InvalidParameterError):
             validate_density_matrix(np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "coherence"])
+    def test_non_finite_rejected(self, value, where):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        if where == "diagonal":
+            rho[1, 1] = value
+        else:
+            rho[0, 1] = rho[1, 0] = value
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError):
+            validate_density_matrix(rho)
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -155,13 +167,13 @@ class TestLiouvillian:
     @settings(max_examples=150, deadline=None)
     def test_written_drive_equals_dense_sigma_sum(self, case):
         rho, h0, amps = case
-        out = liouvillian_apply(rho, 0.3, h0, lambda t: amps, [])
+        out = liouvillian_apply(rho, 0.3, build_generator(h0), lambda t: amps)
         assert np.array_equal(out, dense_drive_generator(rho, h0, amps))
 
     def test_diagonal_state_is_stationary_without_drive(self):
         h0 = np.array([0.0, 1700.0, 1710.0, 3414.5])
         rho = basis_state_density(2, 1)
-        out = liouvillian_apply(rho, 0.0, h0, None, [])
+        out = liouvillian_apply(rho, 0.0, build_generator(h0), None)
         assert np.max(np.abs(out)) == 0.0
 
     def test_decay_rate_on_population(self):
@@ -170,7 +182,7 @@ class TestLiouvillian:
         channels = [LindbladChannel("decay", 0, 1.0 / t1)]
         rho = basis_state_density(1, 1)
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, build_dissipator(channels, reg.n_qubits)
+            rho, 0.0, build_generator(np.zeros(2**reg.n_qubits), channels), None
         )
         assert out[1, 1].real == pytest.approx(-1.0 / t1, rel=1e-12)
         assert out[0, 0].real == pytest.approx(1.0 / t1, rel=1e-12)
@@ -181,7 +193,7 @@ class TestLiouvillian:
         channels = [LindbladChannel("pure-dephasing", 0, gamma)]
         rho = pure_state_density(np.array([1.0, 1.0]) / math.sqrt(2))
         out = liouvillian_apply(
-            rho, 0.0, np.zeros(2), None, build_dissipator(channels, reg.n_qubits)
+            rho, 0.0, build_generator(np.zeros(2**reg.n_qubits), channels), None
         )
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[1, 1] == pytest.approx(0.0, abs=1e-15)
@@ -193,8 +205,8 @@ class TestLiouvillian:
     def test_dissipator_equals_dense_lindblad_sum(self, case):
         n, rho, channels = case
         reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
-        dissipator = build_dissipator(channels, n)
-        out = liouvillian_apply(rho, 0.0, np.zeros(2**n), None, dissipator)
+        generator = build_generator(np.zeros(2**n), channels)
+        out = liouvillian_apply(rho, 0.0, generator, None)
         bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
         assert np.max(np.abs(out - dense_dissipator(reg, rho, channels))) <= bound
 
@@ -417,8 +429,99 @@ class TestDiagnostics:
             )
         assert err.value.step >= 1
 
+    def test_nan_drive_raises_at_its_step(self):
+        config = SimulationConfig(time_step_ps=1e-3)
+        with pytest.raises(PropagationDiagnosticsError, match="non-finite") as err:
+            integrate_master_equation(
+                basis_state_density(1, 0),
+                np.zeros(2),
+                lambda t: np.array([math.nan if t > 0.0105 else 0.0], dtype=complex),
+                [],
+                0.0,
+                0.1,
+                config,
+            )
+        assert err.value.step == 11
+        assert str(err.value) == "non-finite density matrix at step 11"
+
     def test_invalid_channel_parameters(self):
         with pytest.raises(InvalidParameterError):
             LindbladChannel("decay", 0, -1.0)
         with pytest.raises(InvalidParameterError):
             LindbladChannel("thermal", 0, 1.0)
+
+
+def kicked_apply(kicks):
+    """A stand-in for dynamics.liouvillian_apply: d(rho)/dt is zero except
+    during the steps named in kicks (four calls per RK4 step), where it is
+    the given matrix, so one step moves rho by dt times it."""
+    calls = itertools.count()
+
+    def apply(rho, t_ps, generator, drive):
+        kick = kicks.get(next(calls) // 4 + 1)
+        return np.zeros_like(rho) if kick is None else np.array(kick, dtype=complex)
+
+    return apply
+
+
+class TestBatchedPositivity:
+    """Every step's state is tested against eig_floor, in batches of
+    EIG_BATCH_BYTES; the earliest failing step is reported."""
+
+    DT = 1e-3
+    SLOTS = dynamics.EIG_BATCH_BYTES // (16 * 2 * 2)  # one dot: 2x2 states
+    N_STEPS = 2 * SLOTS + 300  # the last batch is only partly filled
+
+    def run(self, monkeypatch, kicks):
+        monkeypatch.setattr(dynamics, "liouvillian_apply", kicked_apply(kicks))
+        return integrate_master_equation(
+            basis_state_density(1, 0),
+            np.zeros(2),
+            None,
+            [],
+            0.0,
+            self.N_STEPS * self.DT,
+            SimulationConfig(time_step_ps=self.DT),
+        )
+
+    def negative(self):
+        # traceless: rho_11 goes to -0.01 in one step, the trace stays 1
+        return np.diag([0.01, -0.01]) / self.DT
+
+    @pytest.mark.parametrize(
+        "step",
+        [1, SLOTS // 2, SLOTS + 1, SLOTS + 150, N_STEPS],
+        ids=["first-slot", "middle-slot", "first-slot-of-second-batch",
+             "middle-of-partial-batch", "last-step"],
+    )
+    def test_negative_state_raises_at_its_step(self, monkeypatch, step):
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.negative()})
+        assert err.value.step == step
+        assert str(err.value) == f"negative eigenvalue -1.000e-02 below -1.0e-06 at step {step}"
+
+    def test_valid_run_with_partial_last_batch(self, monkeypatch):
+        assert self.N_STEPS % self.SLOTS != 0
+        traj = self.run(monkeypatch, {})
+        assert traj.n_steps == self.N_STEPS
+        assert np.array_equal(traj.final_state, basis_state_density(1, 0))
+
+    @pytest.mark.parametrize("where", ["coherence", "diagonal"])
+    def test_earliest_failure_wins_over_later_non_finite(self, monkeypatch, where):
+        # a NaN coherence stays in the batch; a NaN population fails the
+        # trace test at once, which checks the batch before it raises
+        nan = np.zeros((2, 2))
+        if where == "coherence":
+            nan[0, 1] = nan[1, 0] = math.nan
+        else:
+            nan[1, 1] = math.nan
+        kicks = {self.SLOTS + 10: self.negative(), self.SLOTS + 20: nan}
+        with pytest.raises(PropagationDiagnosticsError, match="negative eigenvalue") as err:
+            self.run(monkeypatch, kicks)
+        assert err.value.step == self.SLOTS + 10
+
+    def test_non_finite_coherence_raises_at_its_step(self, monkeypatch):
+        nan = np.array([[0.0, math.nan], [math.nan, 0.0]])
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {self.SLOTS + 20: nan})
+        assert str(err.value) == f"non-finite density matrix at step {self.SLOTS + 20}"

@@ -28,6 +28,7 @@ from excitonsim.pulses import (
     ideal_gate_unitary,
     pulse_amplitude,
     required_tau_ps,
+    tabulate_drive,
 )
 
 HBAR = units.HBAR_MEV_PS
@@ -277,11 +278,48 @@ class TestCompileProgram:
             compile_program(register, entries, policy)
 
 
+@st.composite
+def drive_cases(draw):
+    """(sequence, dipoles, reference energy, times): up to four pulses whose
+    supports overlap or not, non-unit dipoles, and times at the centres, at
+    c +- 4 tau exactly, inside the supports and outside every one."""
+    n = draw(st.integers(1, 4))
+    dipoles = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    pulses = draw(st.lists(
+        st.builds(
+            Pulse,
+            carrier_energy_ev=st.floats(1.68, 1.74),
+            center_ps=st.floats(-3.0, 3.0),
+            tau_ps=st.floats(0.05, 1.0),
+            area_rad=st.floats(0.0, 2 * math.pi),
+            phase_rad=st.floats(-math.pi, math.pi),
+            target_dipole=st.integers(0, n - 1),
+        ),
+        min_size=1, max_size=4,
+    ))
+    seq = PulseSequence(tuple(pulses))
+    times = [t for p in pulses for t in (p.center_ps, p.start_ps, p.end_ps)]
+    times += [
+        seq.start_ps - draw(st.floats(1e-9, 5.0)),
+        seq.end_ps + draw(st.floats(1e-9, 5.0)),
+    ]
+    times += draw(st.lists(st.floats(seq.start_ps, seq.end_ps), max_size=5))
+    return seq, dipoles, draw(st.floats(1.68, 1.74)), times
+
+
 class TestFieldAt:
+    @given(drive_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_table_equals_per_pulse_reference(self, field_reference, case):
+        seq, dipoles, ref, times = case
+        table = tabulate_drive(seq, dipoles, ref)
+        for t in times:
+            assert np.array_equal(field_at(table, t), field_reference(seq, t, dipoles, ref))
+
     def test_zero_outside_support(self, register):
         seq = compile_gate(register, GateSpec("cnot", 1, conditions=((0, 1),)))
         t = seq.end_ps + 1.0
-        amps = field_at(seq, t, register.transition_dipoles, reference_energy_ev=1.71)
+        amps = field_at(tabulate_drive(seq, register.transition_dipoles, 1.71), t)
         assert np.array_equal(amps, np.zeros(2))
 
     def test_two_color_linearity(self, register):
@@ -290,15 +328,16 @@ class TestFieldAt:
         both = PulseSequence((p1, p2))
         t = 1.2
         ref = 1.71
-        sum_parts = field_at(PulseSequence((p1,)), t, [1.0, 1.0], ref) + field_at(
-            PulseSequence((p2,)), t, [1.0, 1.0], ref
-        )
-        assert np.allclose(field_at(both, t, [1.0, 1.0], ref), sum_parts, rtol=1e-12)
+        sum_parts = field_at(
+            tabulate_drive(PulseSequence((p1,)), [1.0, 1.0], ref), t
+        ) + field_at(tabulate_drive(PulseSequence((p2,)), [1.0, 1.0], ref), t)
+        amps = field_at(tabulate_drive(both, [1.0, 1.0], ref), t)
+        assert np.allclose(amps, sum_parts, rtol=1e-12)
 
     def test_global_addressing_scales_by_dipole_ratio(self):
         pulse = Pulse(1.71, 0.0, 0.1, math.pi, target_dipole=0)
         seq = PulseSequence((pulse,))
-        amps = field_at(seq, 0.0, [1.0, 0.5], reference_energy_ev=1.71)
+        amps = field_at(tabulate_drive(seq, [1.0, 0.5], 1.71), 0.0)
         assert amps[1] == pytest.approx(0.5 * amps[0], rel=1e-12)
 
 
