@@ -107,76 +107,50 @@ class AbsorptionSpectrum:
 def spectrum_lines(
     register: ExcitonRegister,
     kind: str,
-    conditioning: Mapping[int, int] | None = None,
-    emit_dots: Sequence[int] | None = None,
+    patterns: Sequence[Mapping[int, int]] | None = None,
 ) -> list[SpectrumLine]:
-    """Stick transitions of the register.
+    """Stick transitions of the register, unit weight each.
 
-    Excitonic: one line per dot at its bare energy (vacuum conditioning).
-    Biexcitonic: with an explicit conditioning pattern, one line per
-    emitting dot at its renormalized energy; dots occupied by the pattern
-    cannot emit.  Without a pattern, emits the canonical single-partner
-    set: dot l conditioned on one exciton in l', for every ordered pair.
+    Excitonic: one line per dot at its bare energy; patterns may name no dot.
+    Biexcitonic: each pattern ({dot: 0 or 1}) gives one line per dot it
+    leaves unoccupied, at that dot's renormalized energy, in pattern order
+    and then ascending dot; a pattern must occupy one or more dots and
+    leave one or more free.  Without patterns, the canonical single-partner
+    set: dot l conditioned on one exciton in l', for every ordered pair,
+    l-major.
     """
     n = register.n_qubits
     if kind == "excitonic":
-        if conditioning:
-            raise InvalidConditioningError(next(iter(conditioning)))
-        return [
-            SpectrumLine(
-                energy_ev=renormalized_energy(register, l, {}),
-                weight=1.0,
-                kind=kind,
-                dot=l,
-                conditioning=(),
-            )
-            for l in range(n)
-        ]
-    if kind != "biexcitonic":
+        named = [dot for pattern in patterns or () for dot in pattern]
+        if named:
+            raise InvalidConditioningError(named[0])
+        pairs = [(l, {}) for l in range(n)]
+    elif kind != "biexcitonic":
         raise InvalidParameterError(f"unknown spectrum kind {kind!r}")
-    if conditioning is None:
-        lines = []
-        for l in range(n):
-            for lp in range(n):
-                if lp == l:
-                    continue
-                lines.append(
-                    SpectrumLine(
-                        energy_ev=renormalized_energy(register, l, {lp: 1}),
-                        weight=1.0,
-                        kind=kind,
-                        dot=l,
-                        conditioning=((lp, 1),),
-                    )
+    elif patterns is None:
+        pairs = [(l, {lp: 1}) for l in range(n) for lp in range(n) if lp != l]
+    else:
+        pairs = []
+        for pattern in patterns:
+            occupied = [d for d, occ in pattern.items() if occ == 1]
+            if not occupied:
+                raise InvalidParameterError(
+                    "biexcitonic conditioning must occupy at least one dot"
                 )
-        return lines
-    pattern = dict(conditioning)
-    occupied = {d for d, occ in pattern.items() if occ == 1}
-    if not occupied:
-        raise InvalidParameterError(
-            "biexcitonic conditioning must occupy at least one dot"
+            emitters = [l for l in range(n) if l not in occupied]
+            if not emitters:
+                raise InvalidConditioningError(min(occupied))
+            pairs += [(l, pattern) for l in emitters]
+    return [
+        SpectrumLine(
+            energy_ev=renormalized_energy(register, l, pattern),
+            weight=1.0,
+            kind=kind,
+            dot=l,
+            conditioning=tuple(sorted(pattern.items())),
         )
-    emitters = (
-        list(emit_dots)
-        if emit_dots is not None
-        else [l for l in range(n) if l not in occupied]
-    )
-    if not emitters:
-        raise InvalidConditioningError(min(occupied))
-    lines = []
-    for l in emitters:
-        if l in occupied:
-            raise InvalidConditioningError(l)
-        lines.append(
-            SpectrumLine(
-                energy_ev=renormalized_energy(register, l, pattern),
-                weight=1.0,
-                kind=kind,
-                dot=l,
-                conditioning=tuple(sorted(pattern.items())),
-            )
-        )
-    return lines
+        for l, pattern in pairs
+    ]
 
 
 def default_energy_grid(
@@ -225,14 +199,12 @@ def broaden_lines(
 def absorption_spectrum(
     register: ExcitonRegister,
     kind: str,
-    conditioning: Mapping[int, int] | None = None,
+    patterns: Sequence[Mapping[int, int]] | None = None,
     grid_ev: Sequence[float] | None = None,
     linewidth_mev: float = 0.5,
-    emit_dots: Sequence[int] | None = None,
 ) -> AbsorptionSpectrum:
-    """Lorentzian-broadened absorption spectrum, unit weight per line."""
-    lines = spectrum_lines(register, kind, conditioning, emit_dots)
-    return broaden_lines(lines, linewidth_mev, grid_ev)
+    """Lorentzian-broadened absorption spectrum of spectrum_lines."""
+    return broaden_lines(spectrum_lines(register, kind, patterns), linewidth_mev, grid_ev)
 
 
 def default_fidelity_states(n_qubits: int) -> list[np.ndarray]:

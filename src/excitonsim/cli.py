@@ -17,16 +17,11 @@ import dataclasses
 import hashlib
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    absorption_spectrum,
-    broaden_lines,
-    concurrence,
-    fidelity,
-    spectrum_lines,
-)
+from .analysis import absorption_spectrum, concurrence, fidelity
 from .config import (
     RunConfig,
     dot_label,
@@ -98,19 +93,14 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
             *key,
         )
     lw = config.outputs.spectrum_linewidth_mev
-    exc = absorption_spectrum(config.register, "excitonic", linewidth_mev=lw)
-    _write_spectrum(out_dir / "spectrum_excitonic.csv", exc, "excitonic")
-    print(f"wrote {out_dir / 'spectrum_excitonic.csv'} ({len(exc.lines)} lines)")
-    patterns = config.outputs.biexcitonic_conditioning
-    if patterns is None:
-        bi = absorption_spectrum(config.register, "biexcitonic", linewidth_mev=lw)
-    else:
-        lines = []
-        for pattern in patterns:
-            lines.extend(spectrum_lines(config.register, "biexcitonic", pattern))
-        bi = broaden_lines(lines, lw)
-    _write_spectrum(out_dir / "spectrum_biexcitonic.csv", bi, "biexcitonic")
-    print(f"wrote {out_dir / 'spectrum_biexcitonic.csv'} ({len(bi.lines)} lines)")
+    for kind, patterns in (
+        ("excitonic", None),
+        ("biexcitonic", config.outputs.biexcitonic_conditioning),
+    ):
+        spectrum = absorption_spectrum(config.register, kind, patterns, linewidth_mev=lw)
+        path = out_dir / f"spectrum_{kind}.csv"
+        _write_spectrum(path, spectrum, kind)
+        print(f"wrote {path} ({len(spectrum.lines)} lines)")
     return EXIT_OK
 
 
@@ -236,7 +226,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
     started = time.perf_counter()
     try:
         vacuum = basis_state_density(config.register.n_qubits, 0)
-        traj = propagate(vacuum, sequence, config.register, config.channels, sim)
+        with warnings.catch_warnings():  # an overflow is reported as exit 3
+            warnings.filterwarnings(
+                "ignore", category=RuntimeWarning, module=r"excitonsim\.dynamics"
+            )
+            traj = propagate(vacuum, sequence, config.register, config.channels, sim)
     except TimeStepError as err:
         raise step_error(err) from err
     wall = time.perf_counter() - started

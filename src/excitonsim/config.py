@@ -19,6 +19,10 @@ dephasing.<dot> in [channels] (1/ps), and one gate per gate.<n> key in
     gate.2 = conditional-rotation target=1 angle=pi when=0:1 start=auto
     gate.3 = cnot target=1 control=0
 
+An occupation pattern, e.g. a:1,b:0, gives each dot it names once an
+exciton occupation of 0 or 1: a gate's when= is one, and [outputs]
+biexcitonic_conditioning lists them separated by ';'.
+
 Numbers must parse and be finite.  Every failure is a ConfigError naming
 its section and key, e.g. "[pulses] tau_ps: must be positive, got 0.0".
 """
@@ -154,17 +158,22 @@ def _target(text: str) -> str | tuple[complex, ...]:
     return amplitudes
 
 
-def _conditionings(text: str) -> list[dict[int, int]]:
-    patterns = []
-    for chunk in text.split(";"):
-        pattern: dict[int, int] = {}
-        for item in chunk.split(","):
-            dot_tok, sep, occ_tok = item.partition(":")
-            if not sep or occ_tok.strip() not in ("0", "1"):
-                raise ValueError(f"looks like a:1 or a:1;b:1, got {text!r}")
-            pattern[parse_dot(dot_tok)] = int(occ_tok)
-        patterns.append(pattern)
-    return patterns
+def _pattern(text: str) -> dict[int, int]:
+    """Occupation pattern 'a:1,b:0' as {dot: 0 or 1}, in written order."""
+    pattern: dict[int, int] = {}
+    for item in text.split(","):
+        dot_tok, sep, occ_tok = item.partition(":")
+        if not sep or occ_tok.strip() not in ("0", "1"):
+            raise ValueError(f"occupation patterns look like a:1,b:0, got {text!r}")
+        dot = parse_dot(dot_tok)
+        if dot in pattern:
+            raise ValueError(f"pattern {text!r} names dot {dot_label(dot)} twice")
+        pattern[dot] = int(occ_tok)
+    return pattern
+
+
+def _patterns(text: str) -> list[dict[int, int]]:
+    return [_pattern(chunk) for chunk in text.split(";")]
 
 
 def _require(holds: Callable[[np.ndarray], bool], message: str):
@@ -208,10 +217,12 @@ def _pair_text(pair: tuple[int, int] | None) -> str | None:
     return None if pair is None else f"{pair[0]}:{pair[1]}"
 
 
-def _conditionings_text(patterns: list[dict[int, int]] | None) -> str | None:
-    if patterns is None:
-        return None
-    return ";".join(",".join(f"{d}:{o}" for d, o in p.items()) for p in patterns)
+def _pattern_text(pattern: dict[int, int]) -> str:
+    return ",".join(f"{dot}:{occ}" for dot, occ in pattern.items())
+
+
+def _patterns_text(patterns: list[dict[int, int]] | None) -> str | None:
+    return None if patterns is None else ";".join(map(_pattern_text, patterns))
 
 
 @dataclass
@@ -314,14 +325,8 @@ def _gate(text: str, n_qubits: int) -> tuple[GateSpec, float | None]:
     if "target" not in fields:
         raise ValueError("gate needs a target")
     target = parse_dot(fields["target"])
-    conditions: list[tuple[int, int]] = []
-    if "control" in fields:
-        conditions.append((parse_dot(fields["control"]), 1))
-    for item in fields["when"].split(",") if "when" in fields else ():
-        dot_tok, sep, occ_tok = item.partition(":")
-        if not sep or occ_tok not in ("0", "1"):
-            raise ValueError("conditions look like when=a:1,b:0")
-        conditions.append((parse_dot(dot_tok), int(occ_tok)))
+    conditions = [(parse_dot(fields["control"]), 1)] if "control" in fields else []
+    conditions += _pattern(fields["when"]).items() if "when" in fields else ()
     for dot in [target, *(d for d, _ in conditions)]:
         _in_range(dot, n_qubits)
     angle, start = parse_angle(fields.get("angle", "pi")), fields.get("start", "auto")
@@ -344,7 +349,7 @@ def _write_program(config: RunConfig) -> list[str]:
     for i, (spec, start) in enumerate(config.program, start=1):
         parts = [spec.kind, f"target={spec.target}", f"angle={fmt(spec.angle)}"]
         if spec.conditions:
-            parts.append("when=" + ",".join(f"{d}:{o}" for d, o in spec.conditions))
+            parts.append("when=" + _pattern_text(dict(spec.conditions)))
         parts.append("start=" + ("auto" if start is None else fmt(start)))
         lines.append(f"gate.{i} = " + " ".join(parts))
     return lines
@@ -466,8 +471,8 @@ KEYS: tuple[Key | Family, ...] = (
         attrgetter("outputs.fidelity_target")),
     Key("outputs", "spectrum_linewidth_mev", _real, 0.5,
         attrgetter("outputs.spectrum_linewidth_mev"), _positive),
-    Key("outputs", "biexcitonic_conditioning", _conditionings, None,
-        attrgetter("outputs.biexcitonic_conditioning"), dump=_conditionings_text),
+    Key("outputs", "biexcitonic_conditioning", _patterns, None,
+        attrgetter("outputs.biexcitonic_conditioning"), dump=_patterns_text),
     Key("outputs", "coherence_pair", _pair(":", int), None,
         attrgetter("simulation.coherence_pair"), dump=_pair_text),
 )
@@ -572,7 +577,7 @@ def _check_outputs(v: dict[str, Any], n_qubits: int) -> None:
     for pattern in v["biexcitonic_conditioning"] or ():
         if max(pattern) >= n_qubits or not 0 < sum(pattern.values()) < n_qubits:
             raise ConfigError(
-                f"pattern {_conditionings_text([pattern])} must name dots below "
+                f"pattern {_pattern_text(pattern)} must name dots below "
                 f"{n_qubits}, occupy one or more and leave one empty to emit",
                 "outputs",
                 "biexcitonic_conditioning",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -175,20 +176,20 @@ def lowering_operator(register: ExcitonRegister, l: int) -> np.ndarray:
 def renormalized_energy(
     register: ExcitonRegister,
     l: int,
-    occupations: Mapping[int, int] | Sequence[int] = (),
+    occupations: Mapping[int, int] = MappingProxyType({}),
 ) -> float:
     """Conditional transition energy of dot l, eV.
 
-    E~_l = E_l + sum_{l' != l} dE_{ll'} n_{l'}, evaluated as the difference
-    of the diagonal entries with bit l set and clear, summed as in
-    :func:`build_hamiltonian`, so that it equals the diagonal differences
-    bit-for-bit without building the 2^N diagonal.
+    E~_l = E_l + sum_{l' != l} dE_{ll'} n_{l'} with n_{l'} from occupations
+    ({dot: 0 or 1}; unnamed dots empty, an entry for l ignored), evaluated
+    as the difference of the diagonal entries with bit l set and clear,
+    summed as in :func:`build_hamiltonian`, so that it equals the diagonal
+    differences bit-for-bit without building the 2^N diagonal.
     """
     n = register.n_qubits
     check_dot(l, n)
     rows = np.zeros((2, n), dtype=bool)
-    named = isinstance(occupations, Mapping)
-    for dot, occ in occupations.items() if named else enumerate(occupations):
+    for dot, occ in occupations.items():
         check_dot(dot, n)
         if occ not in (0, 1):
             raise InvalidParameterError(f"occupation must be 0 or 1, got {occ}")

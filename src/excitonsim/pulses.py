@@ -20,7 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -129,6 +130,8 @@ class GateSpec:
             raise InvalidGateError(f"unknown gate kind {self.kind!r}")
         if not 0.0 <= self.angle <= 2.0 * math.pi:
             raise InvalidGateError("gate angle must lie in [0, 2 pi]")
+        if self.kind in ("cnot", "unconditional-not") and self.angle != math.pi:
+            raise InvalidGateError(f"{self.kind} is a pi rotation, got angle {self.angle}")
         conds = tuple((int(d), int(o)) for d, o in self.conditions)
         object.__setattr__(self, "conditions", conds)
         seen = set()
@@ -176,16 +179,14 @@ class TimingPolicy:
 def conditional_frequency(
     register: ExcitonRegister,
     target: int,
-    conditions: Mapping[int, int] | Iterable[tuple[int, int]] = (),
+    conditions: Mapping[int, int] = MappingProxyType({}),
 ) -> float:
-    """Occupation-conditioned transition energy of the target dot, eV.
-
-    Dots not named in the conditions are taken empty.
+    """Transition energy of the target dot, eV, with the neighbour
+    occupations of conditions ({dot: 0 or 1}); dots it leaves out are empty.
     """
-    cond = dict(conditions.items() if isinstance(conditions, Mapping) else conditions)
-    if target in cond:
+    if target in conditions:
         raise InvalidGateError("conditions must not constrain the target dot")
-    return renormalized_energy(register, target, cond)
+    return renormalized_energy(register, target, conditions)
 
 
 def _coupled(register: ExcitonRegister, target: int) -> list[int]:
@@ -294,7 +295,6 @@ def compile_gate(
     """
     if register.transition_dipoles[spec.target] == 0.0:
         raise ZeroDipoleError(spec.target)
-    angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
     coupled = _coupled(register, spec.target)
     if spec.kind == "unconditional-not":
         if len(coupled) > 4:
@@ -340,7 +340,7 @@ def compile_gate(
             carrier_energy_ev=freqs[i],
             center_ps=first_center + k * policy.gap_factor * tau,
             tau_ps=tau,
-            area_rad=angle,
+            area_rad=spec.angle,
             phase_rad=COMPILED_PHASE_RAD,
             target_dipole=spec.target,
         )
@@ -461,8 +461,7 @@ def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:
     """
     n = register.n_qubits
     bits = bit_table(n)
-    angle = math.pi if spec.kind in ("cnot", "unconditional-not") else spec.angle
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    c, s = math.cos(spec.angle / 2.0), math.sin(spec.angle / 2.0)
     check_dot(spec.target, n)
     low, high, flipped = flip_pairs(n)
     selected = flipped == spec.target

@@ -446,7 +446,7 @@ class TestDiagonalRuleOracle:
                 assert diag[idx] == value
                 for l in range(n):
                     diff = diag[idx | (1 << l)] - diag[idx & ~(1 << l)]
-                    assert renormalized_energy(reg, l, list(bits)) == diff
+                    assert renormalized_energy(reg, l, dict(enumerate(bits))) == diff
         report("diagonal-rule oracle", "exact for all registers up to N = 6")
 
 

@@ -149,12 +149,13 @@ class TestSpectra:
         assert bi == pytest.approx(exc, abs=1e-12)
 
     def test_conditioning_on_emitting_dot_rejected(self, register):
+        # a pattern occupying every dot leaves none to emit
         with pytest.raises(InvalidConditioningError) as err:
-            spectrum_lines(register, "biexcitonic", {1: 1}, emit_dots=[1])
-        assert err.value.dot == 1
+            spectrum_lines(register, "biexcitonic", [{0: 1, 1: 1}])
+        assert err.value.dot == 0
 
     def test_explicit_conditioning_emits_unoccupied(self, register):
-        lines = spectrum_lines(register, "biexcitonic", {0: 1})
+        lines = spectrum_lines(register, "biexcitonic", [{0: 1}])
         assert len(lines) == 1
         assert lines[0].dot == 1
         assert lines[0].energy_ev == pytest.approx(1.7145, abs=1e-12)

@@ -35,6 +35,14 @@ energies_ev = 1.70 1.71
 shift_mev_0_1 = 4.5
 """
 
+THREE_DOTS = """
+[register]
+energies_ev = 1.70 1.71 1.72
+shift_mev_0_1 = 4.5
+shift_mev_1_2 = 3.0
+shift_mev_0_2 = 1.25
+"""
+
 
 class TestConfigParsing:
     def test_angle_tokens(self):
@@ -168,6 +176,30 @@ class TestSpectrumCommand:
         rc = main(["spectrum", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "outputs, lines",
+        [
+            (  # canonical set: emitting dot l-major, then partner l'
+                "",
+                "a@1.7045000000000003eV, a@1.7012499999999997eV, "
+                "b@1.7145000000000004eV, b@1.7129999999999999eV, "
+                "c@1.7212499999999997eV, c@1.7229999999999999eV",
+            ),
+            (  # pattern order, then the pattern's empty dots ascending
+                "\n[outputs]\nbiexcitonic_conditioning = a:1;c:1\n",
+                "b@1.7145000000000004eV, c@1.7212499999999997eV, "
+                "a@1.7012499999999997eV, b@1.7129999999999999eV",
+            ),
+        ],
+        ids=["canonical", "patterns"],
+    )
+    def test_biexcitonic_line_order(self, outputs, lines, tmp_path):
+        cfg = write_cfg(tmp_path, THREE_DOTS + outputs)
+        rc = main(["spectrum", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        header = (tmp_path / "spectrum_biexcitonic.csv").read_text().splitlines()[0]
+        assert header == f"# biexcitonic absorption, Lorentzian FWHM 0.5 meV; lines: {lines}"
+
 
 class TestCompileCommand:
     def test_sequence_csv_columns(self, tmp_path):
@@ -287,8 +319,7 @@ class TestSimulateCommand:
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 3
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.endswith(f"error: {cfg}: non-finite density matrix at step 1\n")
+        assert proc.stderr == f"error: {cfg}: non-finite density matrix at step 1\n"
 
     def test_decoherence_lowers_concurrence(self, tmp_path):
         rc = main(

@@ -58,11 +58,12 @@ def amplitudes(dim):
 
 
 def conditioning(n):
-    """Patterns the key accepts: each occupies some of the n dots, not all."""
+    """Patterns the key accepts: each names a dot once and occupies some of
+    the n dots, not all."""
     item = st.tuples(dots(n), st.sampled_from("01"))
-    pattern = st.lists(item, min_size=1, max_size=n).filter(
-        lambda p: 0 < list({parse_dot(d): o for d, o in p}.values()).count("1") < n
-    )
+    pattern = st.lists(
+        item, min_size=1, max_size=n, unique_by=lambda i: parse_dot(i[0])
+    ).filter(lambda p: 0 < [o for _, o in p].count("1") < n)
     return st.lists(pattern, min_size=1, max_size=3).map(
         lambda ps: ";".join(",".join(f"{d}:{o}" for d, o in p) for p in ps)
     )
@@ -372,6 +373,16 @@ def with_line(section, line):
             "biexcitonic_conditioning = a:1,b:1",
             "[outputs] biexcitonic_conditioning: pattern 0:1,1:1 must name",
         ),
+        (
+            "program",
+            "gate.1 = cnot target=b control=a angle=pi/2",
+            "[program] gate.1: cnot is a pi rotation",
+        ),
+        (
+            "program",
+            "gate.1 = unconditional-not target=a angle=pi/2",
+            "[program] gate.1: unconditional-not is a pi rotation",
+        ),
         ("register", "dipoles = 0 1.0", "[register] dipoles: gate 1 drives dot a"),
         (
             "integration",
@@ -392,7 +403,7 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
     assert err.startswith(f"error: {cfg}: {named}"), err
 
 
-@pytest.mark.parametrize("pattern", ["a:0", "a:1,b:1"])
+@pytest.mark.parametrize("pattern", ["a:0", "a:1,b:1", "a:1,a:0,b:1", "b:1;a:1,0:0"])
 def test_bad_conditioning_stops_spectrum_before_any_file(pattern, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     line = f"biexcitonic_conditioning = {pattern}"

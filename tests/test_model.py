@@ -180,7 +180,10 @@ class TestBitTable:
             conditions = tuple(
                 (dot, int(rng.integers(2))) for dot in others if rng.random() < 0.5
             )
-        spec = GateSpec(kind, target, float(rng.uniform(0.0, 2 * math.pi)), conditions)
+        angle = float(rng.uniform(0.0, 2 * math.pi))
+        if kind in ("cnot", "unconditional-not"):
+            angle = math.pi  # the only angle these kinds take
+        spec = GateSpec(kind, target, angle, conditions)
         expected = loop_ideal_gate_unitary(reg, spec)
         assert np.array_equal(ideal_gate_unitary(reg, spec), expected)
 
@@ -336,11 +339,11 @@ class TestRenormalizedEnergy:
                     set_idx = idx | (1 << l)
                     clear_idx = idx & ~(1 << l)
                     expected = diag[set_idx] - diag[clear_idx]
-                    got = renormalized_energy(reg, l, bits)
+                    got = renormalized_energy(reg, l, dict(enumerate(bits)))
                     assert got == expected
 
     def test_sequence_occupations_ignore_target_bit(self):
         reg = two_dot_register()
-        assert renormalized_energy(reg, 1, [1, 1]) == renormalized_energy(
+        assert renormalized_energy(reg, 1, {0: 1, 1: 1}) == renormalized_energy(
             reg, 1, {0: 1}
         )

@@ -415,7 +415,8 @@ class TestCompiledSelection:
                 (dot, int(rng.integers(2))) for dot in others if rng.random() < 0.5
             )
         assume(kind != "conditional-rotation" or conditions)
-        spec = GateSpec(kind, target, math.pi / 2, conditions)
+        angle = math.pi if kind in ("cnot", "unconditional-not") else math.pi / 2
+        spec = GateSpec(kind, target, angle, conditions)
         u = ideal_gate_unitary(reg, spec)
         rotated, frequency = {}, {}
         for idx in range(2**n):
