@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfcx, j0
 
 from . import units
 from .errors import ConvergenceError, InvalidPairError, InvalidParameterError
@@ -250,6 +248,8 @@ def carrier_density(
 
 def _gaussian_pair_kernel(mu: float, var: float) -> Callable[[np.ndarray], np.ndarray]:
     """Z(k) for z1 - z2 ~ Normal(mu, var)."""
+    from scipy.special import erfcx  # scipy loads only where the device model runs
+
     amu = abs(mu)
     sq2v = math.sqrt(2.0 * var)
 
@@ -350,6 +350,9 @@ def coulomb_integral(
     under argument exchange.  Raises ConvergenceError if the quadrature
     error estimate exceeds rel_tol.
     """
+    from scipy.integrate import quad
+    from scipy.special import j0
+
     sbar2 = a.inplane_std_nm**2 + b.inplane_std_nm**2
     dx = a.inplane_center_nm[0] - b.inplane_center_nm[0]
     dy = a.inplane_center_nm[1] - b.inplane_center_nm[1]

@@ -24,8 +24,9 @@ the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
 the flat flip-pair indices, the rate mask and the jumps), so each RK4
 stage does only the work that depends on its time.  Trace drift is tested
 after every step; positivity is tested on every step's state too, but in
-batches of EIG_BATCH_BYTES with one eigvalsh call, and the earliest
-failing step is the one reported.
+batches of EIG_BATCH_BYTES with one Cholesky factorization of the batch
+shifted by eig_floor.  Only a batch that fails it goes through eigvalsh,
+which reports the earliest failing step.
 
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
@@ -286,7 +287,8 @@ def liouvillian_apply(
 
 
 # Positivity is checked on up to this many bytes of recent states at once:
-# one eigvalsh call over the batch instead of one per step.
+# one Cholesky call over the batch instead of one test per step, and one
+# eigvalsh call only when that fails.
 EIG_BATCH_BYTES = 64 * 1024
 
 
@@ -294,16 +296,20 @@ class _PositivityCheck:
     """Every integration step's state, tested against eig_floor in batches.
 
     Each step's state is written into the next slot of a buffer and added
-    once its trace has passed; check() runs one eigvalsh over the added
-    states and raises for the earliest failing step, so the error is the
-    one a per-step test would raise, only later.  A non-finite state fails
-    too, unless an earlier one already did.
+    once its trace has passed.  check() runs one batched Cholesky of the
+    added states minus eig_floor * I, which succeeds only if every smallest
+    eigenvalue is above eig_floor (it reads one triangle; every added state
+    was re-Hermitized).  Otherwise, or with a non-finite state, one eigvalsh
+    raises for the earliest failing step, so the error is the one a
+    per-step test would raise, only later.  A non-finite state fails too,
+    unless an earlier one already did.
     """
 
     def __init__(self, dim: int, eig_floor: float):
         size = max(1, EIG_BATCH_BYTES // (16 * dim * dim))
         self.states = np.empty((size, dim, dim), dtype=complex)
         self.eig_floor = eig_floor
+        self.floor = eig_floor * np.eye(dim)
         self.filled = 0
         self.last_step = 0
 
@@ -323,6 +329,12 @@ class _PositivityCheck:
         first_step = self.last_step - self.filled + 1
         self.filled = 0
         finite = np.isfinite(states).all(axis=(1, 2))
+        if finite.all():
+            try:  # succeeds iff every smallest eigenvalue is above eig_floor
+                np.linalg.cholesky(states - self.floor)
+                return
+            except np.linalg.LinAlgError:
+                pass
         n_finite = len(finite) if finite.all() else int(np.argmin(finite))
         min_eigs = np.linalg.eigvalsh(states[:n_finite]).min(axis=1)
         bad = np.flatnonzero(~(min_eigs >= self.eig_floor))

@@ -354,3 +354,32 @@ class TestDeterminism:
         assert rc == 0
         for name in ("trajectory.csv", "sequence.csv", "metrics.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestScipyImport:
+    """scipy is loaded only where the device model runs.  Checked in a
+    fresh interpreter, since the test suite itself imports scipy."""
+
+    PROBE = (
+        "import sys\n"
+        "from excitonsim import cli\n"
+        "rc = cli.main(['compile', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+        "print(rc, 'scipy' in sys.modules)\n"
+    )
+
+    def compile_in_subprocess(self, cfg: Path, out_dir: Path) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(cfg), str(out_dir)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_register_config_never_loads_scipy(self, tmp_path):
+        assert self.compile_in_subprocess(CONFIGS / "bell_two_dot.cfg", tmp_path) == "0 False"
+        assert (tmp_path / "sequence.csv").exists()
+
+    def test_device_config_loads_scipy_and_compiles(self, tmp_path):
+        assert self.compile_in_subprocess(CONFIGS / "device_derived.cfg", tmp_path) == "0 True"
+        assert (tmp_path / "sequence.csv").exists()

@@ -525,3 +525,94 @@ class TestBatchedPositivity:
         with pytest.raises(PropagationDiagnosticsError) as err:
             self.run(monkeypatch, {self.SLOTS + 20: nan})
         assert str(err.value) == f"non-finite density matrix at step {self.SLOTS + 20}"
+
+
+def spectral_density(rng, dim, smallest):
+    """A Hermitian matrix with a random eigenbasis, trace near 1 and the
+    given smallest eigenvalue, re-Hermitized as the integrator does."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigs = rng.dirichlet(np.ones(dim))
+    eigs[np.argmin(eigs)] = smallest
+    rho = (u * eigs) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def per_state_verdict(states, eig_floor):
+    """Reference: one eigvalsh per state, in step order; the first
+    failure, as (message, step), or None."""
+    for step, state in enumerate(states, start=1):
+        if not np.isfinite(state).all():
+            return f"non-finite density matrix at step {step}", step
+        min_eig = np.linalg.eigvalsh(state).min()
+        if not min_eig >= eig_floor:
+            return f"negative eigenvalue {min_eig:.3e} below {eig_floor:.1e} at step {step}", step
+    return None
+
+
+def batched_verdict(states, eig_floor):
+    check = dynamics._PositivityCheck(states.shape[1], eig_floor)
+    try:
+        for step, state in enumerate(states, start=1):
+            check.slot()[...] = state
+            check.add(step)
+        check.check()
+    except PropagationDiagnosticsError as err:
+        return str(err), err.step
+    return None
+
+
+class TestCholeskyPositivity:
+    """The batched Cholesky test of states - eig_floor * I clears a batch
+    only when every state is above the floor; anything else goes to the
+    eigvalsh test, which reports."""
+
+    DT = 1e-3
+
+    def test_state_just_above_floor_passes_without_eigvalsh(self, monkeypatch):
+        # rho_11 goes to -5e-7 in one step and stays there: inside the
+        # default floor of -1e-6, so the run completes, and the Cholesky of
+        # rho - eig_floor * I (not + eig_floor * I) clears every batch
+        batch_eigvalsh = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                batch_eigvalsh.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(
+            dynamics, "liouvillian_apply", kicked_apply({5: np.diag([5e-7, -5e-7]) / self.DT})
+        )
+        n_steps = 3 * TestBatchedPositivity.SLOTS
+        config = SimulationConfig(time_step_ps=self.DT)
+        assert config.eig_floor == -1e-6
+        traj = integrate_master_equation(
+            basis_state_density(1, 0), np.zeros(2), None, [], 0.0, n_steps * self.DT, config
+        )
+        assert traj.n_steps == n_steps
+        assert eigvalsh(traj.final_state).min() == pytest.approx(-5e-7, rel=1e-6)
+        assert batch_eigvalsh == []
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_verdict_as_per_state_eigvalsh(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.choice([2, 4, 8]))
+        eig_floor = float(rng.choice([-1e-6, -1e-9, -1e-3]))
+        slots = len(dynamics._PositivityCheck(dim, eig_floor).states)
+        n_states = int(rng.integers(1, 2 * slots + 2))
+        p_below = float(rng.choice([0.0, 1.0 / n_states, 0.01, 0.3]))
+        states = np.empty((n_states, dim, dim), dtype=complex)
+        for i in range(n_states):
+            kind = rng.random()
+            if kind < p_below:  # below the floor by far more than roundoff
+                smallest = eig_floor - 10.0 ** rng.uniform(-12, -2)
+            elif kind < 0.5:  # negative but above the floor
+                smallest = eig_floor * rng.uniform(0.0, 0.9)
+            else:
+                smallest = 0.0
+            states[i] = spectral_density(rng, dim, smallest)
+        if rng.random() < 0.2:
+            i = int(rng.integers(n_states))
+            states[i, 0, 1] = states[i, 1, 0] = math.nan
+        assert batched_verdict(states, eig_floor) == per_state_verdict(states, eig_floor)
