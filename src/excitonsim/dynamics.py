@@ -12,16 +12,21 @@ complex per-dot half-amplitude returned by pulses.field_at.  It is written
 straight into the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low>
 and -conj(f_l) at <low|H|high> of every pair that flips dot l.
 
-The channels are applied the same way, through the bit table rather than
-as dense operator products: one elementwise rate mask holds every
-anticommutator and dephasing term, and one jump per decaying dot moves the
-flip-pair blocks with that bit set on both sides to where it is clear.
-That is exact up to roundoff and costs O(N 4^N) per call; the dense jump
-operators of channel_operator survive only as the tests' reference.
+The channels are applied through the bit table too, rather than as dense
+operator products: the whole dissipator is one sparse row table with one
+row per entry (i, j) of rho.  Each row holds that entry's own term, the
+sum of every anticommutator and dephasing rate at (i, j), and then one
+term per decaying dot l whose jump lands there: gamma_l rho[i|l, j|l] for
+i and j with bit l clear.  One gather, one product and one segmented sum
+apply it, however many channels there are; every row keeps its own term,
+even at rate 0, because np.add.reduceat returns the element at an empty
+row's start rather than 0.  That is exact up to roundoff and costs
+O(N 4^N) per call; the dense jump operators of channel_operator survive
+only as the tests' reference.
 
 Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
-the flat flip-pair indices, the rate mask and the jumps), so each RK4
+the flat flip-pair indices and the dissipator's row table), so each RK4
 stage does only the work that depends on its time.  Trace drift is tested
 after every step; positivity is tested on every step's state too, but in
 batches of EIG_BATCH_BYTES with one Cholesky factorization of the batch
@@ -204,22 +209,26 @@ class Generator:
     h0 is the complex diagonal matrix of H0.  pairs holds the flat (d*d)
     indices of every flip pair, <high|H|low> entries first and then their
     <low|H|high> mirrors, and pair_dots the index into (f, conj(f)) that
-    each entry takes.  rate_mask holds every diagonal Lindblad term at
-    (i, j): a decay channel on dot l adds -gamma/2 (n_il + n_jl), a
-    dephasing channel -gamma [n_il != n_jl], which is (gamma/2)(z_i z_j - 1)
-    for L = sqrt(gamma/2)(1 - 2 n_l); it is real, stored as complex because
-    numpy would cast it on every product with rho anyway, and None without
-    channels.  jumps holds, per decaying dot, the flat indices of the
-    flip-pair blocks with bit l clear on both sides (dst) and set on both
-    sides (src), and the dot's summed rate: gamma sigma-_l rho sigma+_l is
-    rho[src] * gamma added at dst.
+    each entry takes.  dissipator is the channels' sparse row table
+    (values, columns, row_starts), None without channels.  Row r = i*d + j
+    spans row_starts[r] up to the next row's start, and d(rho)/dt[i, j]
+    gains the sum of values[k] * rho.flat[columns[k]] over it.  Each row
+    starts with the entry's own coefficient on rho[i, j]: a decay channel on
+    dot l adds -gamma/2 (n_il + n_jl), a dephasing channel
+    -gamma [n_il != n_jl], which is (gamma/2)(z_i z_j - 1) for
+    L = sqrt(gamma/2)(1 - 2 n_l).  Then, for each decaying dot l with bit l
+    clear in i and j, in ascending l, the dot's summed rate on
+    rho[i | 2^l, j | 2^l]: gamma sigma-_l rho sigma+_l.  Every row keeps its
+    own entry, even with a zero coefficient, because np.add.reduceat
+    returns the element at an empty row's start instead of 0.  The values
+    are real rates stored as complex, which numpy would cast them to in
+    every product with rho anyway.
     """
 
     h0: np.ndarray
     pairs: np.ndarray
     pair_dots: np.ndarray
-    rate_mask: np.ndarray | None
-    jumps: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+    dissipator: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def build_generator(
@@ -232,29 +241,34 @@ def build_generator(
     low, high, dot = flip_pairs(n_qubits)
     pairs = np.concatenate((high * dim + low, low * dim + high))
     pair_dots = np.concatenate((dot, dot + n_qubits))
-    bits = bit_table(n_qubits).astype(float)
-    rate_mask = np.zeros((dim, dim)) if channels else None
-    decay: dict[int, float] = {}
-    for ch in channels:
-        check_dot(ch.dot, n_qubits)
-        occ = bits[:, ch.dot]
-        if ch.kind == "decay":
-            rate_mask -= 0.5 * ch.rate_per_ps * (occ[:, None] + occ[None, :])
-            decay[ch.dot] = decay.get(ch.dot, 0.0) + ch.rate_per_ps
-        else:
-            rate_mask -= ch.rate_per_ps * (occ[:, None] != occ[None, :])
-    jumps = []
-    for l, rate in sorted(decay.items()):
-        lo, hi = low[dot == l], high[dot == l]
-        dst, src = (lo[:, None] * dim + lo).ravel(), (hi[:, None] * dim + hi).ravel()
-        jumps.append((dst, src, rate))
-    return Generator(
-        np.diag(h0).astype(complex),
-        pairs,
-        pair_dots,
-        None if rate_mask is None else rate_mask.astype(complex),
-        tuple(jumps),
-    )
+    dissipator = None
+    if channels:
+        bits = bit_table(n_qubits).astype(float)
+        own = np.zeros((dim, dim))
+        decay: dict[int, float] = {}
+        for ch in channels:
+            check_dot(ch.dot, n_qubits)
+            occ = bits[:, ch.dot]
+            if ch.kind == "decay":
+                own -= 0.5 * ch.rate_per_ps * (occ[:, None] + occ[None, :])
+                decay[ch.dot] = decay.get(ch.dot, 0.0) + ch.rate_per_ps
+            else:
+                own -= ch.rate_per_ps * (occ[:, None] != occ[None, :])
+        entries = np.arange(dim * dim)
+        rows, columns, values = [entries], [entries], [own.ravel()]
+        for l, rate in sorted(decay.items()):
+            lo, hi = low[dot == l], high[dot == l]
+            rows.append((lo[:, None] * dim + lo).ravel())
+            columns.append((hi[:, None] * dim + hi).ravel())
+            values.append(np.full(lo.size**2, rate))
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")  # own entry first, then dots
+        dissipator = (
+            np.concatenate(values)[order].astype(complex),
+            np.concatenate(columns)[order],
+            np.searchsorted(rows[order], entries),
+        )
+    return Generator(np.diag(h0).astype(complex), pairs, pair_dots, dissipator)
 
 
 def liouvillian_apply(
@@ -265,24 +279,23 @@ def liouvillian_apply(
 ) -> np.ndarray:
     """Exact generator d(rho)/dt at time t, meV-ps units.
 
-    Copies the generator's H0 and writes -f_l and -conj(f_l), the per-dot
-    amplitudes of drive(t) (meV), into the bit-flip pairs; each
-    off-diagonal entry belongs to one pair.  The channels of
-    build_generator are applied as one rate mask plus one jump per
-    decaying dot.
+    Without a drive H is the generator's H0; with one, a copy of it gets
+    -f_l and -conj(f_l), the per-dot amplitudes of drive(t) (meV), in the
+    bit-flip pairs; each off-diagonal entry belongs to one pair.  The
+    channels of build_generator are applied as one segmented sum over the
+    dissipator's row table.
     """
-    h = generator.h0.copy()
+    h = generator.h0
     if drive is not None:
         f = drive(t_ps)
+        h = h.copy()
         h.reshape(-1)[generator.pairs] = 0.0 - np.concatenate((f, np.conj(f)))[
             generator.pair_dots
         ]
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
-    if generator.rate_mask is not None:
-        out += generator.rate_mask * rho
-        flat_out, flat_rho = out.reshape(-1), rho.reshape(-1)  # out: a fresh C array
-        for dst, src, rate in generator.jumps:
-            flat_out[dst] += rate * flat_rho[src]
+    if generator.dissipator is not None:
+        values, columns, row_starts = generator.dissipator
+        out += np.add.reduceat(values * rho.take(columns), row_starts).reshape(out.shape)
     return out
 
 

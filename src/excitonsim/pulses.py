@@ -434,9 +434,11 @@ def field_at(table: DriveTable, t: float) -> np.ndarray:
     the reference carrier omega_ref; its conjugate drives the lowering part.
     The envelope is Pulse.envelope's truncated Gaussian, and the operations
     run in the order of the per-pulse formula, so the amplitudes do not
-    depend on the table being built ahead of time.
+    depend on the table being built ahead of time.  The first active
+    pulse's term is the sum so far (0 + x == x, so no zero array is added
+    to), and zeros come back only when no pulse is active.
     """
-    out = np.zeros(table.n_dots, complex)
+    out = None
     for center, cutoff, tau, half_omega0, detuning, phase, dipoles, d_target in table.rows:
         dt = t - center
         if abs(dt) > cutoff:
@@ -445,8 +447,11 @@ def field_at(table: DriveTable, t: float) -> np.ndarray:
         if env == 0.0:
             continue
         value = half_omega0 * env * cmath.exp(-1j * (detuning * t + phase))
-        out += value * dipoles / d_target
-    return out
+        if out is None:
+            out = value * dipoles / d_target
+        else:
+            out += value * dipoles / d_target
+    return np.zeros(table.n_dots, complex) if out is None else out
 
 
 def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:

@@ -162,6 +162,28 @@ def channel_cases(draw):
     return n, rho, draw(st.permutations(channels))
 
 
+@st.composite
+def driven_channel_cases(draw):
+    """(n, rho, h0, amps, channels): N in 1..5, drive_cases' amplitudes and
+    a non-empty channel list, dephasing-only in some draws, with rates that
+    may be 0."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        amps = np.array(draw(st.lists(AMPLITUDE, min_size=n, max_size=n)))
+    else:
+        parts = draw(st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=n, max_size=n))
+        amps = np.array([complex(re, im) for re, im in parts])
+    kinds = ["pure-dephasing"] if draw(st.booleans()) else ["decay", "pure-dephasing"]
+    kind, dot = st.sampled_from(kinds), st.integers(0, n - 1)
+    channels = draw(
+        st.lists(st.builds(LindbladChannel, kind, dot, RATE), min_size=1, max_size=8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return n, rho, rng.normal(scale=100.0, size=dim), amps, channels
+
+
 class TestLiouvillian:
     @given(drive_cases())
     @settings(max_examples=150, deadline=None)
@@ -209,6 +231,22 @@ class TestLiouvillian:
         out = liouvillian_apply(rho, 0.0, generator, None)
         bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
         assert np.max(np.abs(out - dense_dissipator(reg, rho, channels))) <= bound
+
+    @given(driven_channel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_drive_with_channels_equals_dense_sum(self, case):
+        # The coherent part is bit-equal to the dense one (see above), so
+        # beyond the dissipator's bound only the rounding of the sum of the
+        # two parts may differ: at most an ulp of each of its real and
+        # imaginary parts.
+        n, rho, h0, amps, channels = case
+        reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
+        out = liouvillian_apply(rho, 0.3, build_generator(h0, channels), lambda t: amps)
+        expected = dense_drive_generator(rho, h0, amps) + dense_dissipator(
+            reg, rho, channels
+        )
+        bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
+        assert np.all(np.abs(out - expected) <= bound + 2 * np.spacing(np.abs(expected)))
 
 
 class TestAnalyticChannels:

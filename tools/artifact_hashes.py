@@ -1,0 +1,59 @@
+"""sha256 of the simulate artifacts of every checked-in config.
+
+    python3 tools/artifact_hashes.py > hashes.txt
+
+Runs `excitonsim simulate` from this checkout's src/ on every
+configs/*.cfg and on the benchmark's five-dot chain
+(perfbench/workloads.CHAIN5_CFG), each into its own temporary directory,
+and prints one line `<sha256>  <config>/<file>` for trajectory.csv,
+sequence.csv and metrics.txt, sorted by config.  Run it in two checkouts
+and `diff` the outputs to see whether a change kept the artifacts
+byte-identical.  Exits 1 if a run fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from excitonsim.cli import main as excitonsim_main  # noqa: E402
+from workloads import CHAIN5_CFG  # noqa: E402
+
+ARTIFACTS = ("trajectory.csv", "sequence.csv", "metrics.txt")
+
+
+def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
+    """The hash lines of one config, simulated into work/name."""
+    out_dir = work / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = excitonsim_main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
+    if code != 0:
+        raise SystemExit(f"simulate {config} exited {code}")
+    return [
+        f"{hashlib.sha256((out_dir / file).read_bytes()).hexdigest()}  {name}/{file}"
+        for file in ARTIFACTS
+    ]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        chain5 = work / "chain5.cfg"
+        chain5.write_text(CHAIN5_CFG)
+        configs = {path.stem: path for path in (ROOT / "configs").glob("*.cfg")}
+        configs["chain5"] = chain5
+        for name in sorted(configs):
+            for line in artifact_hashes(name, configs[name], work):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
