@@ -236,9 +236,9 @@ class TestLiouvillian:
     @settings(max_examples=150, deadline=None)
     def test_drive_with_channels_equals_dense_sum(self, case):
         # The coherent part is bit-equal to the dense one (see above), so
-        # beyond the dissipator's bound only the rounding of the sum of the
-        # two parts may differ: at most an ulp of each of its real and
-        # imaginary parts.
+        # beyond the dissipator's bound only the final sum of the two parts
+        # may round differently: by an ulp of its real and of its imaginary
+        # part, at most two ulps of |expected| together.
         n, rho, h0, amps, channels = case
         reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
         out = liouvillian_apply(rho, 0.3, build_generator(h0, channels), lambda t: amps)
