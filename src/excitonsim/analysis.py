@@ -232,21 +232,23 @@ def gate_fidelity(
 ) -> float:
     """Average fidelity of the propagated sequence against an ideal gate.
 
-    Each reference state is propagated through the full sequence; the final
-    state, taken to the interaction picture, is compared with the ideal
-    image of that state.  The average runs over the deterministic state set
-    of default_fidelity_states.
+    The reference states of default_fidelity_states are propagated together
+    through the full sequence, as one (B, d, d) stack in one propagate call;
+    each final state, taken to the interaction picture, is compared with
+    the ideal image of its reference state, and the average runs over the
+    set.  ideal_unitary must be unitary to 1e-10.
     """
     dim = register.dimension
     ideal = np.asarray(ideal_unitary, dtype=complex)
     if ideal.shape != (dim, dim):
         raise InvalidParameterError("ideal unitary does not match register size")
-    total = 0.0
+    error = np.max(np.abs(ideal.conj().T @ ideal - np.eye(dim)))
+    if not error <= 1e-10:
+        raise InvalidParameterError(f"ideal gate is not unitary: max|U+U - I| = {error:.3e}")
     states = default_fidelity_states(register.n_qubits)
-    for psi in states:
-        traj = propagate(
-            pure_state_density(psi), sequence, register, channels, config
-        )
-        rho_final = traj.final_state_interaction_picture()
+    rho0 = np.array([pure_state_density(psi) for psi in states])
+    traj = propagate(rho0, sequence, register, channels, config)
+    total = 0.0
+    for psi, rho_final in zip(states, traj.final_state_interaction_picture()):
         total += fidelity(rho_final, ideal @ psi)
     return total / len(states)

@@ -33,6 +33,14 @@ batches of EIG_BATCH_BYTES with one Cholesky factorization of the batch
 shifted by eig_floor.  Only a batch that fails it goes through eigvalsh,
 which reports the earliest failing step.
 
+The equation is linear, so one loop propagates a whole stack of states:
+rho may be one (d, d) matrix or a (B, d, d) stack, and every operation of
+the loop acts on the last two axes.  The stack shares each stage's drive
+evaluation and Hamiltonian, and each member ends bit for bit where a run
+of its own would (the products are the same per matrix).  Every member is
+tested as a single state would be; a failure names the earliest step, the
+lowest failing member at that step, and that member as "state k".
+
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
 carrier, so ~fs steps suffice.
@@ -84,8 +92,19 @@ def validate_density_matrix(
 ) -> None:
     """Check Hermiticity, unit trace, and positivity within tolerances.
 
-    Each test fails closed: NaN or inf anywhere in rho fails the first.
+    Each test fails closed: NaN or inf anywhere in rho fails the first.  A
+    (B, d, d) stack is checked member by member, and the error names the
+    first member that fails as "state k".
     """
+    if rho.ndim == 3:
+        if not len(rho):
+            raise InvalidParameterError("density matrix stack is empty")
+        for k, member in enumerate(rho):
+            try:
+                validate_density_matrix(member, herm_tol, trace_tol, eig_floor)
+            except InvalidParameterError as err:
+                raise InvalidParameterError(f"{err} in state {k}") from None
+        return
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidParameterError("density matrix must be square")
     if not np.max(np.abs(rho - rho.T.conj())) <= herm_tol:
@@ -168,7 +187,12 @@ class SimulationConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled populations, occupations, and one coherence of a run."""
+    """Sampled populations, occupations, and one coherence of a run.
+
+    The shapes below are those of one (d, d) state.  A run of a (B, d, d)
+    stack adds the member axis after the sample axis (final_state is
+    (B, d, d)), and max_trace_drift is the worst over the members.
+    """
 
     times_ps: np.ndarray
     populations: np.ndarray  # (n_samples, dim), real
@@ -283,7 +307,8 @@ def liouvillian_apply(
     -f_l and -conj(f_l), the per-dot amplitudes of drive(t) (meV), in the
     bit-flip pairs; each off-diagonal entry belongs to one pair.  The
     channels of build_generator are applied as one segmented sum over the
-    dissipator's row table.
+    dissipator's row table.  rho may be a (B, d, d) stack: H is built once
+    and the row table gathers within each member.
     """
     h = generator.h0
     if drive is not None:
@@ -295,7 +320,10 @@ def liouvillian_apply(
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
     if generator.dissipator is not None:
         values, columns, row_starts = generator.dissipator
-        out += np.add.reduceat(values * rho.take(columns), row_starts).reshape(out.shape)
+        flat = rho.reshape(*rho.shape[:-2], -1)
+        out += np.add.reduceat(
+            values * flat.take(columns, axis=-1), row_starts, axis=-1
+        ).reshape(out.shape)
     return out
 
 
@@ -308,19 +336,25 @@ EIG_BATCH_BYTES = 64 * 1024
 class _PositivityCheck:
     """Every integration step's state, tested against eig_floor in batches.
 
-    Each step's state is written into the next slot of a buffer and added
-    once its trace has passed.  check() runs one batched Cholesky of the
-    added states minus eig_floor * I, which succeeds only if every smallest
+    shape is that of the propagated rho, (d, d) or a (B, d, d) stack.  Each
+    step's state is written into the next slot of a buffer and added once
+    its trace has passed.  check() runs one batched Cholesky of the added
+    states minus eig_floor * I, which succeeds only if every smallest
     eigenvalue is above eig_floor (it reads one triangle; every added state
     was re-Hermitized).  Otherwise, or with a non-finite state, one eigvalsh
-    raises for the earliest failing step, so the error is the one a
-    per-step test would raise, only later.  A non-finite state fails too,
-    unless an earlier one already did.
+    raises for the earliest failing step, and at that step for the lowest
+    failing member, so the error is the one a per-step test would raise,
+    only later.  A non-finite state fails too, unless an earlier one
+    already did.
     """
 
-    def __init__(self, dim: int, eig_floor: float):
-        size = max(1, EIG_BATCH_BYTES // (16 * dim * dim))
-        self.states = np.empty((size, dim, dim), dtype=complex)
+    def __init__(self, shape: tuple[int, ...], eig_floor: float):
+        dim = shape[-1]
+        self.members = math.prod(shape[:-2])
+        self.stacked = len(shape) > 2
+        size = max(1, EIG_BATCH_BYTES // (16 * self.members * dim * dim))
+        self.states = np.empty((size, *shape), dtype=complex)
+        self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
         self.eig_floor = eig_floor
         self.floor = eig_floor * np.eye(dim)
         self.filled = 0
@@ -337,8 +371,9 @@ class _PositivityCheck:
         self.filled += 1
         self.last_step = step
 
-    def check(self) -> None:
-        states = self.states[: self.filled]
+    def check(self, members: int = 0) -> None:
+        """Test the added states, and the first members of the next slot."""
+        states = self.flat[: self.filled * self.members + members]
         first_step = self.last_step - self.filled + 1
         self.filled = 0
         finite = np.isfinite(states).all(axis=(1, 2))
@@ -352,14 +387,22 @@ class _PositivityCheck:
         min_eigs = np.linalg.eigvalsh(states[:n_finite]).min(axis=1)
         bad = np.flatnonzero(~(min_eigs >= self.eig_floor))
         if bad.size:
-            raise PropagationDiagnosticsError(
+            raise self.error(
                 f"negative eigenvalue {min_eigs[bad[0]]:.3e} below {self.eig_floor:.1e}",
-                step=first_step + int(bad[0]),
+                first_step,
+                int(bad[0]),
             )
         if n_finite < len(finite):
-            raise PropagationDiagnosticsError(
-                "non-finite density matrix", step=first_step + n_finite
-            )
+            raise self.error("non-finite density matrix", first_step, n_finite)
+
+    def error(
+        self, message: str, first_step: int, index: int
+    ) -> PropagationDiagnosticsError:
+        """The error for the index-th state from first_step's first member."""
+        step, member = divmod(index, self.members)
+        return PropagationDiagnosticsError(
+            message, step=first_step + step, state=member if self.stacked else None
+        )
 
 
 def integrate_master_equation(
@@ -374,17 +417,20 @@ def integrate_master_equation(
 ) -> Trajectory:
     """Fixed-step integration of the master equation over [t_start, t_end].
 
-    The requested step is shrunk to divide the window exactly.  The state
-    is re-Hermitized once per step; the trace is never re-normalized, its
-    drift is a diagnostic.  Every step's state is tested for trace drift at
-    once and for positivity in batches (_PositivityCheck); a failure raises
-    PropagationDiagnosticsError naming the earliest failing step, and a
-    non-finite state fails both.  Samples are taken every sample_stride
-    steps plus the final step.
+    rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
+    share every step.  The requested step is shrunk to divide the window
+    exactly.  The state is re-Hermitized once per step; the trace is never
+    re-normalized, its drift is a diagnostic.  Every step's state is tested
+    for trace drift at once and for positivity in batches
+    (_PositivityCheck); a failure raises PropagationDiagnosticsError naming
+    the earliest failing step, and for a stack the lowest failing member at
+    that step, and a non-finite state fails both.  Samples are taken every
+    sample_stride steps plus the final step.
     """
     rho = np.array(rho0, dtype=complex)
     validate_density_matrix(rho)
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
+    stacked = rho.ndim == 3
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits != dim:
         raise InvalidParameterError("state dimension must be a power of two")
@@ -409,15 +455,16 @@ def integrate_master_equation(
 
     def sample(t, state):
         times.append(t)
-        diag = np.real(np.diag(state))
+        diag = np.real(np.diagonal(state, axis1=-2, axis2=-1))
         pops.append(diag.copy())  # state may be a reused buffer slot
-        occs.append([float(diag @ m) for m in occupation_masks])
-        cohs.append(state[pair])
+        occs.append([diag @ m for m in occupation_masks])
+        cohs.append(state[..., pair[0], pair[1]].copy())
         if config.store_states:
             kept.append(state.copy())
 
-    positivity = _PositivityCheck(dim, config.eig_floor)
-    max_drift = abs(rho.trace().real - 1.0)
+    positivity = _PositivityCheck(rho.shape, config.eig_floor)
+    drift = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
+    max_drift = drift.max() if stacked else drift
     sample(t_start_ps, rho)
     t = t_start_ps
     for step in range(1, n_steps + 1):
@@ -435,21 +482,29 @@ def integrate_master_equation(
         k2 *= sixth_dt
         k2 += rho
         rho = positivity.slot()
-        np.add(k2, k2.T.conj(), out=rho)
+        np.add(k2, k2.swapaxes(-1, -2).conj(), out=rho)
         rho *= 0.5
         t = t_start_ps + step * dt
-        drift = abs(rho.trace().real - 1.0)
-        if not drift <= config.trace_tol:
-            positivity.check()
+        drift = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
+        worst = drift.max() if stacked else drift
+        if not worst <= config.trace_tol:
+            # the first member that fails; the members before it are tested
+            # for positivity at this step too
+            drifts = np.ravel(drift)
+            member = int(np.argmax(~(drifts <= config.trace_tol)))
+            positivity.check(member)
+            drift, state = drifts[member], (member if stacked else None)
             if not math.isfinite(drift):
                 raise PropagationDiagnosticsError(
-                    "non-finite density matrix", step=step
+                    "non-finite density matrix", step=step, state=state
                 )
             raise PropagationDiagnosticsError(
-                f"trace drift {drift:.3e} exceeds {config.trace_tol:.1e}", step=step
+                f"trace drift {drift:.3e} exceeds {config.trace_tol:.1e}",
+                step=step,
+                state=state,
             )
         positivity.add(step)
-        max_drift = max(max_drift, drift)
+        max_drift = max(max_drift, worst)
         if step % config.sample_stride == 0 or step == n_steps:
             sample(t, rho)
     positivity.check()
@@ -457,7 +512,7 @@ def integrate_master_equation(
     return Trajectory(
         times_ps=np.array(times),
         populations=np.array(pops),
-        occupations=np.array(occs).reshape(len(times), n_qubits),
+        occupations=np.moveaxis(np.array(occs), 1, -1),
         coherences=np.array(cohs),
         coherence_pair=pair,
         final_state=rho.copy(),
@@ -488,7 +543,8 @@ def propagate(
     channels: Sequence[LindbladChannel] = (),
     config: SimulationConfig | None = None,
 ) -> Trajectory:
-    """Propagate the register state through a pulse sequence.
+    """Propagate the register state, or a (B, d, d) stack of states,
+    through a pulse sequence.
 
     Builds the Hamiltonian shifted by the reference energy per exciton and
     the rotating-frame drive from field_at, then runs the fixed-step

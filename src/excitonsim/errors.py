@@ -57,12 +57,17 @@ class ZeroDipoleError(CompileError):
 class PropagationDiagnosticsError(ExcitonSimError, RuntimeError):
     """A propagated state violated its invariants beyond tolerance.
 
-    Carries the index of the offending integration step.
+    Carries the index of the offending integration step, and for a
+    propagated stack of states the index of the offending member (None for
+    a single state).
     """
 
-    def __init__(self, message: str, step: int):
+    def __init__(self, message: str, step: int, state: int | None = None):
+        if state is not None:
+            message = f"{message} in state {state}"
         super().__init__(f"{message} at step {step}")
         self.step = step
+        self.state = state
 
 
 class InvalidConditioningError(ExcitonSimError, ValueError):

@@ -8,8 +8,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from excitonsim import units
+from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
-from excitonsim.dynamics import integrate_master_equation
+from excitonsim.dynamics import integrate_master_equation, propagate, pure_state_density
 from excitonsim.model import build_hamiltonian
 from excitonsim.pulses import field_at, pulse_amplitude, tabulate_drive
 
@@ -151,3 +152,28 @@ def bell_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bell_run")
     rc = main(["simulate", "--config", str(BELL_CONFIG), "--out-dir", str(out)])
     return rc, out
+
+
+def _gate_fidelity_reference(sequence, register, channels, config, ideal_unitary):
+    """Average gate fidelity with one propagation per reference state.
+
+    The loop that analysis.gate_fidelity ran before it propagated the
+    reference states as one stack: each state of default_fidelity_states
+    goes through its own dynamics.propagate call, and the fidelities of the
+    final states in the interaction picture are summed in the same order.
+    """
+    ideal = np.asarray(ideal_unitary, dtype=complex)
+    total = 0.0
+    states = default_fidelity_states(register.n_qubits)
+    for psi in states:
+        traj = propagate(pure_state_density(psi), sequence, register, channels, config)
+        total += fidelity(traj.final_state_interaction_picture(), ideal @ psi)
+    return total / len(states)
+
+
+@pytest.fixture(scope="session")
+def gate_fidelity_reference():
+    """The per-state gate fidelity as a callable, the oracle for
+    analysis.gate_fidelity: gate_fidelity_reference(sequence, register,
+    channels, config, ideal_unitary) returns the average fidelity."""
+    return _gate_fidelity_reference

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from excitonsim import analysis
 from excitonsim.analysis import (
     absorption_spectrum,
     bell_state,
@@ -229,3 +230,63 @@ class TestGateFidelity:
         config = SimulationConfig(time_step_ps=1e-3)
         f = gate_fidelity(both, reg, [], config, np.eye(2))
         assert f == pytest.approx(1.0, abs=1e-6)
+
+    def test_non_unitary_ideal_rejected_before_propagation(self, register, monkeypatch):
+        # unit columns, but columns 1 and 2 overlap by 1/sqrt2
+        ideal = np.eye(4, dtype=complex)
+        ideal[1, 2] = ideal[2, 2] = 1.0 / math.sqrt(2.0)
+
+        def no_propagation(*args, **kwargs):
+            raise AssertionError("propagate called")
+
+        monkeypatch.setattr(analysis, "propagate", no_propagation)
+        config = SimulationConfig(time_step_ps=1e-3, duration_ps=0.01)
+        with pytest.raises(InvalidParameterError, match="not unitary"):
+            gate_fidelity(PulseSequence(()), register, [], config, ideal)
+
+
+class TestStackedGateFidelity:
+    """gate_fidelity propagates its reference states as one stack; the
+    per-state loop of the gate_fidelity_reference oracle must give the same
+    float."""
+
+    def test_coherent_cnot(self, register, coherent_cnot, gate_fidelity_reference):
+        reference = gate_fidelity_reference(
+            coherent_cnot.sequence, register, [], coherent_cnot.config, coherent_cnot.ideal
+        )
+        assert coherent_cnot.fidelity == reference
+
+    def test_cnot_with_decoherence_channels(self, register, coherent_cnot,
+                                            gate_fidelity_reference):
+        # the four channels of configs/decoherence_two_dot.cfg, at a step
+        # five times the fixture's to keep the oracle's eight runs short
+        channels = [
+            LindbladChannel("decay", 0, 0.002),
+            LindbladChannel("decay", 1, 0.002),
+            LindbladChannel("pure-dephasing", 0, 0.02),
+            LindbladChannel("pure-dephasing", 1, 0.02),
+        ]
+        args = (coherent_cnot.sequence, register, channels,
+                SimulationConfig(time_step_ps=5e-3), coherent_cnot.ideal)
+        assert gate_fidelity(*args) == gate_fidelity_reference(*args)
+
+    def test_one_dot_rotation(self, gate_fidelity_reference):
+        reg = ExcitonRegister(
+            exciton_energies_ev=np.array([1.70]),
+            shift_matrix_mev=np.zeros((1, 1)),
+        )
+        spec = GateSpec("rotation", 0, angle=0.9)
+        args = (compile_gate(reg, spec), reg, [], SimulationConfig(time_step_ps=1e-3),
+                ideal_gate_unitary(reg, spec))
+        assert gate_fidelity(*args) == gate_fidelity_reference(*args)
+
+    def test_three_dot_conditional_rotation_with_decay(self, gate_fidelity_reference):
+        reg = ExcitonRegister(
+            exciton_energies_ev=np.array([1.70, 1.71, 1.72]),
+            shift_matrix_mev=np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 9.0], [0.0, 9.0, 0.0]]),
+        )
+        spec = GateSpec("conditional-rotation", 1, conditions=((0, 1), (2, 0)))
+        assert len(default_fidelity_states(3)) == 14
+        args = (compile_gate(reg, spec), reg, [LindbladChannel("decay", 1, 0.05)],
+                SimulationConfig(time_step_ps=0.005), ideal_gate_unitary(reg, spec))
+        assert gate_fidelity(*args) == gate_fidelity_reference(*args)

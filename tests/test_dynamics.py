@@ -588,7 +588,7 @@ def per_state_verdict(states, eig_floor):
 
 
 def batched_verdict(states, eig_floor):
-    check = dynamics._PositivityCheck(states.shape[1], eig_floor)
+    check = dynamics._PositivityCheck(states.shape[1:], eig_floor)
     try:
         for step, state in enumerate(states, start=1):
             check.slot()[...] = state
@@ -637,7 +637,7 @@ class TestCholeskyPositivity:
         rng = np.random.default_rng(seed)
         dim = int(rng.choice([2, 4, 8]))
         eig_floor = float(rng.choice([-1e-6, -1e-9, -1e-3]))
-        slots = len(dynamics._PositivityCheck(dim, eig_floor).states)
+        slots = len(dynamics._PositivityCheck((dim, dim), eig_floor).states)
         n_states = int(rng.integers(1, 2 * slots + 2))
         p_below = float(rng.choice([0.0, 1.0 / n_states, 0.01, 0.3]))
         states = np.empty((n_states, dim, dim), dtype=complex)
@@ -654,3 +654,172 @@ class TestCholeskyPositivity:
             i = int(rng.integers(n_states))
             states[i, 0, 1] = states[i, 1, 0] = math.nan
         assert batched_verdict(states, eig_floor) == per_state_verdict(states, eig_floor)
+
+
+class TestStackedDiagnostics:
+    """A (3, 2, 2) stack fails at the earliest failing step, at that step
+    in the lowest failing member, and the error names that member."""
+
+    DT = 1e-3
+    SLOTS = dynamics.EIG_BATCH_BYTES // (16 * 3 * 2 * 2)  # steps per batch
+    N_STEPS = 2 * SLOTS + 30
+
+    def run(self, monkeypatch, kicks, rho0=None):
+        monkeypatch.setattr(dynamics, "liouvillian_apply", kicked_apply(kicks))
+        if rho0 is None:
+            rho0 = np.array([basis_state_density(1, 0)] * 3)
+        return integrate_master_equation(
+            rho0, np.zeros(2), None, [], 0.0, self.N_STEPS * self.DT,
+            SimulationConfig(time_step_ps=self.DT),
+        )
+
+    def kick(self, members):
+        """The stack's kick: the given matrix per member, zero elsewhere."""
+        out = np.zeros((3, 2, 2), dtype=complex)
+        for k, matrix in members.items():
+            out[k] = matrix
+        return out
+
+    NEGATIVE = np.diag([0.01, -0.01]) / DT  # traceless, rho_11 -> -0.01
+    NAN_COHERENCE = np.array([[0.0, math.nan], [math.nan, 0.0]])
+    TRACE = np.diag([0.01, 0.0]) / DT  # trace 1.01
+
+    def test_valid_stack_runs_every_step(self, monkeypatch):
+        traj = self.run(monkeypatch, {})
+        assert traj.n_steps == self.N_STEPS
+        assert traj.final_state.shape == (3, 2, 2)
+        assert traj.occupations.shape == (len(traj.times_ps), 3, 1)
+
+    def test_negative_eigenvalue_names_its_state(self, monkeypatch):
+        step = self.SLOTS + 5
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.kick({2: self.NEGATIVE})})
+        assert (err.value.step, err.value.state) == (step, 2)
+        assert str(err.value) == (
+            f"negative eigenvalue -1.000e-02 below -1.0e-06 in state 2 at step {step}"
+        )
+
+    def test_earlier_failure_wins_over_later_non_finite_state_0(self, monkeypatch):
+        kicks = {
+            self.SLOTS + 5: self.kick({2: self.NEGATIVE}),
+            self.SLOTS + 9: self.kick({0: self.NAN_COHERENCE}),
+        }
+        with pytest.raises(PropagationDiagnosticsError, match="negative eigenvalue") as err:
+            self.run(monkeypatch, kicks)
+        assert (err.value.step, err.value.state) == (self.SLOTS + 5, 2)
+
+    def test_lowest_state_wins_at_equal_steps(self, monkeypatch):
+        step = self.SLOTS + 5
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.kick({1: self.NAN_COHERENCE, 2: self.NEGATIVE})})
+        assert str(err.value) == f"non-finite density matrix in state 1 at step {step}"
+
+    def test_trace_failure_names_its_state(self, monkeypatch):
+        step = self.SLOTS + 5
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.kick({1: self.TRACE, 2: self.NEGATIVE})})
+        assert (err.value.step, err.value.state) == (step, 1)
+        assert str(err.value) == f"trace drift 1.000e-02 exceeds 1.0e-07 in state 1 at step {step}"
+
+    def test_lower_state_below_the_floor_wins_over_a_trace_failure(self, monkeypatch):
+        step = self.SLOTS + 5
+        with pytest.raises(PropagationDiagnosticsError, match="negative eigenvalue") as err:
+            self.run(monkeypatch, {step: self.kick({0: self.NEGATIVE, 2: self.TRACE})})
+        assert (err.value.step, err.value.state) == (step, 0)
+
+    def test_bad_initial_member_is_named(self, monkeypatch):
+        rho0 = np.array([basis_state_density(1, 0)] * 3)
+        rho0[1] *= 2.0
+        with pytest.raises(InvalidParameterError) as err:
+            self.run(monkeypatch, {}, rho0)
+        assert str(err.value) == "density matrix trace differs from 1 in state 1"
+
+
+def stack_member(rng, dim, kind):
+    """A random mixed state, or one that passes validate_density_matrix but
+    fails the integrator's tests at a tolerance of 1e-10: trace 1 + 5e-10
+    ("trace") or smallest eigenvalue -5e-10 ("negative")."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigs = rng.dirichlet(np.ones(dim))
+    if kind == "negative":
+        low = np.argmin(eigs)
+        eigs[np.argmax(eigs)] += eigs[low] + 5e-10
+        eigs[low] = -5e-10
+    rho = (u * eigs) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho * (1.0 + 5e-10) if kind == "trace" else rho
+
+
+@st.composite
+def stack_cases(draw):
+    """(register, sequence, channels, config, stack): N in 1..3, B in 1..5,
+    up to two pulses, random channels, and members that may fail the trace
+    or positivity test when the config's tolerances are tight."""
+    n = draw(st.integers(1, 3))
+    energies = 1.70 + 0.01 * np.arange(n)
+    shifts = np.zeros((n, n))
+    for l in range(n - 1):
+        shifts[l, l + 1] = shifts[l + 1, l] = 4.5
+    register = ExcitonRegister(exciton_energies_ev=energies, shift_matrix_mev=shifts)
+    dot = st.integers(0, n - 1)
+    pulses = []
+    for i in range(draw(st.integers(0, 2))):
+        target = draw(dot)
+        pulses.append(Pulse(
+            carrier_energy_ev=energies[target] + draw(st.floats(-5e-3, 5e-3)),
+            center_ps=0.6 + 0.4 * i,
+            tau_ps=0.2,
+            area_rad=draw(st.floats(0.0, 2.0 * math.pi)),
+            target_dipole=target,
+        ))
+    kind = st.sampled_from(["decay", "pure-dephasing"])
+    channels = draw(st.lists(st.builds(LindbladChannel, kind, dot, st.floats(0.0, 2.0)),
+                             max_size=4))
+    tight = st.sampled_from([False, True])
+    config = SimulationConfig(
+        time_step_ps=5e-3,
+        duration_ps=1.2,
+        trace_tol=1e-10 if draw(tight) else 1e-7,
+        eig_floor=-1e-10 if draw(tight) else -1e-6,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["valid", "valid", "trace", "negative"]),
+                          min_size=1, max_size=5))
+    stack = np.array([stack_member(rng, 2**n, k) for k in kinds])
+    return register, PulseSequence(tuple(pulses)), channels, config, stack
+
+
+class TestStackedPropagation:
+    @settings(max_examples=30, deadline=None)
+    @given(stack_cases())
+    def test_stack_equals_single_runs(self, case):
+        """One propagate of a (B, d, d) stack gives each member's final state
+        bit for bit as B single runs do; if any single run fails, the stack
+        fails at the earliest step, in the lowest member failing there, with
+        that run's message."""
+        register, sequence, channels, config, stack = case
+
+        def outcome(rho0):
+            try:
+                return propagate(rho0, sequence, register, channels, config)
+            except PropagationDiagnosticsError as err:
+                return err
+
+        singles = [outcome(member) for member in stack]
+        stacked = outcome(stack)
+        failures = [(run.step, k, run) for k, run in enumerate(singles)
+                    if isinstance(run, PropagationDiagnosticsError)]
+        if failures:
+            step, k, err = min(failures, key=lambda failure: failure[:2])
+            assert isinstance(stacked, PropagationDiagnosticsError)
+            assert (stacked.step, stacked.state) == (step, k)
+            message = str(err).rsplit(" at step ", 1)[0]
+            assert str(stacked) == f"{message} in state {k} at step {step}"
+            return
+        assert not isinstance(stacked, PropagationDiagnosticsError), str(stacked)
+        for k, run in enumerate(singles):
+            assert np.array_equal(stacked.final_state[k], run.final_state)
+            assert np.array_equal(stacked.populations[:, k], run.populations)
+            assert np.array_equal(stacked.coherences[:, k], run.coherences)
+            assert np.allclose(stacked.occupations[:, k], run.occupations, rtol=0, atol=1e-14)
+        assert stacked.max_trace_drift == max(run.max_trace_drift for run in singles)

@@ -6,9 +6,12 @@ Runs `excitonsim simulate` from this checkout's src/ on every
 configs/*.cfg and on the benchmark's five-dot chain
 (perfbench/workloads.CHAIN5_CFG), each into its own temporary directory,
 and prints one line `<sha256>  <config>/<file>` for trajectory.csv,
-sequence.csv and metrics.txt, sorted by config.  Run it in two checkouts
-and `diff` the outputs to see whether a change kept the artifacts
-byte-identical.  Exits 1 if a run fails.
+sequence.csv and metrics.txt, sorted by config.  A last line
+`<repr(F)>  cnot_fidelity_lindblad/gate_fidelity` gives the gate fidelity
+of the benchmark's CNOT with Lindblad channels
+(perfbench/workloads.CNOT_LINDBLAD_CFG), computed as the benchmark does.
+Run it in two checkouts and `diff` the outputs to see whether a change kept
+the artifacts and the fidelity byte-identical.  Exits 1 if a run fails.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from excitonsim.analysis import gate_fidelity  # noqa: E402
 from excitonsim.cli import main as excitonsim_main  # noqa: E402
-from workloads import CHAIN5_CFG  # noqa: E402
+from excitonsim.config import load_config  # noqa: E402
+from excitonsim.pulses import compile_program, ideal_gate_unitary  # noqa: E402
+from workloads import CHAIN5_CFG, CNOT_LINDBLAD_CFG  # noqa: E402
 
 ARTIFACTS = ("trajectory.csv", "sequence.csv", "metrics.txt")
 
@@ -42,6 +48,16 @@ def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
     ]
 
 
+def fidelity_line(config: Path) -> str:
+    """The gate fidelity line of the config's first gate, as the
+    benchmark's gate_fidelity workload computes it."""
+    run = load_config(str(config))
+    sequence = compile_program(run.register, run.program, run.policy)
+    ideal = ideal_gate_unitary(run.register, run.program[0][0])
+    value = gate_fidelity(sequence, run.register, run.channels, run.simulation, ideal)
+    return f"{value!r}  cnot_fidelity_lindblad/gate_fidelity"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -52,6 +68,9 @@ def main() -> int:
         for name in sorted(configs):
             for line in artifact_hashes(name, configs[name], work):
                 print(line, flush=True)
+        cnot = work / "cnot_fidelity_lindblad.cfg"
+        cnot.write_text(CNOT_LINDBLAD_CFG)
+        print(fidelity_line(cnot), flush=True)
     return 0
 
 
