@@ -54,7 +54,6 @@ from .dynamics import (
     propagate,
     pure_state_density,
     purity,
-    to_interaction_picture,
     validate_density_matrix,
 )
 from .model import (
@@ -71,7 +70,6 @@ from .pulses import (
     TimingPolicy,
     compile_gate,
     compile_program,
-    conditional_frequency,
     field_at,
     ideal_gate_unitary,
     pulse_amplitude,

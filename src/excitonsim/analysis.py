@@ -69,17 +69,12 @@ def concurrence(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SpectrumLine:
-    """One optical transition: position, weight, and its conditioning."""
+    """One optical transition of unit weight: position and conditioning."""
 
     energy_ev: float
-    weight: float
     kind: str  # "excitonic" (0 -> 1) or "biexcitonic" (1 -> 2)
     dot: int
     conditioning: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidParameterError("line weight must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -100,16 +95,13 @@ class AbsorptionSpectrum:
         object.__setattr__(self, "intensity", i)
         object.__setattr__(self, "lines", tuple(self.lines))
 
-    def integrated_weight(self) -> float:
-        return float(np.trapezoid(self.intensity, self.energies_ev))
-
 
 def spectrum_lines(
     register: ExcitonRegister,
     kind: str,
     patterns: Sequence[Mapping[int, int]] | None = None,
 ) -> list[SpectrumLine]:
-    """Stick transitions of the register, unit weight each.
+    """Stick transitions of the register.
 
     Excitonic: one line per dot at its bare energy; patterns may name no dot.
     Biexcitonic: each pattern ({dot: 0 or 1}) gives one line per dot it
@@ -144,7 +136,6 @@ def spectrum_lines(
     return [
         SpectrumLine(
             energy_ev=renormalized_energy(register, l, pattern),
-            weight=1.0,
             kind=kind,
             dot=l,
             conditioning=tuple(sorted(pattern.items())),
@@ -153,40 +144,31 @@ def spectrum_lines(
     ]
 
 
-def default_energy_grid(
-    lines: Sequence[SpectrumLine], linewidth_mev: float
-) -> np.ndarray:
-    """Grid wide and fine enough to hold >= 99% of the Lorentzian weight."""
-    positions = [line.energy_ev for line in lines]
-    pad = 40.0 * linewidth_mev * 1e-3
-    step = linewidth_mev * 1e-3 / 50.0
-    lo, hi = min(positions) - pad, max(positions) + pad
-    return np.arange(lo, hi + step, step)
-
-
-def broaden_lines(
-    lines: Sequence[SpectrumLine],
-    linewidth_mev: float,
-    grid_ev: Sequence[float] | None = None,
+def absorption_spectrum(
+    register: ExcitonRegister,
+    kind: str,
+    patterns: Sequence[Mapping[int, int]] | None = None,
+    linewidth_mev: float = 0.5,
 ) -> AbsorptionSpectrum:
-    """Lorentzian-broaden stick lines on a grid (default: auto-sized)."""
+    """Lorentzian-broadened absorption spectrum of spectrum_lines.
+
+    The grid reaches 40 linewidths past the outermost lines in steps of a
+    50th of a linewidth, wide and fine enough to hold >= 99% of the weight.
+    """
+    lines = spectrum_lines(register, kind, patterns)
     if linewidth_mev <= 0:
         raise InvalidParameterError("linewidth must be positive")
     if not lines:
         raise InvalidParameterError("no lines to broaden")
-    if grid_ev is None:
-        grid = default_energy_grid(lines, linewidth_mev)
-    else:
-        grid = np.asarray(grid_ev, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise InvalidParameterError("energy grid must be ascending")
+    positions = [line.energy_ev for line in lines]
+    pad = 40.0 * linewidth_mev * 1e-3
     gamma = linewidth_mev * 1e-3  # FWHM in eV
+    step = gamma / 50.0
+    grid = np.arange(min(positions) - pad, max(positions) + pad + step, step)
     intensity = np.zeros_like(grid)
     for line in lines:
-        intensity += (
-            line.weight
-            * (gamma / (2.0 * math.pi))
-            / ((grid - line.energy_ev) ** 2 + (gamma / 2.0) ** 2)
+        intensity += (gamma / (2.0 * math.pi)) / (
+            (grid - line.energy_ev) ** 2 + (gamma / 2.0) ** 2
         )
     return AbsorptionSpectrum(
         energies_ev=grid,
@@ -194,17 +176,6 @@ def broaden_lines(
         linewidth_mev=linewidth_mev,
         lines=tuple(lines),
     )
-
-
-def absorption_spectrum(
-    register: ExcitonRegister,
-    kind: str,
-    patterns: Sequence[Mapping[int, int]] | None = None,
-    grid_ev: Sequence[float] | None = None,
-    linewidth_mev: float = 0.5,
-) -> AbsorptionSpectrum:
-    """Lorentzian-broadened absorption spectrum of spectrum_lines."""
-    return broaden_lines(spectrum_lines(register, kind, patterns), linewidth_mev, grid_ev)
 
 
 def default_fidelity_states(n_qubits: int) -> list[np.ndarray]:

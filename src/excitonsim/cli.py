@@ -24,7 +24,6 @@ from . import __version__
 from .analysis import absorption_spectrum, concurrence, fidelity
 from .config import (
     RunConfig,
-    dot_label,
     dump_config,
     fmt as _fmt,
     load_config,
@@ -40,7 +39,7 @@ from .errors import (
     PropagationDiagnosticsError,
     TimeStepError,
 )
-from .model import basis_label
+from .model import basis_label, dot_label, pattern_text
 from .pulses import PulseSequence, compile_program
 
 EXIT_OK = 0
@@ -105,8 +104,6 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 
 
 def _compiled_sequence(config: RunConfig) -> PulseSequence:
-    if not config.program:
-        return PulseSequence(())
     try:
         return compile_program(config.register, config.program, config.policy)
     except ExcitonSimError as err:
@@ -129,11 +126,7 @@ def _write_sequence(path: Path, sequence: PulseSequence) -> None:
 def _program_echo(config: RunConfig, sequence: PulseSequence) -> list[str]:
     lines = ["# program echo"]
     for i, (spec, start) in enumerate(config.program, start=1):
-        conds = (
-            " when " + ",".join(f"{dot_label(d)}:{o}" for d, o in spec.conditions)
-            if spec.conditions
-            else ""
-        )
+        conds = f" when {pattern_text(spec.conditions)}" if spec.conditions else ""
         start_txt = "auto" if start is None else f"{_fmt(start)} ps"
         lines.append(
             f"gate {i}: {spec.kind} on {dot_label(spec.target)}"

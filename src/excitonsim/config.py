@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
+from string import ascii_lowercase
 from typing import Any, Callable
 
 import numpy as np
@@ -51,18 +52,8 @@ from .device import (
 )
 from .dynamics import LindbladChannel, SimulationConfig
 from .errors import ConfigError, ExcitonSimError, TimeStepError, ZeroDipoleError
-from .model import ExcitonRegister
+from .model import ExcitonRegister, dot_label, pattern_text
 from .pulses import GateSpec, TimingPolicy
-
-_DOT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-
-def dot_label(index: int) -> str:
-    """Letter name of a dot: 0 -> a, 1 -> b, ..."""
-    if index < len(_DOT_LETTERS):
-        return _DOT_LETTERS[index]
-    return f"q{index}"
-
 
 def fmt(value: float) -> str:
     """Exact, byte-stable text of a float: its repr."""
@@ -112,8 +103,8 @@ def parse_dot(token: str, section: str | None = None) -> int:
     token = token.strip().lower()
     if token.isdigit():
         return int(token)
-    if len(token) == 1 and token in _DOT_LETTERS:
-        return _DOT_LETTERS.index(token)
+    if len(token) == 1 and token in ascii_lowercase:
+        return ascii_lowercase.index(token)
     raise ConfigError(f"cannot parse dot name {token!r}", section)
 
 
@@ -217,12 +208,10 @@ def _pair_text(pair: tuple[int, int] | None) -> str | None:
     return None if pair is None else f"{pair[0]}:{pair[1]}"
 
 
-def _pattern_text(pattern: dict[int, int]) -> str:
-    return ",".join(f"{dot}:{occ}" for dot, occ in pattern.items())
-
-
 def _patterns_text(patterns: list[dict[int, int]] | None) -> str | None:
-    return None if patterns is None else ";".join(map(_pattern_text, patterns))
+    if patterns is None:
+        return None
+    return ";".join(pattern_text(pattern.items()) for pattern in patterns)
 
 
 @dataclass
@@ -347,9 +336,9 @@ def _read_program(
 def _write_program(config: RunConfig) -> list[str]:
     lines = []
     for i, (spec, start) in enumerate(config.program, start=1):
-        parts = [spec.kind, f"target={spec.target}", f"angle={fmt(spec.angle)}"]
+        parts = [spec.kind, f"target={dot_label(spec.target)}", f"angle={fmt(spec.angle)}"]
         if spec.conditions:
-            parts.append("when=" + _pattern_text(dict(spec.conditions)))
+            parts.append("when=" + pattern_text(spec.conditions))
         parts.append("start=" + ("auto" if start is None else fmt(start)))
         lines.append(f"gate.{i} = " + " ".join(parts))
     return lines
@@ -577,7 +566,7 @@ def _check_outputs(v: dict[str, Any], n_qubits: int) -> None:
     for pattern in v["biexcitonic_conditioning"] or ():
         if max(pattern) >= n_qubits or not 0 < sum(pattern.values()) < n_qubits:
             raise ConfigError(
-                f"pattern {_pattern_text(pattern)} must name dots below "
+                f"pattern {pattern_text(pattern.items())} must name dots below "
                 f"{n_qubits}, occupy one or more and leave one empty to emit",
                 "outputs",
                 "biexcitonic_conditioning",

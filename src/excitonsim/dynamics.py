@@ -84,13 +84,9 @@ def basis_state_density(n_qubits: int, index: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-9,
-) -> None:
-    """Check Hermiticity, unit trace, and positivity within tolerances.
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Check Hermiticity to 1e-12, unit trace to 1e-9 and positivity down to
+    an eigenvalue of -1e-9.
 
     Each test fails closed: NaN or inf anywhere in rho fails the first.  A
     (B, d, d) stack is checked member by member, and the error names the
@@ -101,17 +97,17 @@ def validate_density_matrix(
             raise InvalidParameterError("density matrix stack is empty")
         for k, member in enumerate(rho):
             try:
-                validate_density_matrix(member, herm_tol, trace_tol, eig_floor)
+                validate_density_matrix(member)
             except InvalidParameterError as err:
                 raise InvalidParameterError(f"{err} in state {k}") from None
         return
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidParameterError("density matrix must be square")
-    if not np.max(np.abs(rho - rho.T.conj())) <= herm_tol:
+    if not np.max(np.abs(rho - rho.T.conj())) <= 1e-12:
         raise InvalidParameterError("density matrix is not Hermitian or not finite")
-    if not abs(np.trace(rho).real - 1.0) <= trace_tol:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-9:
         raise InvalidParameterError("density matrix trace differs from 1")
-    if not np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() >= eig_floor:
+    if not np.linalg.eigvalsh(0.5 * (rho + rho.T.conj())).min() >= -1e-9:
         raise InvalidParameterError("density matrix has a negative eigenvalue")
 
 
@@ -214,16 +210,8 @@ class Trajectory:
         which freezes free evolution and makes gate-level states
         comparable against fixed targets regardless of sampling time.
         """
-        return to_interaction_picture(
-            self.final_state, self.final_time_ps, self.h0_diag_mev
-        )
-
-
-def to_interaction_picture(
-    rho: np.ndarray, t_ps: float, h0_diag_mev: np.ndarray
-) -> np.ndarray:
-    phases = np.exp(1j * np.asarray(h0_diag_mev) * t_ps / units.HBAR_MEV_PS)
-    return (phases[:, None] * rho) * phases.conj()[None, :]
+        phases = np.exp(1j * self.h0_diag_mev * self.final_time_ps / units.HBAR_MEV_PS)
+        return (phases[:, None] * self.final_state) * phases.conj()[None, :]
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,18 @@ bit of the basis index, so for two dots the order is |00>, |10>, |01>, |11>
 with the first digit naming dot 0.  :func:`bit_table` is the one place
 that convention lives: every occupation bit of a basis index, here and in
 the pulse and dynamics modules, is read from it, and every pair of basis
-states one exciton flip apart from :func:`flip_pairs`.
+states one exciton flip apart from :func:`flip_pairs`.  Configs and
+outputs name dot 0 a, dot 1 b, ...: :func:`dot_label` and
+:func:`pattern_text` are the one printer of dots and occupation patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from string import ascii_lowercase
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -56,26 +59,23 @@ def check_dot(l: int, n_qubits: int) -> None:
         raise IndexError(f"dot index {l} out of range for {n_qubits} qubits")
 
 
-def occupations_of_index(index: int, n_qubits: int) -> tuple[int, ...]:
-    """Occupation bits (n_0, ..., n_{N-1}) of a basis index, qubit 0 = LSB."""
-    if not 0 <= index < 2**n_qubits:
-        raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
-    return tuple((index >> l) & 1 for l in range(n_qubits))
-
-
-def index_of_occupations(bits: Sequence[int]) -> int:
-    """Inverse of :func:`occupations_of_index`."""
-    idx = 0
-    for l, b in enumerate(bits):
-        if b not in (0, 1):
-            raise InvalidParameterError(f"occupation must be 0 or 1, got {b}")
-        idx |= b << l
-    return idx
-
-
 def basis_label(index: int, n_qubits: int) -> str:
     """Bit-pattern label with qubit 0 written first, e.g. index 1 -> '10'."""
-    return "".join(str(b) for b in occupations_of_index(index, n_qubits))
+    if not 0 <= index < 2**n_qubits:
+        raise IndexError(f"basis index {index} out of range for {n_qubits} qubits")
+    return "".join(map(str, bit_table(n_qubits)[index]))
+
+
+def dot_label(index: int) -> str:
+    """Name of a dot in configs and outputs: 0 -> a, ..., 25 -> z, and the
+    decimal index past z, which config.parse_dot reads back as well."""
+    return ascii_lowercase[index] if index < len(ascii_lowercase) else str(index)
+
+
+def pattern_text(pattern: Iterable[tuple[int, int]]) -> str:
+    """(dot, occupation) pairs in config notation, in the order given:
+    ((0, 1), (1, 0)) -> 'a:1,b:0'."""
+    return ",".join(f"{dot_label(dot)}:{occ}" for dot, occ in pattern)
 
 
 @dataclass(frozen=True)

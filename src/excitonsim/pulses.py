@@ -20,8 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .model import (
     bit_table,
     check_dot,
     flip_pairs,
+    pattern_text,
     renormalized_energy,
 )
 
@@ -176,19 +176,6 @@ class TimingPolicy:
                 raise InvalidParameterError(f"{name} must be positive and finite")
 
 
-def conditional_frequency(
-    register: ExcitonRegister,
-    target: int,
-    conditions: Mapping[int, int] = MappingProxyType({}),
-) -> float:
-    """Transition energy of the target dot, eV, with the neighbour
-    occupations of conditions ({dot: 0 or 1}); dots it leaves out are empty.
-    """
-    if target in conditions:
-        raise InvalidGateError("conditions must not constrain the target dot")
-    return renormalized_energy(register, target, conditions)
-
-
 def _coupled(register: ExcitonRegister, target: int) -> list[int]:
     """Dots whose occupation shifts the target's transition (nonzero shift)."""
     return [
@@ -208,7 +195,7 @@ def _branches(
     """
     patterns = [dict(zip(dots, map(int, row))) for row in bit_table(len(dots))]
     found = sorted(
-        ((conditional_frequency(register, target, p), p) for p in patterns),
+        ((renormalized_energy(register, target, p), p) for p in patterns),
         key=lambda item: item[0],
     )
     branches: list[tuple[float, list[dict[int, int]]]] = []
@@ -219,17 +206,6 @@ def _branches(
         else:
             branches.append((freq, [pattern]))
     return branches
-
-
-def conditional_frequencies(register: ExcitonRegister, target: int) -> list[float]:
-    """All conditional transition energies of one dot, ascending, eV.
-
-    Enumerates occupation patterns of the dots coupled to the target
-    (nonzero shift), which is where the frequency branches come from;
-    frequencies that differ only by rounding count once.
-    """
-    branches = _branches(register, target, _coupled(register, target))
-    return [freq for freq, _ in branches]
 
 
 def _gap_mev(freqs: Sequence[float], i: int) -> float:
@@ -268,10 +244,6 @@ def _addressed_pattern(
     pattern = {dot: 0 for dot in _coupled(register, spec.target)}
     pattern.update(spec.conditions)
     return pattern
-
-
-def _pattern_text(pattern: Mapping[int, int]) -> str:
-    return ", ".join(f"n_{dot}={occ}" for dot, occ in sorted(pattern.items()))
 
 
 def compile_gate(
@@ -313,7 +285,8 @@ def compile_gate(
         if others:
             raise CompileError(
                 f"dot {spec.target} has the same transition energy with "
-                f"{_pattern_text(others[0])} as with {_pattern_text(wanted)}, "
+                f"{pattern_text(sorted(others[0].items()))} as with "
+                f"{pattern_text(sorted(wanted.items()))}, "
                 "so no pulse resolves the condition",
                 required_tau_ps=math.inf,
             )

@@ -51,7 +51,6 @@ from excitonsim.dynamics import (
 from excitonsim.model import (
     ExcitonRegister,
     build_hamiltonian,
-    occupations_of_index,
     renormalized_energy,
 )
 from excitonsim.errors import CompileError
@@ -432,7 +431,7 @@ class TestDiagonalRuleOracle:
             diag = build_hamiltonian(reg)
             # literal transcription of the diagonal rule
             for idx in range(2**n):
-                bits = occupations_of_index(idx, n)
+                bits = [(idx >> l) & 1 for l in range(n)]
                 value = 0.0
                 for l in range(n):
                     if bits[l]:

@@ -25,6 +25,7 @@ from excitonsim.config import (
     parse_dot,
 )
 from excitonsim.dynamics import SimulationConfig
+from excitonsim.model import dot_label
 from excitonsim.pulses import TimingPolicy
 
 REPO = Path(__file__).resolve().parents[1]
@@ -239,6 +240,33 @@ class TestRoundTrip:
     def test_device_explicit_geometry(self, text):
         round_trip(text)
 
+    def test_manifest_names_dots_by_letter(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "[register]\nenergies_ev = 1.70 1.71 1.72\n"
+            "[program]\ngate.1 = conditional-rotation target=1 when=2:0,0:1\n"
+            "gate.2 = cnot target=c control=1\n"
+            "[outputs]\nbiexcitonic_conditioning = 0:1;c:1,b:0\n",
+            encoding="utf-8",
+        )
+        lines = dump_config(load_config(str(path)))
+        program = [line for line in lines if line.startswith("gate.")]
+        assert program == [
+            f"gate.1 = conditional-rotation target=b angle={math.pi!r} when=c:0,a:1 start=auto",
+            f"gate.2 = cnot target=c angle={math.pi!r} when=b:1 start=auto",
+        ]
+        assert "biexcitonic_conditioning = a:1;c:1,b:0" in lines
+        round_trip(path.read_text(encoding="utf-8"))
+
+    def test_dots_past_z_round_trip(self):
+        assert [dot_label(i) for i in (0, 25, 26, 99)] == ["a", "z", "26", "99"]
+        assert all(parse_dot(dot_label(i)) == i for i in range(100))
+        text = (
+            "[register]\nenergies_ev = " + " ".join(["1.7"] * 28) + "\n"
+            "[program]\ngate.1 = conditional-rotation target=27 when=26:1,z:0\n"
+        )
+        round_trip(text)
+
     def test_explicit_geometry_matches_preset(self, tmp_path):
         # the preset's own stack written out key by key gives the same register
         preset = tmp_path / "preset.cfg"
@@ -366,12 +394,12 @@ def with_line(section, line):
         (
             "outputs",
             "biexcitonic_conditioning = a:0",
-            "[outputs] biexcitonic_conditioning: pattern 0:0 must name dots below 2",
+            "[outputs] biexcitonic_conditioning: pattern a:0 must name dots below 2",
         ),
         (
             "outputs",
             "biexcitonic_conditioning = a:1,b:1",
-            "[outputs] biexcitonic_conditioning: pattern 0:1,1:1 must name",
+            "[outputs] biexcitonic_conditioning: pattern a:1,b:1 must name",
         ),
         (
             "program",

@@ -20,7 +20,6 @@ from excitonsim.dynamics import (
     propagate,
     pure_state_density,
     purity,
-    to_interaction_picture,
     validate_density_matrix,
 )
 from excitonsim.errors import InvalidParameterError, PropagationDiagnosticsError

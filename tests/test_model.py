@@ -13,9 +13,7 @@ from excitonsim.model import (
     bit_table,
     build_hamiltonian,
     flip_pairs,
-    index_of_occupations,
     lowering_operator,
-    occupations_of_index,
     renormalized_energy,
 )
 from excitonsim.pulses import GATE_KINDS, GateSpec, ideal_gate_unitary
@@ -77,6 +75,11 @@ def comprehension_bits(n, l):
     return np.array([(idx >> l) & 1 for idx in range(2**n)], dtype=float)
 
 
+def index_of_bits(bits):
+    """Basis index of an occupation tuple, qubit 0 least significant."""
+    return sum(int(b) << l for l, b in enumerate(bits))
+
+
 def loop_ideal_gate_unitary(register, spec):
     """Per-index transcription of the branch-selection loop."""
     n = register.n_qubits
@@ -123,7 +126,7 @@ class TestBitTable:
         table = bit_table(3)
         assert table.shape == (8, 3)
         assert [tuple(row) for row in table] == [
-            occupations_of_index(idx, 3) for idx in range(8)
+            tuple((idx >> l) & 1 for l in range(3)) for idx in range(8)
         ]
         assert bit_table(3) is table
         with pytest.raises(ValueError):
@@ -192,17 +195,22 @@ class TestBasisIndex:
     def test_roundtrip(self):
         for n in (1, 2, 3, 5):
             for idx in range(2**n):
-                assert index_of_occupations(occupations_of_index(idx, n)) == idx
+                assert index_of_bits(bit_table(n)[idx]) == idx
 
     def test_qubit_zero_is_least_significant(self):
-        assert occupations_of_index(1, 2) == (1, 0)
-        assert occupations_of_index(2, 2) == (0, 1)
+        assert tuple(bit_table(2)[1]) == (1, 0)
+        assert tuple(bit_table(2)[2]) == (0, 1)
         assert basis_label(1, 2) == "10"
         assert basis_label(2, 2) == "01"
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            occupations_of_index(4, 2)
+            basis_label(4, 2)
+
+    def test_negative_index_rejected(self):
+        # a bare bit_table lookup would wrap -1 round to the last row
+        with pytest.raises(IndexError):
+            basis_label(-1, 2)
 
 
 class TestRegisterValidation:
@@ -293,9 +301,9 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(reg)
         ham_p = build_hamiltonian(reg_p)
         for idx in range(2**n):
-            bits = occupations_of_index(idx, n)
+            bits = bit_table(n)[idx]
             bits_p = tuple(bits[perm[l]] for l in range(n))
-            assert ham_p[index_of_occupations(bits_p)] == pytest.approx(
+            assert ham_p[index_of_bits(bits_p)] == pytest.approx(
                 ham[idx], rel=0, abs=2e-15
             )
 
@@ -334,7 +342,7 @@ class TestRenormalizedEnergy:
             reg = random_register(rng, n)
             diag = build_hamiltonian(reg)
             for idx in range(2**n):
-                bits = list(occupations_of_index(idx, n))
+                bits = [int(b) for b in bit_table(n)[idx]]
                 for l in range(n):
                     set_idx = idx | (1 << l)
                     clear_idx = idx & ~(1 << l)

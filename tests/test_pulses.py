@@ -12,7 +12,7 @@ from excitonsim.errors import (
     InvalidParameterError,
     ZeroDipoleError,
 )
-from excitonsim.model import ExcitonRegister, occupations_of_index
+from excitonsim.model import ExcitonRegister, bit_table, renormalized_energy
 from excitonsim.pulses import (
     GATE_KINDS,
     SAME_BRANCH_MEV,
@@ -22,8 +22,6 @@ from excitonsim.pulses import (
     TimingPolicy,
     compile_gate,
     compile_program,
-    conditional_frequencies,
-    conditional_frequency,
     field_at,
     ideal_gate_unitary,
     pulse_amplitude,
@@ -44,24 +42,20 @@ def register():
 
 class TestConditionalFrequency:
     def test_control_occupied(self, register):
-        assert conditional_frequency(register, 1, {0: 1}) == pytest.approx(
+        assert renormalized_energy(register, 1, {0: 1}) == pytest.approx(
             1.7145, abs=1e-12
         )
 
     def test_control_empty(self, register):
-        assert conditional_frequency(register, 1, {0: 0}) == 1.71
+        assert renormalized_energy(register, 1, {0: 0}) == 1.71
 
     def test_empty_conditions_default_to_vacuum(self, register):
-        assert conditional_frequency(register, 1) == conditional_frequency(
+        assert renormalized_energy(register, 1) == renormalized_energy(
             register, 1, {0: 0}
         )
 
-    def test_condition_on_target_rejected(self, register):
-        with pytest.raises(InvalidGateError):
-            conditional_frequency(register, 1, {1: 1})
-
     def test_branch_differences_equal_shift_entries(self, register):
-        diff = conditional_frequency(register, 1, {0: 1}) - conditional_frequency(
+        diff = renormalized_energy(register, 1, {0: 1}) - renormalized_energy(
             register, 1, {0: 0}
         )
         assert diff * 1000 == pytest.approx(
@@ -69,7 +63,8 @@ class TestConditionalFrequency:
         )
 
     def test_all_branches_enumerated(self, register):
-        freqs = conditional_frequencies(register, 1)
+        seq = compile_gate(register, GateSpec("unconditional-not", 1))
+        freqs = [p.carrier_energy_ev for p in seq]
         assert freqs == pytest.approx([1.71, 1.7145], abs=1e-12)
 
 
@@ -161,7 +156,7 @@ class TestCompileGate:
             exciton_energies_ev=np.array([1.70, 1.71]),
             shift_matrix_mev=np.zeros((2, 2)),
         )
-        assert conditional_frequency(reg, 1, {0: 1}) != 1.71
+        assert renormalized_energy(reg, 1, {0: 1}) != 1.71
         for spec in (
             GateSpec("cnot", 1, conditions=((0, 1),)),
             GateSpec("conditional-rotation", 1, math.pi, ((0, 0),)),
@@ -180,9 +175,6 @@ class TestCompileGate:
         # rounding into 1.7145 and 1.7145000000000004 eV
         shifts = np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 4.5], [0.0, 4.5, 0.0]])
         reg = ExcitonRegister(np.array([1.70, 1.71, 1.72]), shifts)
-        assert conditional_frequencies(reg, 1) == pytest.approx(
-            [1.71, 1.7145, 1.719], abs=1e-12
-        )
         spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1), (2, 1)))
         tau = compile_gate(reg, spec).pulses[0].tau_ps
         assert tau == pytest.approx(HBAR / (0.25 * 4.5), rel=1e-12)
@@ -202,6 +194,20 @@ class TestCompileGate:
         )
         assert len({p.tau_ps for p in seq}) == 1
         assert seq.pulses[0].tau_ps == pytest.approx(HBAR / (0.25 * 4.5), rel=1e-12)
+
+    def test_shared_branch_error_names_patterns_in_config_notation(self):
+        chain = np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 4.5], [0.0, 4.5, 0.0]])
+        reg = ExcitonRegister(np.array([1.70, 1.71, 1.72]), chain)
+        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1), (2, 0)))
+        with pytest.raises(CompileError, match="with a:0,c:1 as with a:1,c:0,"):
+            compile_gate(reg, spec)
+        # only c shifts b here, so a:1 shares a:0's branch; both patterns
+        # are printed in ascending dot order
+        bc_only = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 4.5], [0.0, 4.5, 0.0]])
+        reg = ExcitonRegister(np.array([1.70, 1.71, 1.72]), bc_only)
+        spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1),))
+        with pytest.raises(CompileError, match="with a:0,c:0 as with a:1,c:0,"):
+            compile_gate(reg, spec)
 
     def test_pulses_never_overlap(self, register):
         seq = compile_gate(register, GateSpec("unconditional-not", target=1))
@@ -420,11 +426,11 @@ class TestCompiledSelection:
         u = ideal_gate_unitary(reg, spec)
         rotated, frequency = {}, {}
         for idx in range(2**n):
-            occ = occupations_of_index(idx, n)
+            occ = bit_table(n)[idx]
             if occ[target] == 0:
                 rotated[idx] = u[idx | (1 << target), idx] != 0.0
                 neighbours = {dot: occ[dot] for dot in others}
-                frequency[idx] = conditional_frequency(reg, target, neighbours)
+                frequency[idx] = renormalized_energy(reg, target, neighbours)
 
         def same(f, g):
             return abs(f - g) * units.MEV_PER_EV <= SAME_BRANCH_MEV

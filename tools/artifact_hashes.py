@@ -1,12 +1,14 @@
-"""sha256 of the simulate artifacts of every checked-in config.
+"""sha256 of the simulate, compile and spectrum artifacts of every
+checked-in config.
 
     python3 tools/artifact_hashes.py > hashes.txt
 
-Runs `excitonsim simulate` from this checkout's src/ on every
-configs/*.cfg and on the benchmark's five-dot chain
+Runs `excitonsim simulate`, `compile` and `spectrum` from this checkout's
+src/ on every configs/*.cfg and on the benchmark's five-dot chain
 (perfbench/workloads.CHAIN5_CFG), each into its own temporary directory,
-and prints one line `<sha256>  <config>/<file>` for trajectory.csv,
-sequence.csv and metrics.txt, sorted by config.  A last line
+and prints one line `<sha256>  <config>/<command>/<file>` for every file
+of ARTIFACTS, sorted by config.  manifest.cfg is left out: it carries the
+wall-clock time.  A last line
 `<repr(F)>  cnot_fidelity_lindblad/gate_fidelity` gives the gate fidelity
 of the benchmark's CNOT with Lindblad channels
 (perfbench/workloads.CNOT_LINDBLAD_CFG), computed as the benchmark does.
@@ -32,20 +34,26 @@ from excitonsim.config import load_config  # noqa: E402
 from excitonsim.pulses import compile_program, ideal_gate_unitary  # noqa: E402
 from workloads import CHAIN5_CFG, CNOT_LINDBLAD_CFG  # noqa: E402
 
-ARTIFACTS = ("trajectory.csv", "sequence.csv", "metrics.txt")
+ARTIFACTS = {
+    "simulate": ("trajectory.csv", "sequence.csv", "metrics.txt"),
+    "compile": ("sequence.csv", "program.txt"),
+    "spectrum": ("spectrum_excitonic.csv", "spectrum_biexcitonic.csv"),
+}
 
 
 def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
-    """The hash lines of one config, simulated into work/name."""
-    out_dir = work / name
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = excitonsim_main(["simulate", "--config", str(config), "--out-dir", str(out_dir)])
-    if code != 0:
-        raise SystemExit(f"simulate {config} exited {code}")
-    return [
-        f"{hashlib.sha256((out_dir / file).read_bytes()).hexdigest()}  {name}/{file}"
-        for file in ARTIFACTS
-    ]
+    """The hash lines of one config, each command run into work/name/command."""
+    lines = []
+    for command, files in ARTIFACTS.items():
+        out_dir = work / name / command
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = excitonsim_main([command, "--config", str(config), "--out-dir", str(out_dir)])
+        if code != 0:
+            raise SystemExit(f"{command} {config} exited {code}")
+        for file in files:
+            digest = hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+            lines.append(f"{digest}  {name}/{command}/{file}")
+    return lines
 
 
 def fidelity_line(config: Path) -> str:
