@@ -221,7 +221,9 @@ def cmd_simulate(config: RunConfig, out_dir: Path, config_path: Path) -> int:
         vacuum = basis_state_density(config.register.n_qubits, 0)
         with warnings.catch_warnings():  # an overflow is reported as exit 3
             warnings.filterwarnings(
-                "ignore", category=RuntimeWarning, module=r"excitonsim\.dynamics"
+                "ignore",
+                category=RuntimeWarning,
+                module=r"excitonsim\.(dynamics|pulses)",
             )
             traj = propagate(vacuum, sequence, config.register, config.channels, sim)
     except TimeStepError as err:

@@ -10,7 +10,13 @@ no adaptive stepping).  The drive couples through the bit-flip operators:
 H_drive = -sum_l (f_l(t) sigma+_l + conj(f_l(t)) sigma-_l), where f_l is the
 complex per-dot half-amplitude returned by pulses.field_at.  It is written
 straight into the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low>
-and -conj(f_l) at <low|H|high> of every pair that flips dot l.
+and -conj(f_l) at <low|H|high> of every pair that flips dot l.  The drive
+is evaluated once per DRIVE_BLOCK_STEPS steps, at all of their stage times
+t, t + dt/2 and t + dt in one field_at call (k2 and k3 share the
+midpoint), and each step writes its three stage Hamiltonians into the flip
+pairs of one (3, d, d) buffer that holds H0 (stage_hamiltonians).  field_at
+forms every amplitude with the per-pulse formula's own operations, so this
+is bit for bit the run that evaluates the drive stage by stage.
 
 The channels are applied through the bit table too, rather than as dense
 operator products: the whole dissipator is one sparse row table with one
@@ -27,7 +33,7 @@ only as the tests' reference.
 Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
 the flat flip-pair indices and the dissipator's row table), so each RK4
-stage does only the work that depends on its time.  Trace drift is tested
+stage does only the work that depends on its state.  Trace drift is tested
 after every step; positivity is tested on every step's state too, but in
 batches of EIG_BATCH_BYTES with one Cholesky factorization of the batch
 shifted by eig_floor.  Only a batch that fails it goes through eigvalsh,
@@ -36,7 +42,7 @@ which reports the earliest failing step.
 The equation is linear, so one loop propagates a whole stack of states:
 rho may be one (d, d) matrix or a (B, d, d) stack, and every operation of
 the loop acts on the last two axes.  The stack shares each stage's drive
-evaluation and Hamiltonian, and each member ends bit for bit where a run
+amplitudes and Hamiltonian, and each member ends bit for bit where a run
 of its own would (the products are the same per matrix).  Every member is
 tested as a single state would be; a failure names the earliest step, the
 lowest failing member at that step, and that member as "state k".
@@ -48,9 +54,10 @@ carrier, so ~fs steps suffice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -283,28 +290,43 @@ def build_generator(
     return Generator(np.diag(h0).astype(complex), pairs, pair_dots, dissipator)
 
 
-def liouvillian_apply(
-    rho: np.ndarray,
-    t_ps: float,
-    generator: Generator,
-    drive: Callable[[float], np.ndarray] | None,
-) -> np.ndarray:
-    """Exact generator d(rho)/dt at time t, meV-ps units.
+def stage_hamiltonians(
+    generator: Generator, blocks: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """H0 with the drive of each set of per-dot amplitudes in its flip pairs.
 
-    Without a drive H is the generator's H0; with one, a copy of it gets
-    -f_l and -conj(f_l), the per-dot amplitudes of drive(t) (meV), in the
-    bit-flip pairs; each off-diagonal entry belongs to one pair.  The
-    channels of build_generator are applied as one segmented sum over the
-    dissipator's row table.  rho may be a (B, d, d) stack: H is built once
-    and the row table gathers within each member.
+    blocks yields (K, ..., N) arrays of amplitudes f (meV).  For each of the
+    K sets, in order, one (..., d, d) stack is yielded: H0 with
+    -f_l at <high|H|low> and -conj(f_l) at <low|H|high> of every flip pair
+    of dot l (each off-diagonal entry belongs to one pair).  The entries
+    0.0 - f and 0.0 - conj(f) are formed once per block; each set then
+    costs one gather and one scatter into a buffer that holds H0 and is
+    rewritten in place, so a yielded stack is valid until the next one.
     """
-    h = generator.h0
-    if drive is not None:
-        f = drive(t_ps)
-        h = h.copy()
-        h.reshape(-1)[generator.pairs] = 0.0 - np.concatenate((f, np.conj(f)))[
-            generator.pair_dots
-        ]
+    h = None
+    for f in blocks:
+        entries = 0.0 - np.concatenate((f, np.conj(f)), axis=-1)
+        if h is None:
+            h = np.broadcast_to(generator.h0, (*f.shape[1:-1], *generator.h0.shape)).copy()
+            stage = np.arange(math.prod(f.shape[1:-1]))[:, None]
+            pairs = stage * generator.h0.size + generator.pairs
+            pair_dots = stage * entries.shape[-1] + generator.pair_dots
+            flat = h.reshape(-1)
+        for step_entries in entries:
+            flat[pairs] = step_entries.take(pair_dots)
+            yield h
+
+
+def liouvillian_apply(
+    rho: np.ndarray, h: np.ndarray, generator: Generator
+) -> np.ndarray:
+    """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units.
+
+    h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians.
+    The channels of build_generator are applied as one segmented sum over
+    the dissipator's row table.  rho may be a (B, d, d) stack: every member
+    takes the same h, and the row table gathers within each member.
+    """
     out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
     if generator.dissipator is not None:
         values, columns, row_starts = generator.dissipator
@@ -393,10 +415,27 @@ class _PositivityCheck:
         )
 
 
+# The drive is evaluated once per this many RK4 steps, at all of their
+# stage times in one call.
+DRIVE_BLOCK_STEPS = 512
+
+
+def _stage_amplitudes(
+    drive: Callable[[np.ndarray], np.ndarray], t_start_ps: float, dt: float, n_steps: int
+) -> Iterator[np.ndarray]:
+    """The drive at each step's t, t + dt/2 and t + dt, as (K, 3, N) blocks
+    of K = DRIVE_BLOCK_STEPS steps (the last block may be shorter), with
+    t = t_start + (step - 1) dt formed as the loop forms it."""
+    for first in range(0, n_steps, DRIVE_BLOCK_STEPS):
+        t = t_start_ps + np.arange(first, min(first + DRIVE_BLOCK_STEPS, n_steps)) * dt
+        times = np.stack((t, t + 0.5 * dt, t + dt), axis=-1)
+        yield np.reshape(drive(times.ravel()), (*times.shape, -1))
+
+
 def integrate_master_equation(
     rho0: np.ndarray,
     h0_diag_mev: np.ndarray,
-    drive: Callable[[float], np.ndarray] | None,
+    drive: Callable[[np.ndarray], np.ndarray] | None,
     channels: Sequence[LindbladChannel],
     t_start_ps: float,
     t_end_ps: float,
@@ -406,8 +445,11 @@ def integrate_master_equation(
     """Fixed-step integration of the master equation over [t_start, t_end].
 
     rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
-    share every step.  The requested step is shrunk to divide the window
-    exactly.  The state is re-Hermitized once per step; the trace is never
+    share every step.  drive maps a 1-D array of times to the (T, N)
+    per-dot amplitudes there (None: no drive); it is called once per
+    DRIVE_BLOCK_STEPS steps, and each step's three stage Hamiltonians come
+    from stage_hamiltonians' one (3, d, d) buffer.  The requested step is
+    shrunk to divide the window exactly.  The state is re-Hermitized once per step; the trace is never
     re-normalized, its drift is a diagnostic.  Every step's state is tested
     for trace drift at once and for positivity in batches
     (_PositivityCheck); a failure raises PropagationDiagnosticsError naming
@@ -454,13 +496,19 @@ def integrate_master_equation(
     drift = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
     max_drift = drift.max() if stacked else drift
     sample(t_start_ps, rho)
+    if drive is None:
+        hamiltonians = itertools.repeat((generator.h0,) * 3)
+    else:  # H at t, t + dt/2 and t + dt
+        hamiltonians = stage_hamiltonians(
+            generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps)
+        )
     t = t_start_ps
     for step in range(1, n_steps + 1):
-        t_mid = t + half_dt
-        k1 = liouvillian_apply(rho, t, generator, drive)
-        k2 = liouvillian_apply(rho + half_dt * k1, t_mid, generator, drive)
-        k3 = liouvillian_apply(rho + half_dt * k2, t_mid, generator, drive)
-        k4 = liouvillian_apply(rho + dt * k3, t + dt, generator, drive)
+        h_start, h_mid, h_end = next(hamiltonians)
+        k1 = liouvillian_apply(rho, h_start, generator)
+        k2 = liouvillian_apply(rho + half_dt * k1, h_mid, generator)
+        k3 = liouvillian_apply(rho + half_dt * k2, h_mid, generator)
+        k4 = liouvillian_apply(rho + dt * k3, h_end, generator)
         # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
         k2 *= 2.0
         k2 += k1
@@ -557,8 +605,8 @@ def propagate(
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
     table = tabulate_drive(sequence, register.transition_dipoles, ref)
 
-    def drive(t: float) -> np.ndarray:
-        return field_at(table, t)
+    def drive(times: np.ndarray) -> np.ndarray:
+        return field_at(table, times)
 
     t_start = min(0.0, sequence.start_ps) if len(sequence) else 0.0
     t_end = sequence.end_ps if len(sequence) else 0.0

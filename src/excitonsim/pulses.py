@@ -35,6 +35,7 @@ from .model import (
     ExcitonRegister,
     bit_table,
     check_dot,
+    dot_label,
     flip_pairs,
     pattern_text,
     renormalized_energy,
@@ -141,7 +142,7 @@ class GateSpec:
             if occ not in (0, 1):
                 raise InvalidGateError("condition occupations must be 0 or 1")
             if dot in seen:
-                raise InvalidGateError(f"duplicate condition on dot {dot}")
+                raise InvalidGateError(f"duplicate condition on dot {dot_label(dot)}")
             seen.add(dot)
         if self.kind == "cnot":
             if len(conds) != 1 or conds[0][1] != 1:
@@ -271,7 +272,7 @@ def compile_gate(
     if spec.kind == "unconditional-not":
         if len(coupled) > 4:
             raise CompileError(
-                f"unconditional-not on dot {spec.target} would need "
+                f"unconditional-not on dot {dot_label(spec.target)} would need "
                 f"2^{len(coupled)} colors; at most 4 coupled neighbors are supported"
             )
         branches = _branches(register, spec.target, coupled)
@@ -284,7 +285,7 @@ def compile_gate(
         others = [pattern for pattern in branches[i][1] if pattern != wanted]
         if others:
             raise CompileError(
-                f"dot {spec.target} has the same transition energy with "
+                f"dot {dot_label(spec.target)} has the same transition energy with "
                 f"{pattern_text(sorted(others[0].items()))} as with "
                 f"{pattern_text(sorted(wanted.items()))}, "
                 "so no pulse resolves the condition",
@@ -302,7 +303,7 @@ def compile_gate(
         if tau < tau_required * (1.0 - 1e-12):
             raise CompileError(
                 f"pulse duration {tau} ps is too short to resolve the "
-                f"conditional frequencies of dot {spec.target}",
+                f"conditional frequencies of dot {dot_label(spec.target)}",
                 required_tau_ps=tau_required,
             )
     first_center = (
@@ -355,8 +356,9 @@ class DriveTable:
     Each row is (center_ps, ENVELOPE_CUTOFF * tau_ps, tau_ps,
     0.5 * pulse_amplitude, detuning from the reference carrier (rad/ps),
     phase_rad, dipoles, target dipole), so that field_at only does the work
-    that depends on t.  The dipoles are stored as complex numbers, which is
-    what numpy casts them to in every product with a complex amplitude.
+    that depends on the times.  The dipoles are stored as complex numbers,
+    which is what numpy casts them to in every product with a complex
+    amplitude.
     """
 
     n_dots: int
@@ -397,34 +399,41 @@ def tabulate_drive(
     return DriveTable(dipoles.size, tuple(rows))
 
 
-def field_at(table: DriveTable, t: float) -> np.ndarray:
-    """Per-dot rotating-frame drive amplitude at time t, meV; each pulse
-    reaches every dot, scaled by that dot's dipole over the dipole of its
-    target_dipole.
+def field_at(table: DriveTable, t: float | np.ndarray) -> np.ndarray:
+    """Per-dot rotating-frame drive amplitudes, meV: (N,) at one time t, or
+    (T, N) at each time of a 1-D array t.  Each pulse reaches every dot,
+    scaled by that dot's dipole over the dipole of its target_dipole.
 
     The complex half-amplitude
     sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) relative to
     the reference carrier omega_ref; its conjugate drives the lowering part.
-    The envelope is Pulse.envelope's truncated Gaussian, and the operations
-    run in the order of the per-pulse formula, so the amplitudes do not
-    depend on the table being built ahead of time.  The first active
-    pulse's term is the sum so far (0 + x == x, so no zero array is added
-    to), and zeros come back only when no pulse is active.
+    The envelope is Pulse.envelope's truncated Gaussian.  Each pulse's terms
+    are formed at the times inside its window with the per-pulse formula in
+    Python floats (CPython's x ** 2, math.exp and cmath.exp), because
+    numpy's square and exp differ from those in the last bit; only the
+    offsets t - center, the window test and the dipole scaling run on
+    arrays, where numpy rounds as Python does.  So every amplitude is bit
+    for bit the formula's, at one time or many: the terms are added to
+    zeros in pulse order, which can turn a -0.0 into 0.0 and nothing else.
+    Inside the window |t - center| / tau is at most ENVELOPE_CUTOFF, so the
+    envelope never underflows to 0.
     """
-    out = None
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    out = np.zeros((flat.size, table.n_dots), dtype=complex)
     for center, cutoff, tau, half_omega0, detuning, phase, dipoles, d_target in table.rows:
-        dt = t - center
-        if abs(dt) > cutoff:
+        offsets = flat - center
+        inside = np.flatnonzero(~(np.abs(offsets) > cutoff))
+        if not inside.size:
             continue
-        env = math.exp(-0.5 * (dt / tau) ** 2)
-        if env == 0.0:
-            continue
-        value = half_omega0 * env * cmath.exp(-1j * (detuning * t + phase))
-        if out is None:
-            out = value * dipoles / d_target
-        else:
-            out += value * dipoles / d_target
-    return np.zeros(table.n_dots, complex) if out is None else out
+        values = np.array([
+            half_omega0
+            * math.exp(-0.5 * (dt / tau) ** 2)
+            * cmath.exp(-1j * (detuning * ti + phase))
+            for dt, ti in zip(offsets[inside].tolist(), flat[inside].tolist())
+        ])
+        out[inside] += values[:, None] * dipoles / d_target
+    return out.reshape(*times.shape, table.n_dots)
 
 
 def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Shared test fixtures."""
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,14 @@ from scipy.integrate import solve_ivp
 from excitonsim import units
 from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
-from excitonsim.dynamics import integrate_master_equation, propagate, pure_state_density
+from excitonsim.dynamics import (
+    build_generator,
+    default_reference_energy,
+    integrate_master_equation,
+    liouvillian_apply,
+    propagate,
+    pure_state_density,
+)
 from excitonsim.model import build_hamiltonian
 from excitonsim.pulses import field_at, pulse_amplitude, tabulate_drive
 
@@ -103,6 +109,73 @@ def field_reference():
     return _field_reference
 
 
+def _rk4_reference(rho0, sequence, register, channels, config):
+    """Final state of dynamics.propagate's RK4 run with the drive evaluated
+    at every stage on its own.
+
+    The loop as it ran before the drive was evaluated once per block of
+    steps: at each stage time, _field_reference gives the amplitudes f, and
+    H is built densely from the basis-index bits, H0 on the diagonal and
+    0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
+    with bit l clear.  The stages, the RK4 sum and the re-Hermitization run
+    in propagate's order, and dynamics.liouvillian_apply applies each
+    stage's H and the channels.  rho0 is (d, d) or a (B, d, d) stack; the
+    window is the sequence's span, without propagate's checks and samples.
+    """
+    n = register.n_qubits
+    dim = 2**n
+    ref = (
+        config.reference_energy_ev
+        if config.reference_energy_ev is not None
+        else default_reference_energy(sequence, register)
+    )
+    occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
+    h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
+    generator = build_generator(h0, channels)
+
+    def dense_h(t):
+        f = _field_reference(sequence, t, register.transition_dipoles, ref)
+        h = np.diag(h0).astype(complex)
+        for idx in range(dim):
+            for l in range(n):
+                if not (idx >> l) & 1:
+                    h[idx | (1 << l), idx] = 0.0 - f[l]
+                    h[idx, idx | (1 << l)] = 0.0 - np.conj(f[l])
+        return h
+
+    t_start = min(0.0, sequence.start_ps)
+    span = sequence.end_ps - t_start
+    n_steps = int(np.ceil(span / config.time_step_ps - 1e-12))
+    dt = span / n_steps
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    rho = np.array(rho0, dtype=complex)
+    t = t_start
+    for step in range(1, n_steps + 1):
+        h_mid = dense_h(t + half_dt)
+        k1 = liouvillian_apply(rho, dense_h(t), generator)
+        k2 = liouvillian_apply(rho + half_dt * k1, h_mid, generator)
+        k3 = liouvillian_apply(rho + half_dt * k2, h_mid, generator)
+        k4 = liouvillian_apply(rho + dt * k3, dense_h(t + dt), generator)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= sixth_dt
+        k2 += rho
+        rho = 0.5 * (k2 + k2.swapaxes(-1, -2).conj())
+        t = t_start + step * dt
+    return rho
+
+
+@pytest.fixture(scope="session")
+def rk4_reference():
+    """The per-stage RK4 loop as a callable, the oracle for propagate's
+    drive blocks: rk4_reference(rho0, sequence, register, channels, config)
+    returns the final density matrix."""
+    return _rk4_reference
+
+
 def _lab_frame_reference(register, sequence, rho0, config):
     """Trajectory of a coherent run in the literal lab frame.
 
@@ -111,7 +184,8 @@ def _lab_frame_reference(register, sequence, rho0, config):
     cancels in rho and centring halves the fastest phase), and every pulse
     drives every dot with the real field
     Omega_p(t) cos(omega_p t + phi_p) d_l / d_target, carrier included.
-    dynamics.integrate_master_equation takes this real drive as it is, so
+    dynamics.integrate_master_equation takes this real drive, evaluated on
+    each block's array of stage times, as it is, so
     the run needs steps that resolve the ~2.4 fs optical period (2e-5 ps
     or finer).
     """
@@ -119,16 +193,14 @@ def _lab_frame_reference(register, sequence, rho0, config):
     h0 = h0 - 0.5 * (h0.max() + h0.min())
     dipoles = np.asarray(register.transition_dipoles, dtype=float)
 
-    def drive(t):
-        out = np.zeros(dipoles.size)
+    def drive(times):
+        out = np.zeros((len(times), dipoles.size))
         for pulse in sequence:
-            env = pulse.envelope(t)
-            if env == 0.0:
-                continue
+            env = np.array([pulse.envelope(t) for t in times])
             omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
             omega_opt = pulse.carrier_energy_ev * units.MEV_PER_EV / units.HBAR_MEV_PS
-            value = omega0 * env * math.cos(omega_opt * t + pulse.phase_rad)
-            out += value * dipoles / dipoles[pulse.target_dipole]
+            value = omega0 * env * np.cos(omega_opt * times + pulse.phase_rad)
+            out += value[:, None] * dipoles / dipoles[pulse.target_dipole]
         return out
 
     t_start = min(0.0, sequence.start_ps)

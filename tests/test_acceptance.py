@@ -329,7 +329,7 @@ class TestPropagatorCorrectness:
         traj = integrate_master_equation(
             basis_state_density(1, 0),
             np.array([0.0, delta]),
-            lambda t: np.array([0.5 * omega], dtype=complex),
+            lambda times: np.full((len(times), 1), 0.5 * omega, dtype=complex),
             [],
             0.0,
             3.0,

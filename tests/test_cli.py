@@ -321,6 +321,20 @@ class TestSimulateCommand:
         assert proc.returncode == 3
         assert proc.stderr == f"error: {cfg}: non-finite density matrix at step 1\n"
 
+    def test_overflow_inside_the_drive_exits_3_without_warnings(self, tmp_path):
+        # a subnormal dipole on dot a: dot b's amplitude, scaled by 1/1e-310,
+        # overflows in pulses.field_at itself, before any step is taken
+        text = (CONFIGS / "bell_two_dot.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("dipoles = 1.0 1.0", "dipoles = 1e-310 1.0"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "excitonsim.cli", "simulate", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {cfg}: non-finite density matrix at step 1\n"
+
     def test_decoherence_lowers_concurrence(self, tmp_path):
         rc = main(
             [

@@ -384,7 +384,7 @@ def with_line(section, line):
         (
             "register",
             "shift_mev_0_1 = 0",
-            "[pulses] tau_ps: gate 2: dot 1 has the same transition energy",
+            "[pulses] tau_ps: gate 2: dot b has the same transition energy",
         ),
         ("integration", "time_step_ps = fast", "[integration] time_step_ps: "),
         ("integration", "time_step_ps = nan", "[integration] time_step_ps: "),

@@ -20,11 +20,19 @@ from excitonsim.dynamics import (
     propagate,
     pure_state_density,
     purity,
+    stage_hamiltonians,
     validate_density_matrix,
 )
 from excitonsim.errors import InvalidParameterError, PropagationDiagnosticsError
 from excitonsim.model import ExcitonRegister
-from excitonsim.pulses import GateSpec, Pulse, PulseSequence, TimingPolicy, compile_gate
+from excitonsim.pulses import (
+    GateSpec,
+    Pulse,
+    PulseSequence,
+    TimingPolicy,
+    compile_gate,
+    field_at,
+)
 
 HBAR = units.HBAR_MEV_PS
 
@@ -183,18 +191,25 @@ def driven_channel_cases(draw):
     return n, rho, rng.normal(scale=100.0, size=dim), amps, channels
 
 
+def driven_apply(rho, generator, amps):
+    """liouvillian_apply with the Hamiltonian that stage_hamiltonians
+    writes for one set of per-dot amplitudes."""
+    return liouvillian_apply(rho, next(stage_hamiltonians(generator, [amps[None]])), generator)
+
+
 class TestLiouvillian:
     @given(drive_cases())
     @settings(max_examples=150, deadline=None)
     def test_written_drive_equals_dense_sigma_sum(self, case):
         rho, h0, amps = case
-        out = liouvillian_apply(rho, 0.3, build_generator(h0), lambda t: amps)
+        out = driven_apply(rho, build_generator(h0), amps)
         assert np.array_equal(out, dense_drive_generator(rho, h0, amps))
 
     def test_diagonal_state_is_stationary_without_drive(self):
         h0 = np.array([0.0, 1700.0, 1710.0, 3414.5])
         rho = basis_state_density(2, 1)
-        out = liouvillian_apply(rho, 0.0, build_generator(h0), None)
+        generator = build_generator(h0)
+        out = liouvillian_apply(rho, generator.h0, generator)
         assert np.max(np.abs(out)) == 0.0
 
     def test_decay_rate_on_population(self):
@@ -202,9 +217,8 @@ class TestLiouvillian:
         t1 = 2.0
         channels = [LindbladChannel("decay", 0, 1.0 / t1)]
         rho = basis_state_density(1, 1)
-        out = liouvillian_apply(
-            rho, 0.0, build_generator(np.zeros(2**reg.n_qubits), channels), None
-        )
+        generator = build_generator(np.zeros(2**reg.n_qubits), channels)
+        out = liouvillian_apply(rho, generator.h0, generator)
         assert out[1, 1].real == pytest.approx(-1.0 / t1, rel=1e-12)
         assert out[0, 0].real == pytest.approx(1.0 / t1, rel=1e-12)
 
@@ -213,9 +227,8 @@ class TestLiouvillian:
         gamma = 0.37
         channels = [LindbladChannel("pure-dephasing", 0, gamma)]
         rho = pure_state_density(np.array([1.0, 1.0]) / math.sqrt(2))
-        out = liouvillian_apply(
-            rho, 0.0, build_generator(np.zeros(2**reg.n_qubits), channels), None
-        )
+        generator = build_generator(np.zeros(2**reg.n_qubits), channels)
+        out = liouvillian_apply(rho, generator.h0, generator)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[1, 1] == pytest.approx(0.0, abs=1e-15)
         assert out[0, 1] == pytest.approx(-gamma * rho[0, 1], rel=1e-12)
@@ -227,7 +240,7 @@ class TestLiouvillian:
         n, rho, channels = case
         reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
         generator = build_generator(np.zeros(2**n), channels)
-        out = liouvillian_apply(rho, 0.0, generator, None)
+        out = liouvillian_apply(rho, generator.h0, generator)
         bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
         assert np.max(np.abs(out - dense_dissipator(reg, rho, channels))) <= bound
 
@@ -240,7 +253,7 @@ class TestLiouvillian:
         # part, at most two ulps of |expected| together.
         n, rho, h0, amps, channels = case
         reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
-        out = liouvillian_apply(rho, 0.3, build_generator(h0, channels), lambda t: amps)
+        out = driven_apply(rho, build_generator(h0, channels), amps)
         expected = dense_drive_generator(rho, h0, amps) + dense_dissipator(
             reg, rho, channels
         )
@@ -368,7 +381,7 @@ class TestDetunedRabi:
         traj = integrate_master_equation(
             basis_state_density(1, 0),
             h0,
-            lambda t: np.array([0.5 * omega], dtype=complex),
+            lambda times: np.full((len(times), 1), 0.5 * omega, dtype=complex),
             [],
             0.0,
             3.0,
@@ -452,6 +465,63 @@ class TestIndependentIntegrator:
         assert np.max(np.abs(np.diag(rho_ref).real - traj.populations[-1])) < 1e-6
 
 
+class TestDriveBlocks:
+    """propagate evaluates the drive once per DRIVE_BLOCK_STEPS steps and
+    writes each step's stage Hamiltonians into one buffer; the result is bit
+    for bit that of a loop that builds every stage's H on its own."""
+
+    SEQUENCE = PulseSequence(
+        (
+            Pulse(1.70, 0.2, 0.05, math.pi / 2, target_dipole=0),
+            Pulse(1.7145, 0.4, 0.05, math.pi, target_dipole=1),
+        )
+    )
+    CONFIG = SimulationConfig(time_step_ps=1e-3)
+    CHANNELS = (
+        LindbladChannel("decay", 0, 0.3),
+        LindbladChannel("pure-dephasing", 1, 0.2),
+        LindbladChannel("decay", 1, 0.1),
+    )
+
+    def test_window_spans_a_partial_last_block(self):
+        steps = propagate(
+            basis_state_density(2, 0), self.SEQUENCE, two_dot_register(), config=self.CONFIG
+        ).n_steps
+        assert steps > dynamics.DRIVE_BLOCK_STEPS
+        assert steps % dynamics.DRIVE_BLOCK_STEPS != 0
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
+    def test_equals_per_stage_reference(self, rk4_reference, stacked, with_channels):
+        rng = np.random.default_rng(11)
+        rho0 = (
+            np.array([random_density(rng, 4) for _ in range(3)])
+            if stacked
+            else random_density(rng, 4)
+        )
+        channels = self.CHANNELS if with_channels else ()
+        reg = two_dot_register()
+        traj = propagate(rho0, self.SEQUENCE, reg, channels, self.CONFIG)
+        expected = rk4_reference(rho0, self.SEQUENCE, reg, channels, self.CONFIG)
+        assert np.array_equal(traj.final_state, expected)
+
+    def test_drive_called_once_per_block(self, monkeypatch):
+        calls = []
+
+        def counting_field_at(table, times):
+            calls.append(np.shape(times))
+            return field_at(table, times)
+
+        monkeypatch.setattr(dynamics, "field_at", counting_field_at)
+        traj = propagate(
+            basis_state_density(2, 0), self.SEQUENCE, two_dot_register(), config=self.CONFIG
+        )
+        block = dynamics.DRIVE_BLOCK_STEPS
+        assert calls == [(3 * block,)] * (traj.n_steps // block) + [
+            (3 * (traj.n_steps % block),)
+        ]
+
+
 class TestDiagnostics:
     def test_unstable_integration_raises_with_step_index(self):
         reg = single_dot_register()
@@ -472,7 +542,7 @@ class TestDiagnostics:
             integrate_master_equation(
                 basis_state_density(1, 0),
                 np.zeros(2),
-                lambda t: np.array([math.nan if t > 0.0105 else 0.0], dtype=complex),
+                lambda times: np.where(times > 0.0105, math.nan, 0.0)[:, None].astype(complex),
                 [],
                 0.0,
                 0.1,
@@ -494,7 +564,7 @@ def kicked_apply(kicks):
     the given matrix, so one step moves rho by dt times it."""
     calls = itertools.count()
 
-    def apply(rho, t_ps, generator, drive):
+    def apply(rho, h, generator):
         kick = kicks.get(next(calls) // 4 + 1)
         return np.zeros_like(rho) if kick is None else np.array(kick, dtype=complex)
 

@@ -14,6 +14,7 @@ from excitonsim.errors import (
 )
 from excitonsim.model import ExcitonRegister, bit_table, renormalized_energy
 from excitonsim.pulses import (
+    ENVELOPE_CUTOFF,
     GATE_KINDS,
     SAME_BRANCH_MEV,
     GateSpec,
@@ -199,7 +200,9 @@ class TestCompileGate:
         chain = np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 4.5], [0.0, 4.5, 0.0]])
         reg = ExcitonRegister(np.array([1.70, 1.71, 1.72]), chain)
         spec = GateSpec("conditional-rotation", 1, math.pi, ((0, 1), (2, 0)))
-        with pytest.raises(CompileError, match="with a:0,c:1 as with a:1,c:0,"):
+        with pytest.raises(
+            CompileError, match="^dot b has the same transition energy with a:0,c:1 as with a:1,c:0,"
+        ):
             compile_gate(reg, spec)
         # only c shifts b here, so a:1 shares a:0's branch; both patterns
         # are printed in ascending dot order
@@ -224,8 +227,17 @@ class TestCompileGate:
             exciton_energies_ev=np.linspace(1.6, 1.8, n),
             shift_matrix_mev=shifts,
         )
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match=r"^unconditional-not on dot a would need 2\^5 colors"):
             compile_gate(reg, GateSpec("unconditional-not", target=0))
+
+    def test_too_short_duration_names_the_dot(self, register):
+        spec = GateSpec("cnot", 1, conditions=((0, 1),))
+        with pytest.raises(CompileError, match=r"resolve the conditional frequencies of dot b \(required"):
+            compile_gate(register, spec, TimingPolicy(tau_ps=0.01))
+
+    def test_duplicate_condition_names_the_dot(self):
+        with pytest.raises(InvalidGateError, match="^duplicate condition on dot a$"):
+            GateSpec("conditional-rotation", target=1, conditions=((0, 1), (0, 0)))
 
     def test_gate_on_target_condition_rejected(self):
         with pytest.raises(InvalidGateError):
@@ -319,8 +331,35 @@ class TestFieldAt:
     def test_table_equals_per_pulse_reference(self, field_reference, case):
         seq, dipoles, ref, times = case
         table = tabulate_drive(seq, dipoles, ref)
-        for t in times:
-            assert np.array_equal(field_at(table, t), field_reference(seq, t, dipoles, ref))
+        expected = np.array([field_reference(seq, t, dipoles, ref) for t in times])
+        for t, amps in zip(times, expected):
+            assert np.array_equal(field_at(table, t), amps)
+        assert np.array_equal(field_at(table, np.array(times)), expected)
+
+    def test_array_equals_per_pulse_reference_on_a_grid(self, field_reference):
+        # dyadic centres and durations, so that t - center is exact at the
+        # window edges; the windows are [0.5, 1.5] and [0.25, 2.25]
+        seq = PulseSequence((
+            Pulse(1.70, 1.0, 0.125, math.pi / 2, target_dipole=0),
+            Pulse(1.7145, 1.25, 0.25, math.pi, phase_rad=0.3, target_dipole=1),
+        ))
+        dipoles, ref = [1.0, 0.7], 1.705
+        edges = [p.center_ps + s * ENVELOPE_CUTOFF * p.tau_ps for p in seq for s in (-1, 1)]
+        assert edges == [0.5, 1.5, 0.25, 2.25]
+        times = np.concatenate((
+            np.linspace(-1.0, 3.0, 401),
+            edges,
+            np.nextafter(edges, [-np.inf, np.inf, -np.inf, np.inf]),  # just outside
+        ))
+        expected = np.array([field_reference(seq, t, dipoles, ref) for t in times])
+        amps = field_at(tabulate_drive(seq, dipoles, ref), times)
+        assert amps.shape == (times.size, 2)
+        assert np.array_equal(amps, expected)
+        active = [sum(abs(t - p.center_ps) <= ENVELOPE_CUTOFF * p.tau_ps for p in seq)
+                  for t in times]
+        assert {0, 1, 2} <= set(active)  # outside every window, one, overlap
+        assert np.array_equal(np.flatnonzero(np.any(amps != 0, axis=1)),
+                              np.flatnonzero(active))
 
     def test_zero_outside_support(self, register):
         seq = compile_gate(register, GateSpec("cnot", 1, conditions=((0, 1),)))
