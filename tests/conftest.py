@@ -113,9 +113,8 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     """Final state of dynamics.propagate's RK4 run with the drive evaluated
     at every stage on its own.
 
-    The loop as it ran before the drive was evaluated once per block of
-    steps: at each stage time, _field_reference gives the amplitudes f, and
-    H is built densely from the basis-index bits, H0 on the diagonal and
+    At each stage time, _field_reference gives the amplitudes f, and H is
+    built densely from the basis-index bits, H0 on the diagonal and
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
     with bit l clear.  The stages, the RK4 sum and the re-Hermitization run
     in propagate's order, and dynamics.liouvillian_apply applies each
@@ -184,10 +183,9 @@ def _lab_frame_reference(register, sequence, rho0, config):
     cancels in rho and centring halves the fastest phase), and every pulse
     drives every dot with the real field
     Omega_p(t) cos(omega_p t + phi_p) d_l / d_target, carrier included.
-    dynamics.integrate_master_equation takes this real drive, evaluated on
-    each block's array of stage times, as it is, so
-    the run needs steps that resolve the ~2.4 fs optical period (2e-5 ps
-    or finer).
+    dynamics.integrate_master_equation takes this real drive (of an array
+    of times) as it is, so the run needs steps that resolve the ~2.4 fs
+    optical period (2e-5 ps or finer).
     """
     h0 = build_hamiltonian(register) * units.MEV_PER_EV
     h0 = h0 - 0.5 * (h0.max() + h0.min())
