@@ -264,7 +264,7 @@ _CHANNEL_KINDS = {"decay": "decay", "dephasing": "pure-dephasing"}
 
 def _in_range(dot: int, n_qubits: int) -> None:
     if dot >= n_qubits:
-        raise ValueError(f"dot {dot} out of range for {n_qubits} dots")
+        raise ValueError(f"dot {dot_label(dot)} out of range for {n_qubits} dots")
 
 
 def _claim(seen: dict[Any, str], what: Any, key: str) -> None:
@@ -359,7 +359,9 @@ def _read_channels(items: dict[str, str], n_qubits: int) -> list[LindbladChannel
 
 def _write_channels(config: RunConfig) -> list[str]:
     names = {kind: name for name, kind in _CHANNEL_KINDS.items()}
-    return [f"{names[c.kind]}.{c.dot} = {fmt(c.rate_per_ps)}" for c in config.channels]
+    return [
+        f"{names[c.kind]}.{dot_label(c.dot)} = {fmt(c.rate_per_ps)}" for c in config.channels
+    ]
 
 
 @dataclass(frozen=True)
@@ -424,7 +426,7 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "field_grid_kv_cm", _reals, [],
         attrgetter("device.field_grid_kv_cm"), _ascending),
     Key("device", "shift_pair", _pair(" ", parse_dot), (0, 1),
-        attrgetter("device.shift_pair")),
+        attrgetter("device.shift_pair"), dump=lambda pair: " ".join(map(dot_label, pair))),
     Key("device", "coulomb_rel_tol", _real, 1e-6,
         attrgetter("device.coulomb_rel_tol"), _positive),
     Key("device", "dipoles", _reals, None,

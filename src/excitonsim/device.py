@@ -130,11 +130,6 @@ class ZProfile:
         inside = np.abs(u) <= w / 2
         return np.where(inside, (2.0 / w) * np.cos(math.pi * u / w) ** 2, 0.0)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        half = 4.0 * self.width_nm if self.kind == "gaussian" else 0.5 * self.width_nm
-        return (self.center_nm - half, self.center_nm + half)
-
 
 @dataclass(frozen=True)
 class InPlaneGaussian:

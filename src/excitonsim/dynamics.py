@@ -33,19 +33,20 @@ only as the tests' reference.
 Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
 the flat flip-pair indices and the dissipator's row table), so each RK4
-stage does only the work that depends on its state.  Trace drift is tested
-after every step; positivity is tested on every step's state too, but in
-batches of EIG_BATCH_BYTES with one Cholesky factorization of the batch
-shifted by eig_floor.  Only a batch that fails it goes through eigvalsh,
-which reports the earliest failing step.
+stage does only the work that depends on its state.  Every step's state is
+checked, in batches of EIG_BATCH_BYTES, by one _StepCheck: its trace drift
+against trace_tol, then its positivity by one Cholesky factorization of
+the batch shifted by eig_floor.  Only a batch that fails that goes through
+eigvalsh.  Whatever fails, the error names the earliest failing step.
 
-The equation is linear, so one loop propagates a whole stack of states:
-rho may be one (d, d) matrix or a (B, d, d) stack, and every operation of
-the loop acts on the last two axes.  The stack shares each stage's drive
-amplitudes and Hamiltonian, and each member ends bit for bit where a run
-of its own would (the products are the same per matrix).  Every member is
-tested as a single state would be; a failure names the earliest step, the
-lowest failing member at that step, and that member as "state k".
+The equation is linear, so one loop propagates a whole stack of states.
+The loop always holds a (B, d, d) stack, and a single (d, d) rho is a
+stack of one, so every operation acts on the last two axes.  The stack
+shares each stage's drive amplitudes and Hamiltonian, and each member ends
+bit for bit where a run of its own would (the products are the same per
+matrix).  Every member is tested as a single state would be; a failure
+names the earliest step, the lowest failing member at that step, and, for
+a stack, that member as "state k".
 
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
@@ -171,7 +172,6 @@ class SimulationConfig:
     duration_ps: float | None = None
     trace_tol: float = 1e-7
     eig_floor: float = -1e-6
-    store_states: bool = False
     coherence_pair: tuple[int, int] | None = None  # None: (0, dim - 1)
 
     def __post_init__(self):
@@ -208,7 +208,6 @@ class Trajectory:
     h0_diag_mev: np.ndarray
     n_steps: int
     max_trace_drift: float
-    states: np.ndarray | None = None  # (n_samples, dim, dim) if stored
 
     def final_state_interaction_picture(self) -> np.ndarray:
         """Final state with the static diagonal phases removed.
@@ -337,36 +336,38 @@ def liouvillian_apply(
     return out
 
 
-# Positivity is checked on up to this many bytes of recent states at once:
-# one Cholesky call over the batch instead of one test per step, and one
-# eigvalsh call only when that fails.
+# Each step's state is checked in batches of up to this many bytes of
+# states: one trace and one Cholesky call per batch instead of one test per
+# step, and one eigvalsh call only when the Cholesky fails.
 EIG_BATCH_BYTES = 64 * 1024
 
 
-class _PositivityCheck:
-    """Every integration step's state, tested against eig_floor in batches.
+class _StepCheck:
+    """Every integration step's (B, d, d) stack, tested in batches.
 
-    shape is that of the propagated rho, (d, d) or a (B, d, d) stack.  Each
-    step's state is written into the next slot of a buffer and added once
-    its trace has passed.  check() runs one batched Cholesky of the added
-    states minus eig_floor * I, which succeeds only if every smallest
-    eigenvalue is above eig_floor (it reads one triangle; every added state
-    was re-Hermitized).  Otherwise, or with a non-finite state, one eigvalsh
-    raises for the earliest failing step, and at that step for the lowest
-    failing member, so the error is the one a per-step test would raise,
-    only later.  A non-finite state fails too, unless an earlier one
-    already did.
+    Each step's stack is written into the next slot of a buffer and counted
+    by add().  check() raises for the first buffered state, in (step,
+    member) order, that a per-step test would fail: its trace drift is
+    above trace_tol (or not finite), or it is not finite, or it has an
+    eigenvalue below eig_floor.  Positivity is tested on the states before
+    the first trace failure by one batched Cholesky of each minus
+    eig_floor * I, which succeeds only if every smallest eigenvalue is above
+    eig_floor (it reads one triangle; every state was re-Hermitized).  Only
+    if it fails, or a state is not finite, does one eigvalsh find the first
+    state below the floor.  max_trace_drift starts at rho0's and keeps the
+    worst drift checked.
+    stacked: whether the error names the failing member as "state k".
     """
 
-    def __init__(self, shape: tuple[int, ...], eig_floor: float):
-        dim = shape[-1]
-        self.members = math.prod(shape[:-2])
-        self.stacked = len(shape) > 2
-        size = max(1, EIG_BATCH_BYTES // (16 * self.members * dim * dim))
-        self.states = np.empty((size, *shape), dtype=complex)
+    def __init__(self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool):
+        members, dim = rho0.shape[0], rho0.shape[-1]
+        size = max(1, EIG_BATCH_BYTES // (16 * members * dim * dim))
+        self.states = np.empty((size, *rho0.shape), dtype=complex)
         self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
-        self.eig_floor = eig_floor
+        self.members, self.stacked = members, stacked
+        self.trace_tol, self.eig_floor = trace_tol, eig_floor
         self.floor = eig_floor * np.eye(dim)
+        self.max_trace_drift = np.abs(rho0.trace(axis1=-2, axis2=-1).real - 1.0).max()
         self.filled = 0
         self.last_step = 0
 
@@ -381,38 +382,45 @@ class _PositivityCheck:
         self.filled += 1
         self.last_step = step
 
-    def check(self, members: int = 0) -> None:
-        """Test the added states, and the first members of the next slot."""
-        states = self.flat[: self.filled * self.members + members]
+    def check(self) -> None:
+        """Test the added states; raise for the first that fails."""
+        states = self.flat[: self.filled * self.members]
         first_step = self.last_step - self.filled + 1
         self.filled = 0
+        drift = np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0)
+        traced = drift <= self.trace_tol
+        n_traced = len(traced) if traced.all() else int(np.argmin(traced))
+        failure = self._below_floor(states[:n_traced])
+        if failure is None and n_traced < len(traced):
+            failure = n_traced, (
+                f"trace drift {drift[n_traced]:.3e} exceeds {self.trace_tol:.1e}"
+                if math.isfinite(drift[n_traced])
+                else "non-finite density matrix"
+            )
+        if failure is not None:
+            step, member = divmod(failure[0], self.members)
+            raise PropagationDiagnosticsError(
+                failure[1], first_step + step, member if self.stacked else None
+            )
+        self.max_trace_drift = np.max(drift, initial=self.max_trace_drift)
+
+    def _below_floor(self, states: np.ndarray) -> tuple[int, str] | None:
+        """(index, message) of the first state that is not finite or has an
+        eigenvalue below eig_floor; None if there is none."""
         finite = np.isfinite(states).all(axis=(1, 2))
         if finite.all():
             try:  # succeeds iff every smallest eigenvalue is above eig_floor
                 np.linalg.cholesky(states - self.floor)
-                return
+                return None
             except np.linalg.LinAlgError:
                 pass
         n_finite = len(finite) if finite.all() else int(np.argmin(finite))
         min_eigs = np.linalg.eigvalsh(states[:n_finite]).min(axis=1)
         bad = np.flatnonzero(~(min_eigs >= self.eig_floor))
         if bad.size:
-            raise self.error(
-                f"negative eigenvalue {min_eigs[bad[0]]:.3e} below {self.eig_floor:.1e}",
-                first_step,
-                int(bad[0]),
-            )
-        if n_finite < len(finite):
-            raise self.error("non-finite density matrix", first_step, n_finite)
-
-    def error(
-        self, message: str, first_step: int, index: int
-    ) -> PropagationDiagnosticsError:
-        """The error for the index-th state from first_step's first member."""
-        step, member = divmod(index, self.members)
-        return PropagationDiagnosticsError(
-            message, step=first_step + step, state=member if self.stacked else None
-        )
+            eig = min_eigs[bad[0]]
+            return int(bad[0]), f"negative eigenvalue {eig:.3e} below {self.eig_floor:.1e}"
+        return (n_finite, "non-finite density matrix") if n_finite < len(finite) else None
 
 
 # The drive is evaluated once per this many RK4 steps, at all of their
@@ -445,22 +453,24 @@ def integrate_master_equation(
     """Fixed-step integration of the master equation over [t_start, t_end].
 
     rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
-    share every step.  drive maps a 1-D array of times to the (T, N)
-    per-dot amplitudes there (None: no drive); it is called once per
-    DRIVE_BLOCK_STEPS steps, and each step's three stage Hamiltonians come
-    from stage_hamiltonians' one (3, d, d) buffer.  The requested step is
-    shrunk to divide the window exactly.  The state is re-Hermitized once per step; the trace is never
+    share every step; the loop holds a single rho as a stack of one.
+    drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
+    (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps, and
+    each step's three stage Hamiltonians come from stage_hamiltonians' one
+    (3, d, d) buffer.  The requested step is shrunk to divide the window
+    exactly.  The state is re-Hermitized once per step; the trace is never
     re-normalized, its drift is a diagnostic.  Every step's state is tested
-    for trace drift at once and for positivity in batches
-    (_PositivityCheck); a failure raises PropagationDiagnosticsError naming
-    the earliest failing step, and for a stack the lowest failing member at
-    that step, and a non-finite state fails both.  Samples are taken every
-    sample_stride steps plus the final step.
+    for trace drift and positivity, in batches (_StepCheck).  A failure
+    raises PropagationDiagnosticsError naming the earliest failing step, and
+    for a stack the lowest failing member at that step; a non-finite state
+    fails too.  Samples are taken every sample_stride steps plus the final
+    step.
     """
     rho = np.array(rho0, dtype=complex)
     validate_density_matrix(rho)
+    single = rho.ndim == 2
+    rho = rho.reshape(-1, *rho.shape[-2:])
     dim = rho.shape[-1]
-    stacked = rho.ndim == 3
     n_qubits = dim.bit_length() - 1
     if 2**n_qubits != dim:
         raise InvalidParameterError("state dimension must be a power of two")
@@ -481,20 +491,16 @@ def integrate_master_equation(
         raise InvalidParameterError(f"coherence pair {pair} out of range")
     occupation_masks = bit_table(n_qubits).T.astype(float, order="C")
 
-    times, pops, occs, cohs, kept = [], [], [], [], []
+    times, pops, occs, cohs = [], [], [], []
 
     def sample(t, state):
         times.append(t)
         diag = np.real(np.diagonal(state, axis1=-2, axis2=-1))
         pops.append(diag.copy())  # state may be a reused buffer slot
         occs.append([diag @ m for m in occupation_masks])
-        cohs.append(state[..., pair[0], pair[1]].copy())
-        if config.store_states:
-            kept.append(state.copy())
+        cohs.append(state[:, pair[0], pair[1]].copy())
 
-    positivity = _PositivityCheck(rho.shape, config.eig_floor)
-    drift = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
-    max_drift = drift.max() if stacked else drift
+    check = _StepCheck(rho, config.trace_tol, config.eig_floor, stacked=not single)
     sample(t_start_ps, rho)
     if drive is None:
         hamiltonians = itertools.repeat((generator.h0,) * 3)
@@ -517,47 +523,28 @@ def integrate_master_equation(
         k2 += k4
         k2 *= sixth_dt
         k2 += rho
-        rho = positivity.slot()
+        rho = check.slot()
         np.add(k2, k2.swapaxes(-1, -2).conj(), out=rho)
         rho *= 0.5
+        check.add(step)
         t = t_start_ps + step * dt
-        drift = abs(rho.trace(axis1=-2, axis2=-1).real - 1.0)
-        worst = drift.max() if stacked else drift
-        if not worst <= config.trace_tol:
-            # the first member that fails; the members before it are tested
-            # for positivity at this step too
-            drifts = np.ravel(drift)
-            member = int(np.argmax(~(drifts <= config.trace_tol)))
-            positivity.check(member)
-            drift, state = drifts[member], (member if stacked else None)
-            if not math.isfinite(drift):
-                raise PropagationDiagnosticsError(
-                    "non-finite density matrix", step=step, state=state
-                )
-            raise PropagationDiagnosticsError(
-                f"trace drift {drift:.3e} exceeds {config.trace_tol:.1e}",
-                step=step,
-                state=state,
-            )
-        positivity.add(step)
-        max_drift = max(max_drift, worst)
         if step % config.sample_stride == 0 or step == n_steps:
             sample(t, rho)
-    positivity.check()
+    check.check()
 
+    member = 0 if single else slice(None)  # a single state drops the member axis
     return Trajectory(
         times_ps=np.array(times),
-        populations=np.array(pops),
-        occupations=np.moveaxis(np.array(occs), 1, -1),
-        coherences=np.array(cohs),
+        populations=np.array(pops)[:, member],
+        occupations=np.moveaxis(np.array(occs), 1, -1)[:, member],
+        coherences=np.array(cohs)[:, member],
         coherence_pair=pair,
-        final_state=rho.copy(),
+        final_state=rho[member].copy(),
         final_time_ps=t,
         reference_energy_ev=reference_energy_ev,
         h0_diag_mev=h0,
         n_steps=n_steps,
-        max_trace_drift=max_drift,
-        states=np.array(kept) if config.store_states else None,
+        max_trace_drift=check.max_trace_drift,
     )
 
 

@@ -50,7 +50,10 @@ class ZeroDipoleError(CompileError):
     """A gate targets a dot whose transition dipole is zero: no pulse drives it."""
 
     def __init__(self, dot: int):
-        super().__init__(f"dot {dot} has zero transition dipole, so no pulse drives it")
+        from .model import dot_label  # model imports this module
+        super().__init__(
+            f"dot {dot_label(dot)} has zero transition dipole, so no pulse drives it"
+        )
         self.dot = dot
 
 
@@ -74,7 +77,8 @@ class InvalidConditioningError(ExcitonSimError, ValueError):
     """A spectrum conditioning pattern occupies the emitting dot."""
 
     def __init__(self, dot: int):
-        super().__init__(f"conditioning occupies the emitting dot {dot}")
+        from .model import dot_label  # model imports this module
+        super().__init__(f"conditioning occupies the emitting dot {dot_label(dot)}")
         self.dot = dot
 
 

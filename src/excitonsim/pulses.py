@@ -84,13 +84,6 @@ class Pulse:
     def end_ps(self) -> float:
         return self.center_ps + ENVELOPE_CUTOFF * self.tau_ps
 
-    def envelope(self, t: float) -> float:
-        """Truncated Gaussian envelope, peak 1 at the center time."""
-        dt = t - self.center_ps
-        if abs(dt) > ENVELOPE_CUTOFF * self.tau_ps:
-            return 0.0
-        return math.exp(-0.5 * (dt / self.tau_ps) ** 2)
-
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -407,8 +400,9 @@ def field_at(table: DriveTable, t: float | np.ndarray) -> np.ndarray:
     The complex half-amplitude
     sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) relative to
     the reference carrier omega_ref; its conjugate drives the lowering part.
-    The envelope is Pulse.envelope's truncated Gaussian.  Each pulse's terms
-    are formed at the times inside its window with the per-pulse formula in
+    The envelope exp(-(t - center)^2 / (2 tau^2)) is cut to 0 beyond
+    ENVELOPE_CUTOFF durations from the center.  Each pulse's terms are
+    formed at the times inside its window with the per-pulse formula in
     Python floats (CPython's x ** 2, math.exp and cmath.exp), because
     numpy's square and exp differ from those in the last bit; only the
     offsets t - center, the window test and the dipole scaling run on

@@ -1,12 +1,13 @@
 """Shared test fixtures."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from excitonsim import units
+from excitonsim import dynamics, units
 from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
 from excitonsim.dynamics import (
@@ -16,9 +17,10 @@ from excitonsim.dynamics import (
     liouvillian_apply,
     propagate,
     pure_state_density,
+    purity,
 )
 from excitonsim.model import build_hamiltonian
-from excitonsim.pulses import field_at, pulse_amplitude, tabulate_drive
+from excitonsim.pulses import ENVELOPE_CUTOFF, field_at, pulse_amplitude, tabulate_drive
 
 BELL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bell_two_dot.cfg"
 
@@ -76,6 +78,15 @@ def adaptive_reference():
     return _adaptive_reference
 
 
+def _envelope(pulse, t):
+    """A pulse's Gaussian envelope at time t: peak 1 at its center, 0 beyond
+    ENVELOPE_CUTOFF durations from it."""
+    dt = t - pulse.center_ps
+    if abs(dt) > ENVELOPE_CUTOFF * pulse.tau_ps:
+        return 0.0
+    return math.exp(-0.5 * (dt / pulse.tau_ps) ** 2)
+
+
 def _field_reference(sequence, t, dipoles, reference_energy_ev):
     """Per-dot rotating-frame drive amplitude at time t, pulse by pulse.
 
@@ -87,7 +98,7 @@ def _field_reference(sequence, t, dipoles, reference_energy_ev):
     dipoles = np.asarray(dipoles, dtype=float)
     out = np.zeros(dipoles.size, dtype=complex)
     for pulse in sequence:
-        env = pulse.envelope(t)
+        env = _envelope(pulse, t)
         if env == 0.0:
             continue
         omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
@@ -194,7 +205,7 @@ def _lab_frame_reference(register, sequence, rho0, config):
     def drive(times):
         out = np.zeros((len(times), dipoles.size))
         for pulse in sequence:
-            env = np.array([pulse.envelope(t) for t in times])
+            env = np.array([_envelope(pulse, t) for t in times])
             omega0 = pulse_amplitude(pulse, dipoles[pulse.target_dipole])
             omega_opt = pulse.carrier_energy_ev * units.MEV_PER_EV / units.HBAR_MEV_PS
             value = omega0 * env * np.cos(omega_opt * times + pulse.phase_rad)
@@ -213,6 +224,22 @@ def lab_frame_reference():
     frame: lab_frame_reference(register, sequence, rho0, config) returns the
     Trajectory over the sequence span at config's step and diagnostics."""
     return _lab_frame_reference
+
+
+@pytest.fixture
+def step_purities(monkeypatch):
+    """tr(rho^2) of every step's state of the runs made while the test runs,
+    in step order: each batch of states is read from the integrator's step
+    check just before it is tested."""
+    purities = []
+    check = dynamics._StepCheck.check
+
+    def recording_check(self):
+        purities.extend(purity(s) for s in self.flat[: self.filled * self.members])
+        check(self)
+
+    monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+    return purities
 
 
 @pytest.fixture(scope="session")

@@ -281,14 +281,15 @@ class TestShiftFromFirstPrinciples:
 
 
 class TestPropagatorCorrectness:
-    def test_trace_and_purity_conservation(self):
+    def test_trace_and_purity_conservation(self, step_purities):
         reg = anchor_register()
         seq = compile_gate(reg, GateSpec("cnot", 1, conditions=((0, 1),)))
-        config = SimulationConfig(time_step_ps=2.5e-4, store_states=True)
-        traj = propagate(basis_state_density(2, 1), seq, reg, config=config)
+        config = SimulationConfig(time_step_ps=2.5e-4)
+        rho0 = basis_state_density(2, 1)
+        traj = propagate(rho0, seq, reg, config=config)
         assert traj.max_trace_drift < 1e-9
-        purities = [purity(s) for s in traj.states]
-        drift = max(abs(p - purities[0]) for p in purities)
+        assert len(step_purities) == traj.n_steps
+        drift = max(abs(p - purity(rho0)) for p in step_purities)
         assert drift < 1e-8
         report(
             "trace and purity",

@@ -154,6 +154,7 @@ class TestSpectra:
         with pytest.raises(InvalidConditioningError) as err:
             spectrum_lines(register, "biexcitonic", [{0: 1, 1: 1}])
         assert err.value.dot == 0
+        assert str(err.value) == "conditioning occupies the emitting dot a"
 
     def test_explicit_conditioning_emits_unoccupied(self, register):
         lines = spectrum_lines(register, "biexcitonic", [{0: 1}])

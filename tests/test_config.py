@@ -246,6 +246,7 @@ class TestRoundTrip:
             "[register]\nenergies_ev = 1.70 1.71 1.72\n"
             "[program]\ngate.1 = conditional-rotation target=1 when=2:0,0:1\n"
             "gate.2 = cnot target=c control=1\n"
+            "[channels]\ndecay.2 = 0.5\ndephasing.a = 0.25\n"
             "[outputs]\nbiexcitonic_conditioning = 0:1;c:1,b:0\n",
             encoding="utf-8",
         )
@@ -256,7 +257,12 @@ class TestRoundTrip:
             f"gate.2 = cnot target=c angle={math.pi!r} when=b:1 start=auto",
         ]
         assert "biexcitonic_conditioning = a:1;c:1,b:0" in lines
+        assert "decay.c = 0.5" in lines and "dephasing.a = 0.25" in lines
         round_trip(path.read_text(encoding="utf-8"))
+        device = tmp_path / "device.cfg"
+        device.write_text("[device]\npreset = gaas-two-dot\nshift_pair = 1 0\n", encoding="utf-8")
+        assert "shift_pair = b a" in dump_config(load_config(str(device)))
+        round_trip(device.read_text(encoding="utf-8"))
 
     def test_dots_past_z_round_trip(self):
         assert [dot_label(i) for i in (0, 25, 26, 99)] == ["a", "z", "26", "99"]
@@ -412,6 +418,12 @@ def with_line(section, line):
             "[program] gate.1: unconditional-not is a pi rotation",
         ),
         ("register", "dipoles = 0 1.0", "[register] dipoles: gate 1 drives dot a"),
+        (
+            "program",
+            "gate.1 = rotation target=e",
+            "[program] gate.1: dot e out of range for 2 dots",
+        ),
+        ("channels", "decay.2 = 0.1", "[channels] decay.2: dot c out of range for 2 dots"),
         (
             "integration",
             "integrator_order = 4",

@@ -95,10 +95,12 @@ class TestWellGroundState:
         assert mean == pytest.approx(7.5, abs=1e-10)
 
     def test_disjoint_supports_for_separated_dots(self):
+        # an infinite-well density is zero beyond half its width from the center
         s = gaas_two_dot()
         p0 = well_ground_state(s.dots[0])
         p1 = well_ground_state(s.dots[1])
-        assert p0.support[1] < p1.support[0]
+        assert p0.kind == p1.kind == "infinite-well"
+        assert p0.center_nm + 0.5 * p0.width_nm < p1.center_nm - 0.5 * p1.width_nm
 
 
 class TestCoulombIntegral:

@@ -335,7 +335,7 @@ class TestMatrixExponentialOracle:
 
 class TestResonantAreaLaw:
     @pytest.mark.parametrize("theta", [math.pi / 4, math.pi / 2, math.pi])
-    def test_final_population_sin_squared(self, theta):
+    def test_final_population_sin_squared(self, theta, step_purities):
         reg = single_dot_register()
         pulse = Pulse(
             carrier_energy_ev=1.70,
@@ -343,15 +343,16 @@ class TestResonantAreaLaw:
             tau_ps=0.1,
             area_rad=theta,
         )
-        config = SimulationConfig(time_step_ps=1e-3, store_states=True)
-        traj = propagate(basis_state_density(1, 0), PulseSequence((pulse,)), reg, config=config)
+        config = SimulationConfig(time_step_ps=1e-3)
+        rho0 = basis_state_density(1, 0)
+        traj = propagate(rho0, PulseSequence((pulse,)), reg, config=config)
         assert traj.populations[-1, 1] == pytest.approx(
             math.sin(theta / 2.0) ** 2, abs=1e-4
         )
         # unitary run: trace and purity conserved
         assert traj.max_trace_drift < 1e-9
-        purities = [purity(s) for s in traj.states]
-        assert max(abs(p - purities[0]) for p in purities) < 1e-8
+        assert len(step_purities) == traj.n_steps
+        assert max(abs(p - purity(rho0)) for p in step_purities) < 1e-8
 
 
 class TestThreeQubitRegister:
@@ -553,19 +554,19 @@ class TestDiagnostics:
 def kicked_apply(kicks):
     """A stand-in for dynamics.liouvillian_apply: d(rho)/dt is zero except
     during the steps named in kicks (four calls per RK4 step), where it is
-    the given matrix, so one step moves rho by dt times it."""
+    the given matrix, broadcast to rho's (B, d, d) shape, so one step moves
+    rho by dt times it."""
     calls = itertools.count()
 
     def apply(rho, h, generator):
-        kick = kicks.get(next(calls) // 4 + 1)
-        return np.zeros_like(rho) if kick is None else np.array(kick, dtype=complex)
+        return np.zeros_like(rho) + kicks.get(next(calls) // 4 + 1, 0.0)
 
     return apply
 
 
 class TestBatchedPositivity:
-    """Every step's state is tested against eig_floor, in batches of
-    EIG_BATCH_BYTES; the earliest failing step is reported."""
+    """Every step's state is tested for trace drift and against eig_floor,
+    in batches of EIG_BATCH_BYTES; the earliest failing step is reported."""
 
     DT = 1e-3
     SLOTS = dynamics.EIG_BATCH_BYTES // (16 * 2 * 2)  # one dot: 2x2 states
@@ -587,17 +588,27 @@ class TestBatchedPositivity:
         # traceless: rho_11 goes to -0.01 in one step, the trace stays 1
         return np.diag([0.01, -0.01]) / self.DT
 
+    def trace(self):
+        # positive: rho_00 goes to 1.01 in one step, and so does the trace
+        return np.diag([0.01, 0.0]) / self.DT
+
+    MESSAGES = {
+        "negative": "negative eigenvalue -1.000e-02 below -1.0e-06",
+        "trace": "trace drift 1.000e-02 exceeds 1.0e-07",
+    }
+
     @pytest.mark.parametrize(
-        "step",
-        [1, SLOTS // 2, SLOTS + 1, SLOTS + 150, N_STEPS],
+        "step, kind",
+        [(1, "negative"), (SLOTS // 2, "negative"), (SLOTS + 1, "negative"),
+         (SLOTS + 150, "negative"), (N_STEPS, "negative"), (1, "trace"), (N_STEPS, "trace")],
         ids=["first-slot", "middle-slot", "first-slot-of-second-batch",
-             "middle-of-partial-batch", "last-step"],
+             "middle-of-partial-batch", "last-step", "trace-first-slot", "trace-last-step"],
     )
-    def test_negative_state_raises_at_its_step(self, monkeypatch, step):
+    def test_negative_state_raises_at_its_step(self, monkeypatch, step, kind):
         with pytest.raises(PropagationDiagnosticsError) as err:
-            self.run(monkeypatch, {step: self.negative()})
+            self.run(monkeypatch, {step: getattr(self, kind)()})
         assert err.value.step == step
-        assert str(err.value) == f"negative eigenvalue -1.000e-02 below -1.0e-06 at step {step}"
+        assert str(err.value) == f"{self.MESSAGES[kind]} at step {step}"
 
     def test_valid_run_with_partial_last_batch(self, monkeypatch):
         assert self.N_STEPS % self.SLOTS != 0
@@ -607,8 +618,8 @@ class TestBatchedPositivity:
 
     @pytest.mark.parametrize("where", ["coherence", "diagonal"])
     def test_earliest_failure_wins_over_later_non_finite(self, monkeypatch, where):
-        # a NaN coherence stays in the batch; a NaN population fails the
-        # trace test at once, which checks the batch before it raises
+        # a NaN coherence fails the positivity test, a NaN population the
+        # trace test; either way the earlier negative state is reported
         nan = np.zeros((2, 2))
         if where == "coherence":
             nan[0, 1] = nan[1, 0] = math.nan
@@ -649,10 +660,12 @@ def per_state_verdict(states, eig_floor):
 
 
 def batched_verdict(states, eig_floor):
-    check = dynamics._PositivityCheck(states.shape[1:], eig_floor)
+    """The step check's verdict on the states as single-state steps, with
+    no trace tolerance: only positivity is tested."""
+    check = dynamics._StepCheck(states[:1], math.inf, eig_floor, stacked=False)
     try:
         for step, state in enumerate(states, start=1):
-            check.slot()[...] = state
+            check.slot()[0] = state
             check.add(step)
         check.check()
     except PropagationDiagnosticsError as err:
@@ -698,7 +711,7 @@ class TestCholeskyPositivity:
         rng = np.random.default_rng(seed)
         dim = int(rng.choice([2, 4, 8]))
         eig_floor = float(rng.choice([-1e-6, -1e-9, -1e-3]))
-        slots = len(dynamics._PositivityCheck((dim, dim), eig_floor).states)
+        slots = dynamics.EIG_BATCH_BYTES // (16 * dim * dim)
         n_states = int(rng.integers(1, 2 * slots + 2))
         p_below = float(rng.choice([0.0, 1.0 / n_states, 0.01, 0.3]))
         states = np.empty((n_states, dim, dim), dtype=complex)

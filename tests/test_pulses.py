@@ -261,7 +261,7 @@ class TestCompileGate:
             compile_gate(reg, spec)
         assert err.value.dot == 0
         program = [(GateSpec("rotation", 1), None), (spec, None)]
-        with pytest.raises(CompileError, match="gate 2: dot 0 has zero transition"):
+        with pytest.raises(CompileError, match="gate 2: dot a has zero transition"):
             compile_program(reg, program)
         assert len(compile_gate(reg, GateSpec("rotation", 1))) == 1
 

@@ -7,8 +7,9 @@ Runs `excitonsim simulate`, `compile` and `spectrum` from this checkout's
 src/ on every configs/*.cfg and on the benchmark's five-dot chain
 (perfbench/workloads.CHAIN5_CFG), each into its own temporary directory,
 and prints one line `<sha256>  <config>/<command>/<file>` for every file
-of ARTIFACTS, sorted by config.  manifest.cfg is left out: it carries the
-wall-clock time.  A last line
+of ARTIFACTS, sorted by config.  simulate's manifest.cfg is hashed
+without its `# wall_clock_s` line, the one line that changes from run to
+run.  A last line
 `<repr(F)>  cnot_fidelity_lindblad/gate_fidelity` gives the gate fidelity
 of the benchmark's CNOT with Lindblad channels
 (perfbench/workloads.CNOT_LINDBLAD_CFG), computed as the benchmark does.
@@ -35,10 +36,12 @@ from excitonsim.pulses import compile_program, ideal_gate_unitary  # noqa: E402
 from workloads import CHAIN5_CFG, CNOT_LINDBLAD_CFG  # noqa: E402
 
 ARTIFACTS = {
-    "simulate": ("trajectory.csv", "sequence.csv", "metrics.txt"),
+    "simulate": ("trajectory.csv", "sequence.csv", "metrics.txt", "manifest.cfg"),
     "compile": ("sequence.csv", "program.txt"),
     "spectrum": ("spectrum_excitonic.csv", "spectrum_biexcitonic.csv"),
 }
+
+WALL_CLOCK = b"# wall_clock_s = "
 
 
 def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
@@ -51,7 +54,9 @@ def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
         if code != 0:
             raise SystemExit(f"{command} {config} exited {code}")
         for file in files:
-            digest = hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+            rows = (out_dir / file).read_bytes().splitlines(keepends=True)
+            kept = b"".join(row for row in rows if not row.startswith(WALL_CLOCK))
+            digest = hashlib.sha256(kept).hexdigest()
             lines.append(f"{digest}  {name}/{command}/{file}")
     return lines
 
