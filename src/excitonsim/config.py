@@ -129,11 +129,11 @@ def parse_angle(token: str, section: str | None = None) -> float:
     return value
 
 
-def _pair(sep: str, item: Callable[[str], int]) -> Callable[[str], tuple[int, int]]:
+def _pair(sep: str, item: Callable[[str], int], example: str) -> Callable[[str], tuple[int, int]]:
     def parse(text: str) -> tuple[int, int]:
         parts = text.replace(sep, " ").split()
         if len(parts) != 2:
-            raise ValueError(f"expected two entries like 0{sep}1, got {text!r}")
+            raise ValueError(f"expected two entries like {example}, got {text!r}")
         return item(parts[0]), item(parts[1])
 
     return parse
@@ -425,7 +425,7 @@ KEYS: tuple[Key | Family, ...] = (
         attrgetter("device.structure.field_kv_cm"), _nonnegative),
     Key("device", "field_grid_kv_cm", _reals, [],
         attrgetter("device.field_grid_kv_cm"), _ascending),
-    Key("device", "shift_pair", _pair(" ", parse_dot), (0, 1),
+    Key("device", "shift_pair", _pair(" ", parse_dot, "a b"), (0, 1),
         attrgetter("device.shift_pair"), dump=lambda pair: " ".join(map(dot_label, pair))),
     Key("device", "coulomb_rel_tol", _real, 1e-6,
         attrgetter("device.coulomb_rel_tol"), _positive),
@@ -464,7 +464,7 @@ KEYS: tuple[Key | Family, ...] = (
         attrgetter("outputs.spectrum_linewidth_mev"), _positive),
     Key("outputs", "biexcitonic_conditioning", _patterns, None,
         attrgetter("outputs.biexcitonic_conditioning"), dump=_patterns_text),
-    Key("outputs", "coherence_pair", _pair(":", int), None,
+    Key("outputs", "coherence_pair", _pair(":", int, "0:1"), None,
         attrgetter("simulation.coherence_pair"), dump=_pair_text),
 )
 

@@ -32,21 +32,19 @@ only as the tests' reference.
 
 Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
-the flat flip-pair indices and the dissipator's row table), so each RK4
-stage does only the work that depends on its state.  Every step's state is
-checked, in batches of EIG_BATCH_BYTES, by one _StepCheck: its trace drift
-against trace_tol, then its positivity by one Cholesky factorization of
-the batch shifted by eig_floor.  Only a batch that fails that goes through
-eigvalsh.  Whatever fails, the error names the earliest failing step.
+the flat flip-pair indices and the dissipator's row table).  Each RK4
+stage is one liouvillian_apply, whose commutator is exactly Hermitian, so
+every state is too once rho0 is Hermitized on entry.  _StepCheck tests
+every step's state, in batches of EIG_BATCH_BYTES: its trace drift against
+trace_tol, then its positivity by one Cholesky of the batch shifted by
+eig_floor, and eigvalsh only for a batch that fails it.
 
-The equation is linear, so one loop propagates a whole stack of states.
-The loop always holds a (B, d, d) stack, and a single (d, d) rho is a
-stack of one, so every operation acts on the last two axes.  The stack
-shares each stage's drive amplitudes and Hamiltonian, and each member ends
-bit for bit where a run of its own would (the products are the same per
-matrix).  Every member is tested as a single state would be; a failure
-names the earliest step, the lowest failing member at that step, and, for
-a stack, that member as "state k".
+The equation is linear, so the loop propagates a (B, d, d) stack, a single
+(d, d) rho as a stack of one.  The members share each stage's drive
+amplitudes and Hamiltonian, each ends bit for bit where a run of its own
+would, and each is tested as a single state would be; a failure names the
+earliest step, the lowest failing member there, and, for a stack, that
+member as "state k".
 
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
@@ -317,16 +315,20 @@ def stage_hamiltonians(
 
 
 def liouvillian_apply(
-    rho: np.ndarray, h: np.ndarray, generator: Generator
+    rho: np.ndarray, h: np.ndarray, generator: Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units.
 
-    h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians.
-    The channels of build_generator are applied as one segmented sum over
-    the dissipator's row table.  rho may be a (B, d, d) stack: every member
-    takes the same h, and the row table gathers within each member.
+    h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians,
+    and rho must be Hermitian, so that rho h = (h rho)+: the commutator is
+    y - y+ of one product y = h rho, exactly Hermitian however y rounds.
+    The channels add one segmented sum over the dissipator's row table,
+    which keeps it so.  rho may be a (B, d, d) stack: every member takes
+    the same h.  The result is written into out if given.
     """
-    out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
+    y = h @ rho
+    out = np.subtract(y, np.conjugate(y.swapaxes(-1, -2), out=out), out=out)
+    out *= -1j / units.HBAR_MEV_PS
     if generator.dissipator is not None:
         values, columns, row_starts = generator.dissipator
         flat = rho.reshape(*rho.shape[:-2], -1)
@@ -352,10 +354,10 @@ class _StepCheck:
     eigenvalue below eig_floor.  Positivity is tested on the states before
     the first trace failure by one batched Cholesky of each minus
     eig_floor * I, which succeeds only if every smallest eigenvalue is above
-    eig_floor (it reads one triangle; every state was re-Hermitized).  Only
-    if it fails, or a state is not finite, does one eigvalsh find the first
-    state below the floor.  max_trace_drift starts at rho0's and keeps the
-    worst drift checked.
+    eig_floor (it reads one triangle: every state is exactly Hermitian).
+    Only if it fails, or a state is not finite, does one eigvalsh find the
+    first state below the floor.  max_trace_drift starts at rho0's and keeps
+    the worst drift checked.
     stacked: whether the error names the failing member as "state k".
     """
 
@@ -458,16 +460,17 @@ def integrate_master_equation(
     (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps, and
     each step's three stage Hamiltonians come from stage_hamiltonians' one
     (3, d, d) buffer.  The requested step is shrunk to divide the window
-    exactly.  The state is re-Hermitized once per step; the trace is never
-    re-normalized, its drift is a diagnostic.  Every step's state is tested
-    for trace drift and positivity, in batches (_StepCheck).  A failure
-    raises PropagationDiagnosticsError naming the earliest failing step, and
-    for a stack the lowest failing member at that step; a non-finite state
-    fails too.  Samples are taken every sample_stride steps plus the final
-    step.
+    exactly.  rho0 is Hermitized once; every state is then exactly Hermitian
+    (liouvillian_apply).  The trace is never re-normalized, its drift is a
+    diagnostic.  Every step's state is tested for trace drift and
+    positivity, in batches (_StepCheck).  A failure raises
+    PropagationDiagnosticsError naming the earliest failing step, and for a
+    stack the lowest failing member at that step; a non-finite state fails
+    too.  Samples are taken every sample_stride steps plus the final step.
     """
-    rho = np.array(rho0, dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho)
+    rho = 0.5 * (rho + rho.swapaxes(-1, -2).conj())  # exactly Hermitian from here on
     single = rho.ndim == 2
     rho = rho.reshape(-1, *rho.shape[-2:])
     dim = rho.shape[-1]
@@ -508,24 +511,21 @@ def integrate_master_equation(
         hamiltonians = stage_hamiltonians(
             generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps)
         )
+    k = np.empty((4, *rho.shape), dtype=complex)  # the stage derivatives
+    stage = np.empty_like(rho)
     t = t_start_ps
     for step in range(1, n_steps + 1):
         h_start, h_mid, h_end = next(hamiltonians)
-        k1 = liouvillian_apply(rho, h_start, generator)
-        k2 = liouvillian_apply(rho + half_dt * k1, h_mid, generator)
-        k3 = liouvillian_apply(rho + half_dt * k2, h_mid, generator)
-        k4 = liouvillian_apply(rho + dt * k3, h_end, generator)
-        # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k2 += k3
-        k2 += k4
-        k2 *= sixth_dt
-        k2 += rho
-        rho = check.slot()
-        np.add(k2, k2.swapaxes(-1, -2).conj(), out=rho)
-        rho *= 0.5
+        liouvillian_apply(rho, h_start, generator, out=k[0])
+        for i, (h, scale) in enumerate(((h_mid, half_dt), (h_mid, half_dt), (h_end, dt))):
+            np.multiply(k[i], scale, out=stage)
+            stage += rho
+            liouvillian_apply(stage, h, generator, out=k[i + 1])
+        # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); the slot may hold rho
+        k[1:3] *= 2.0
+        np.add.reduce(k, axis=0, out=stage)
+        stage *= sixth_dt
+        rho = np.add(stage, rho, out=check.slot())
         check.add(step)
         t = t_start_ps + step * dt
         if step % config.sample_stride == 0 or step == n_steps:

@@ -56,7 +56,7 @@ def flip_pairs(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def check_dot(l: int, n_qubits: int) -> None:
     """IndexError unless l names one of the n_qubits dots."""
     if not 0 <= l < n_qubits:
-        raise IndexError(f"dot index {l} out of range for {n_qubits} qubits")
+        raise IndexError(f"dot {dot_label(l)} out of range for {n_qubits} dots")
 
 
 def basis_label(index: int, n_qubits: int) -> str:
@@ -69,7 +69,7 @@ def basis_label(index: int, n_qubits: int) -> str:
 def dot_label(index: int) -> str:
     """Name of a dot in configs and outputs: 0 -> a, ..., 25 -> z, and the
     decimal index past z, which config.parse_dot reads back as well."""
-    return ascii_lowercase[index] if index < len(ascii_lowercase) else str(index)
+    return ascii_lowercase[index] if 0 <= index < len(ascii_lowercase) else str(index)
 
 
 def pattern_text(pattern: Iterable[tuple[int, int]]) -> str:

@@ -127,10 +127,18 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     At each stage time, _field_reference gives the amplitudes f, and H is
     built densely from the basis-index bits, H0 on the diagonal and
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
-    with bit l clear.  The stages, the RK4 sum and the re-Hermitization run
-    in propagate's order, and dynamics.liouvillian_apply applies each
-    stage's H and the channels.  rho0 is (d, d) or a (B, d, d) stack; the
-    window is the sequence's span, without propagate's checks and samples.
+    with bit l clear.  The stages run in propagate's order, and
+    dynamics.liouvillian_apply applies each stage's H and the channels.
+    Two things are kept here on purpose that propagate no longer does: the
+    RK4 sum as seven in-place operations, ((k1 + 2 k2) + 2 k3) + k4 scaled
+    by dt/6 and added to rho, where propagate makes one np.add.reduce over
+    its four stages, and a re-Hermitization of every step's state, where
+    propagate's states are exactly Hermitian by construction.  A test that
+    finds propagate bit-equal to this loop thus also shows that the reduce
+    adds in that order and that the re-Hermitization is a no-op.  rho0 is
+    (d, d) or a (B, d, d) stack and must be exactly Hermitian (propagate
+    Hermitizes its rho0 once); the window is the sequence's span, without
+    propagate's checks and samples.
     """
     n = register.n_qubits
     dim = 2**n
@@ -226,20 +234,34 @@ def lab_frame_reference():
     return _lab_frame_reference
 
 
-@pytest.fixture
-def step_purities(monkeypatch):
-    """tr(rho^2) of every step's state of the runs made while the test runs,
-    in step order: each batch of states is read from the integrator's step
-    check just before it is tested."""
-    purities = []
+def _record_checked_states(monkeypatch, record):
+    """Pass every batch of (d, d) states, in (step, member) order, to record
+    just before the integrator's step check tests it."""
     check = dynamics._StepCheck.check
 
     def recording_check(self):
-        purities.extend(purity(s) for s in self.flat[: self.filled * self.members])
+        record(self.flat[: self.filled * self.members])
         check(self)
 
     monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+
+
+@pytest.fixture
+def step_purities(monkeypatch):
+    """tr(rho^2) of every step's state of the runs made while the test runs,
+    in step order, read from the integrator's step check."""
+    purities = []
+    _record_checked_states(monkeypatch, lambda states: purities.extend(map(purity, states)))
     return purities
+
+
+@pytest.fixture
+def step_states(monkeypatch):
+    """Copies of every step's (d, d) state of the runs made while the test
+    runs, in (step, member) order, read from the integrator's step check."""
+    states = []
+    _record_checked_states(monkeypatch, lambda batch: states.extend(batch.copy()))
+    return states
 
 
 @pytest.fixture(scope="session")

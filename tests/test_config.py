@@ -399,6 +399,11 @@ def with_line(section, line):
         ("outputs", "coherence_pair = 0:9", "[outputs] coherence_pair: "),
         (
             "outputs",
+            "coherence_pair = 0",
+            "[outputs] coherence_pair: expected two entries like 0:1, got '0'",
+        ),
+        (
+            "outputs",
             "biexcitonic_conditioning = a:0",
             "[outputs] biexcitonic_conditioning: pattern a:0 must name dots below 2",
         ),
@@ -497,6 +502,19 @@ def test_zero_dipole_on_a_driven_dot_exits_2_naming_dipoles(command, tmp_path, c
     assert rc == 2
     assert err.startswith(f"error: {cfg}: [device] dipoles: gate 2 drives dot b"), err
     assert not list(out.iterdir())
+
+
+def test_malformed_shift_pair_suggests_dot_letters(tmp_path, capsys):
+    text = (REPO / "configs" / "device_derived.cfg").read_text(encoding="utf-8")
+    assert "\nshift_pair = a b\n" in text
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text.replace("\nshift_pair = a b\n", "\nshift_pair = a\n"), encoding="utf-8")
+    rc = main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(
+        f"error: {cfg}: [device] shift_pair: expected two entries like a b, got 'a'"
+    ), err
 
 
 @pytest.mark.parametrize(

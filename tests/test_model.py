@@ -317,10 +317,11 @@ class TestOperators:
             assert np.array_equal(h @ op, op @ h)
 
     def test_index_out_of_range(self):
+        # the dot is named by letter, as in configs; -1 has no letter
         reg = two_dot_register()
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^dot c out of range for 2 dots$"):
             lowering_operator(reg, 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="^dot -1 out of range for 2 dots$"):
             lowering_operator(reg, -1)
 
 

@@ -9,12 +9,15 @@ src/ on every configs/*.cfg and on the benchmark's five-dot chain
 and prints one line `<sha256>  <config>/<command>/<file>` for every file
 of ARTIFACTS, sorted by config.  simulate's manifest.cfg is hashed
 without its `# wall_clock_s` line, the one line that changes from run to
-run.  A last line
-`<repr(F)>  cnot_fidelity_lindblad/gate_fidelity` gives the gate fidelity
-of the benchmark's CNOT with Lindblad channels
-(perfbench/workloads.CNOT_LINDBLAD_CFG), computed as the benchmark does.
-Run it in two checkouts and `diff` the outputs to see whether a change kept
-the artifacts and the fidelity byte-identical.  Exits 1 if a run fails.
+run.  Two last lines `<repr(F)>  <name>/gate_fidelity` give the gate
+fidelity of the config's first gate, computed as the benchmark's
+gate_fidelity workload does: cnot_fidelity_lindblad is the benchmark's
+CNOT with Lindblad channels (perfbench/workloads.CNOT_LINDBLAD_CFG), and
+chain3_lindblad (CHAIN3_LINDBLAD_CFG below) a conditional rotation on a
+3-dot chain with a decay and a dephasing channel on every dot, the one
+multi-dot Lindblad run here.  Run it in two checkouts and `diff` the
+outputs to see whether a change kept the artifacts and the fidelities
+byte-identical.  Exits 1 if a run fails.
 """
 
 from __future__ import annotations
@@ -43,6 +46,30 @@ ARTIFACTS = {
 
 WALL_CLOCK = b"# wall_clock_s = "
 
+# The middle dot of a 3-dot chain flipped when a is excited and c is not,
+# with a decay and a dephasing channel on every dot.
+CHAIN3_LINDBLAD_CFG = """\
+[register]
+energies_ev = 1.70 1.71 1.72
+shift_mev_0_1 = 4.5
+shift_mev_1_2 = 3.0
+dipoles = 1.0 1.0 1.0
+
+[program]
+gate.1 = conditional-rotation target=b angle=pi when=a:1,c:0
+
+[channels]
+decay.a = 0.002
+decay.b = 0.003
+decay.c = 0.004
+dephasing.a = 0.02
+dephasing.b = 0.03
+dephasing.c = 0.04
+
+[integration]
+time_step_ps = 0.001
+"""
+
 
 def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
     """The hash lines of one config, each command run into work/name/command."""
@@ -61,14 +88,16 @@ def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
     return lines
 
 
-def fidelity_line(config: Path) -> str:
-    """The gate fidelity line of the config's first gate, as the
+def fidelity_line(name: str, text: str, work: Path) -> str:
+    """The gate fidelity line of the first gate of the config text, as the
     benchmark's gate_fidelity workload computes it."""
+    config = work / f"{name}.cfg"
+    config.write_text(text)
     run = load_config(str(config))
     sequence = compile_program(run.register, run.program, run.policy)
     ideal = ideal_gate_unitary(run.register, run.program[0][0])
     value = gate_fidelity(sequence, run.register, run.channels, run.simulation, ideal)
-    return f"{value!r}  cnot_fidelity_lindblad/gate_fidelity"
+    return f"{value!r}  {name}/gate_fidelity"
 
 
 def main() -> int:
@@ -81,9 +110,8 @@ def main() -> int:
         for name in sorted(configs):
             for line in artifact_hashes(name, configs[name], work):
                 print(line, flush=True)
-        cnot = work / "cnot_fidelity_lindblad.cfg"
-        cnot.write_text(CNOT_LINDBLAD_CFG)
-        print(fidelity_line(cnot), flush=True)
+        print(fidelity_line("cnot_fidelity_lindblad", CNOT_LINDBLAD_CFG, work), flush=True)
+        print(fidelity_line("chain3_lindblad", CHAIN3_LINDBLAD_CFG, work), flush=True)
     return 0
 
 
