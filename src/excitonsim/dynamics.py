@@ -33,11 +33,13 @@ only as the tests' reference.
 Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
 the flat flip-pair indices and the dissipator's row table).  Each RK4
-stage is one liouvillian_apply, whose commutator is exactly Hermitian, so
-every state is too once rho0 is Hermitized on entry.  _StepCheck tests
-every step's state, in batches of EIG_BATCH_BYTES: its trace drift against
-trace_tol, then its positivity by one Cholesky of the batch shifted by
-eig_floor, and eigvalsh only for a batch that fails it.
+stage is one liouvillian_apply, whose commutator is one product rho H over
+all B*d rows of the stack (bit for bit the per-member H rho for d >= 4 on
+this BLAS, within 4 ulps at d = 2) and exactly Hermitian, so every state
+is too once rho0 is Hermitized on entry.  _StepCheck tests every step's
+state, in batches of EIG_BATCH_BYTES: its trace drift against trace_tol,
+then its positivity by one Cholesky of the batch shifted by eig_floor, and
+eigvalsh only for a batch that fails it.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
@@ -206,6 +208,7 @@ class Trajectory:
     h0_diag_mev: np.ndarray
     n_steps: int
     max_trace_drift: float
+    max_trace_drift_step: int  # the first step at max_trace_drift, 0 for rho0
 
     def final_state_interaction_picture(self) -> np.ndarray:
         """Final state with the static diagonal phases removed.
@@ -320,14 +323,16 @@ def liouvillian_apply(
     """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units.
 
     h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians,
-    and rho must be Hermitian, so that rho h = (h rho)+: the commutator is
-    y - y+ of one product y = h rho, exactly Hermitian however y rounds.
-    The channels add one segmented sum over the dissipator's row table,
-    which keeps it so.  rho may be a (B, d, d) stack: every member takes
-    the same h.  The result is written into out if given.
+    and rho must be Hermitian, so that h rho = (rho h)+: the commutator is
+    w+ - w of one product w = rho h, exactly Hermitian however w rounds.
+    For a (B, d, d) stack, whose members all take h, w is one product over
+    all B*d rows (a stack of one skips the reshapes), bit for bit B products
+    of one member each, and the per-member (h rho)+ bit for bit for d >= 4
+    on this BLAS (within 4 ulps at d = 2).  The channels' one segmented sum
+    over the dissipator's row table keeps it so.  Writes into out if given.
     """
-    y = h @ rho
-    out = np.subtract(y, np.conjugate(y.swapaxes(-1, -2), out=out), out=out)
+    w = rho @ h if len(rho) == 1 else (rho.reshape(-1, rho.shape[-1]) @ h).reshape(rho.shape)
+    out = np.subtract(np.conjugate(w.swapaxes(-1, -2), out=out), w, out=out)
     out *= -1j / units.HBAR_MEV_PS
     if generator.dissipator is not None:
         values, columns, row_starts = generator.dissipator
@@ -356,8 +361,8 @@ class _StepCheck:
     eig_floor * I, which succeeds only if every smallest eigenvalue is above
     eig_floor (it reads one triangle: every state is exactly Hermitian).
     Only if it fails, or a state is not finite, does one eigvalsh find the
-    first state below the floor.  max_trace_drift starts at rho0's and keeps
-    the worst drift checked.
+    first state below the floor.  max_trace_drift starts at rho0's (step 0)
+    and keeps the worst drift checked, max_trace_drift_step its first step.
     stacked: whether the error names the failing member as "state k".
     """
 
@@ -370,8 +375,7 @@ class _StepCheck:
         self.trace_tol, self.eig_floor = trace_tol, eig_floor
         self.floor = eig_floor * np.eye(dim)
         self.max_trace_drift = np.abs(rho0.trace(axis1=-2, axis2=-1).real - 1.0).max()
-        self.filled = 0
-        self.last_step = 0
+        self.filled = self.last_step = self.max_trace_drift_step = 0
 
     def slot(self) -> np.ndarray:
         """The buffer slot for the next state; checks a full buffer first."""
@@ -404,7 +408,10 @@ class _StepCheck:
             raise PropagationDiagnosticsError(
                 failure[1], first_step + step, member if self.stacked else None
             )
-        self.max_trace_drift = np.max(drift, initial=self.max_trace_drift)
+        if np.max(drift, initial=self.max_trace_drift) > self.max_trace_drift:
+            worst = int(np.argmax(drift))
+            self.max_trace_drift = drift[worst]
+            self.max_trace_drift_step = first_step + worst // self.members
 
     def _below_floor(self, states: np.ndarray) -> tuple[int, str] | None:
         """(index, message) of the first state that is not finite or has an
@@ -512,15 +519,18 @@ def integrate_master_equation(
             generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps)
         )
     k = np.empty((4, *rho.shape), dtype=complex)  # the stage derivatives
-    stage = np.empty_like(rho)
+    k1, k2, k3, k4 = k
+    stage = np.empty_like(rho)  # each stage's input, rho + scale * k
     t = t_start_ps
     for step in range(1, n_steps + 1):
         h_start, h_mid, h_end = next(hamiltonians)
-        liouvillian_apply(rho, h_start, generator, out=k[0])
-        for i, (h, scale) in enumerate(((h_mid, half_dt), (h_mid, half_dt), (h_end, dt))):
-            np.multiply(k[i], scale, out=stage)
-            stage += rho
-            liouvillian_apply(stage, h, generator, out=k[i + 1])
+        liouvillian_apply(rho, h_start, generator, out=k1)
+        np.add(np.multiply(k1, half_dt, out=stage), rho, out=stage)
+        liouvillian_apply(stage, h_mid, generator, out=k2)
+        np.add(np.multiply(k2, half_dt, out=stage), rho, out=stage)
+        liouvillian_apply(stage, h_mid, generator, out=k3)
+        np.add(np.multiply(k3, dt, out=stage), rho, out=stage)
+        liouvillian_apply(stage, h_end, generator, out=k4)
         # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); the slot may hold rho
         k[1:3] *= 2.0
         np.add.reduce(k, axis=0, out=stage)
@@ -545,6 +555,7 @@ def integrate_master_equation(
         h0_diag_mev=h0,
         n_steps=n_steps,
         max_trace_drift=check.max_trace_drift,
+        max_trace_drift_step=check.max_trace_drift_step,
     )
 
 

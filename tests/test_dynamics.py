@@ -306,6 +306,29 @@ class TestLiouvillian:
         bound += one_dot_bound(rho, h)
         assert np.all(np.abs(out - expected) <= bound + 2 * np.spacing(np.abs(expected)))
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("members", [1, 2, 8, 41])
+    @pytest.mark.parametrize("driven", [False, True], ids=["h0", "drive"])
+    @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
+    def test_stack_equals_member_calls(self, n, members, driven, with_channels):
+        # the stack's one product over its B*d rows rounds every member as a
+        # product of that member alone does, whether the stack is laid out
+        # as the integrator's buffers (C order) or with transposed members
+        rng = np.random.default_rng([n, members, driven, with_channels])
+        channels = [
+            LindbladChannel(kind, l, 0.1 * (l + 1))
+            for l in range(n) for kind in ("decay", "pure-dephasing")
+        ] if with_channels else []
+        generator = build_generator(rng.normal(scale=100.0, size=2**n), channels)
+        h = generator.h0
+        if driven:
+            h = drive_hamiltonian(generator, rng.normal(size=n) + 1j * rng.normal(size=n))
+        drawn = np.ascontiguousarray(hermitian(rng, members, 2**n))
+        for rho in (drawn, drawn.swapaxes(-1, -2).conj()):
+            out = liouvillian_apply(rho, h, generator)
+            assert out.shape == rho.shape
+            assert np.array_equal(out, [liouvillian_apply(member, h, generator) for member in rho])
+
 
 @st.composite
 def hermitian_stack_cases(draw):
@@ -619,6 +642,24 @@ class TestDriveBlocks:
         assert block < traj.n_steps < 2 * block  # one full block, one partial
         assert calls == [(3 * block,), (3 * (traj.n_steps - block),)]
 
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "stack"])
+    def test_liouvillian_apply_called_four_times_per_step(self, monkeypatch, members):
+        # perfbench's tracer wraps dynamics.liouvillian_apply by name and
+        # checks its count against the RK4 steps
+        shapes = []
+
+        def counting_apply(rho, h, generator, out):
+            shapes.append(rho.shape)
+            return liouvillian_apply(rho, h, generator, out)
+
+        monkeypatch.setattr(dynamics, "liouvillian_apply", counting_apply)
+        rho0 = basis_state_density(2, 0)
+        if members is not None:
+            rho0 = np.array([rho0] * members)
+        traj = propagate(rho0, self.SEQUENCE, two_dot_register(), self.CHANNELS, self.CONFIG)
+        assert len(shapes) == 4 * traj.n_steps
+        assert set(shapes) == {(members or 1, 4, 4)}
+
 
 class TestDiagnostics:
     def test_unstable_integration_raises_with_step_index(self):
@@ -721,6 +762,20 @@ class TestBatchedPositivity:
         traj = self.run(monkeypatch, {})
         assert traj.n_steps == self.N_STEPS
         assert np.array_equal(traj.final_state, basis_state_density(1, 0))
+
+    def drift(self, amount):
+        # rho_00, and with it the trace, moves by amount in one step
+        return np.diag([amount, 0.0]) / self.DT
+
+    def test_worst_trace_drift_names_its_first_step(self, monkeypatch):
+        assert self.run(monkeypatch, {}).max_trace_drift_step == 0
+        traj = self.run(monkeypatch, {3: self.drift(2e-8)})
+        assert (traj.max_trace_drift, traj.max_trace_drift_step) == (pytest.approx(2e-8), 3)
+        # 7e-8 in the partial last batch, back to 1e-8 one step later
+        step = 2 * self.SLOTS + 150
+        kicks = {3: self.drift(2e-8), step: self.drift(5e-8), step + 1: self.drift(-6e-8)}
+        traj = self.run(monkeypatch, kicks)
+        assert (traj.max_trace_drift, traj.max_trace_drift_step) == (pytest.approx(7e-8), step)
 
     @pytest.mark.parametrize("where", ["coherence", "diagonal"])
     def test_earliest_failure_wins_over_later_non_finite(self, monkeypatch, where):
@@ -907,6 +962,13 @@ class TestStackedDiagnostics:
             self.run(monkeypatch, {step: self.kick({0: self.NEGATIVE, 2: self.TRACE})})
         assert (err.value.step, err.value.state) == (step, 0)
 
+    def test_worst_trace_drift_names_its_step(self, monkeypatch):
+        up = np.diag([5e-8, 0.0]) / self.DT  # trace 1 + 5e-8
+        kicks = {4: self.kick({0: up / 5}), self.SLOTS + 5: self.kick({2: up})}
+        traj = self.run(monkeypatch, kicks)
+        assert traj.max_trace_drift == pytest.approx(5e-8)
+        assert traj.max_trace_drift_step == self.SLOTS + 5
+
     def test_bad_initial_member_is_named(self, monkeypatch):
         rho0 = np.array([basis_state_density(1, 0)] * 3)
         rho0[1] *= 2.0
@@ -1003,3 +1065,7 @@ class TestStackedPropagation:
             assert np.array_equal(stacked.coherences[:, k], run.coherences)
             assert np.allclose(stacked.occupations[:, k], run.occupations, rtol=0, atol=1e-14)
         assert stacked.max_trace_drift == max(run.max_trace_drift for run in singles)
+        assert stacked.max_trace_drift_step == min(
+            run.max_trace_drift_step for run in singles
+            if run.max_trace_drift == stacked.max_trace_drift
+        )

@@ -9,15 +9,17 @@ src/ on every configs/*.cfg and on the benchmark's five-dot chain
 and prints one line `<sha256>  <config>/<command>/<file>` for every file
 of ARTIFACTS, sorted by config.  simulate's manifest.cfg is hashed
 without its `# wall_clock_s` line, the one line that changes from run to
-run.  Two last lines `<repr(F)>  <name>/gate_fidelity` give the gate
+run.  Three last lines `<repr(F)>  <name>/gate_fidelity` give the gate
 fidelity of the config's first gate, computed as the benchmark's
-gate_fidelity workload does: cnot_fidelity_lindblad is the benchmark's
-CNOT with Lindblad channels (perfbench/workloads.CNOT_LINDBLAD_CFG), and
+gate_fidelity workload does, each from one propagation of a stack of
+reference states: cnot_fidelity_lindblad is the benchmark's CNOT with
+Lindblad channels (perfbench/workloads.CNOT_LINDBLAD_CFG),
 chain3_lindblad (CHAIN3_LINDBLAD_CFG below) a conditional rotation on a
 3-dot chain with a decay and a dephasing channel on every dot, the one
-multi-dot Lindblad run here.  Run it in two checkouts and `diff` the
-outputs to see whether a change kept the artifacts and the fidelities
-byte-identical.  Exits 1 if a run fails.
+multi-dot Lindblad run here, and cnot_coherent the benchmark's CNOT
+without its channels, the one coherent stack here (8 states).  Run it in
+two checkouts and `diff` the outputs to see whether a change kept the
+artifacts and the fidelities byte-identical.  Exits 1 if a run fails.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -70,6 +73,9 @@ dephasing.c = 0.04
 time_step_ps = 0.001
 """
 
+# The benchmark's CNOT with its [channels] section cut out.
+CNOT_COHERENT_CFG = re.sub(r"\[channels\]\n.*?\n\n", "", CNOT_LINDBLAD_CFG, flags=re.S)
+
 
 def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
     """The hash lines of one config, each command run into work/name/command."""
@@ -112,6 +118,7 @@ def main() -> int:
                 print(line, flush=True)
         print(fidelity_line("cnot_fidelity_lindblad", CNOT_LINDBLAD_CFG, work), flush=True)
         print(fidelity_line("chain3_lindblad", CHAIN3_LINDBLAD_CFG, work), flush=True)
+        print(fidelity_line("cnot_coherent", CNOT_COHERENT_CFG, work), flush=True)
     return 0
 
 
