@@ -34,12 +34,12 @@ Everything that stays fixed through a propagation is built once before
 the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
 the flat flip-pair indices and the dissipator's row table).  Each RK4
 stage is one liouvillian_apply, whose commutator is one product rho H over
-all B*d rows of the stack (bit for bit the per-member H rho for d >= 4 on
-this BLAS, within 4 ulps at d = 2) and exactly Hermitian, so every state
-is too once rho0 is Hermitized on entry.  _StepCheck tests every step's
-state, in batches of EIG_BATCH_BYTES: its trace drift against trace_tol,
-then its positivity by one Cholesky of the batch shifted by eig_floor, and
-eigvalsh only for a batch that fails it.
+all B*d rows of the stack (bit for bit the per-member H rho for d >= 4 with
+OpenBLAS 0.3.31, within 4 ulps at d = 2) and exactly Hermitian, so every
+state is too once rho0 is Hermitized on entry.  _StepCheck tests every
+step's state, in batches of EIG_BATCH_BYTES: its trace drift against
+trace_tol, then its positivity by one Cholesky of the batch shifted by
+eig_floor, and eigvalsh only for a batch that fails it.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
@@ -328,8 +328,8 @@ def liouvillian_apply(
     For a (B, d, d) stack, whose members all take h, w is one product over
     all B*d rows (a stack of one skips the reshapes), bit for bit B products
     of one member each, and the per-member (h rho)+ bit for bit for d >= 4
-    on this BLAS (within 4 ulps at d = 2).  The channels' one segmented sum
-    over the dissipator's row table keeps it so.  Writes into out if given.
+    with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The channels' segmented
+    sum over the dissipator's row table keeps it so.  Writes into out if given.
     """
     w = rho @ h if len(rho) == 1 else (rho.reshape(-1, rho.shape[-1]) @ h).reshape(rho.shape)
     out = np.subtract(np.conjugate(w.swapaxes(-1, -2), out=out), w, out=out)
