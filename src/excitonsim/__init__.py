@@ -73,7 +73,6 @@ from .pulses import (
     field_at,
     ideal_gate_unitary,
     pulse_amplitude,
-    tabulate_drive,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,6 +29,7 @@ from .errors import (
 from .model import ExcitonRegister, renormalized_energy
 from .pulses import PulseSequence
 
+MAX_SPECTRUM_POINTS = 1_000_000  # the largest energy grid of a spectrum
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_PAULI_Y, _PAULI_Y)
 
@@ -154,6 +155,7 @@ def absorption_spectrum(
 
     The grid reaches 40 linewidths past the outermost lines in steps of a
     50th of a linewidth, wide and fine enough to hold >= 99% of the weight.
+    A grid of over MAX_SPECTRUM_POINTS points raises InvalidParameterError.
     """
     lines = spectrum_lines(register, kind, patterns)
     if linewidth_mev <= 0:
@@ -164,7 +166,10 @@ def absorption_spectrum(
     pad = 40.0 * linewidth_mev * 1e-3
     gamma = linewidth_mev * 1e-3  # FWHM in eV
     step = gamma / 50.0
-    grid = np.arange(min(positions) - pad, max(positions) + pad + step, step)
+    start, stop = min(positions) - pad, max(positions) + pad + step
+    if not (step > 0 and (stop - start) / step <= MAX_SPECTRUM_POINTS):
+        raise InvalidParameterError(f"needs a grid of over {MAX_SPECTRUM_POINTS} points")
+    grid = np.arange(start, stop, step)
     intensity = np.zeros_like(grid)
     for line in lines:
         intensity += (gamma / (2.0 * math.pi)) / (

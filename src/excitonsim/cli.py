@@ -36,6 +36,7 @@ from .dynamics import Trajectory, basis_state_density, propagate, purity
 from .errors import (
     ConfigError,
     ExcitonSimError,
+    InvalidParameterError,
     PropagationDiagnosticsError,
     TimeStepError,
 )
@@ -92,11 +93,15 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
             *key,
         )
     lw = config.outputs.spectrum_linewidth_mev
-    for kind, patterns in (
-        ("excitonic", None),
-        ("biexcitonic", config.outputs.biexcitonic_conditioning),
-    ):
-        spectrum = absorption_spectrum(config.register, kind, patterns, linewidth_mev=lw)
+    patterns = {"excitonic": None, "biexcitonic": config.outputs.biexcitonic_conditioning}
+    try:  # both spectra before any file; a grid too fine to hold is the linewidth's
+        spectra = {
+            kind: absorption_spectrum(config.register, kind, kind_patterns, linewidth_mev=lw)
+            for kind, kind_patterns in patterns.items()
+        }
+    except InvalidParameterError as err:
+        raise ConfigError(str(err), "outputs", "spectrum_linewidth_mev") from err
+    for kind, spectrum in spectra.items():
         path = out_dir / f"spectrum_{kind}.csv"
         _write_spectrum(path, spectrum, kind)
         print(f"wrote {path} ({len(spectrum.lines)} lines)")

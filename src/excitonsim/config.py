@@ -15,9 +15,9 @@ dephasing.<dot> in [channels] (1/ps), and one gate per gate.<n> key in
 [program], ordered by index:
 
     [program]
-    gate.1 = rotation target=0 angle=pi/2
-    gate.2 = conditional-rotation target=1 angle=pi when=0:1 start=auto
-    gate.3 = cnot target=1 control=0
+    gate.1 = rotation target=a angle=pi/2
+    gate.2 = conditional-rotation target=b angle=pi when=a:1 start=auto
+    gate.3 = cnot target=b control=a
 
 An occupation pattern, e.g. a:1,b:0, gives each dot it names once an
 exciton occupation of 0 or 1: a gate's when= is one, and [outputs]
@@ -185,6 +185,15 @@ _ascending = _require(
     lambda v: np.all(v >= 0) and np.all(np.diff(v) > 0),
     "must be non-negative and strictly ascending",
 )
+# The device model squares widths, trap energies and the field, and cubes
+# widths: inside [1e-100, 1e100] none of those powers overflows or is 0.
+_scaled = _require(
+    lambda v: v.size > 0 and np.all((v >= 1e-100) & (v <= 1e100)),
+    "must lie in [1e-100, 1e100]",
+)
+_field = _require(lambda v: 0 <= v <= 1e100, "must lie in [0, 1e100]")
+_QUAD_REL_TOL = 50 * np.finfo(float).eps  # the least that scipy's quad accepts
+_quad_tol = _require(lambda v: v >= _QUAD_REL_TOL, f"must be at least {_QUAD_REL_TOL!r}")
 
 
 def _text(value: Any) -> str | None:
@@ -414,21 +423,21 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "band_gap_ev", _real, None,
         _geometry(attrgetter("material.band_gap_ev")), _positive),
     Key("device", "well_widths_nm", _reals, None,
-        _per_dot("well_width_nm"), _positive_list),
+        _per_dot("well_width_nm"), _scaled),
     Key("device", "hbar_omega_e_mev", _reals, None,
-        _per_dot("confinement_energy_e_mev"), _positive),
+        _per_dot("confinement_energy_e_mev"), _scaled),
     Key("device", "hbar_omega_h_mev", _reals, None,
-        _per_dot("confinement_energy_h_mev"), _positive),
+        _per_dot("confinement_energy_h_mev"), _scaled),
     Key("device", "barriers_nm", _reals, [],
         _geometry(attrgetter("barrier_widths_nm")), _positive),
     Key("device", "field_kv_cm", _real, 30.0,
-        attrgetter("device.structure.field_kv_cm"), _nonnegative),
+        attrgetter("device.structure.field_kv_cm"), _field),
     Key("device", "field_grid_kv_cm", _reals, [],
         attrgetter("device.field_grid_kv_cm"), _ascending),
     Key("device", "shift_pair", _pair(" ", parse_dot, "a b"), (0, 1),
         attrgetter("device.shift_pair"), dump=lambda pair: " ".join(map(dot_label, pair))),
     Key("device", "coulomb_rel_tol", _real, 1e-6,
-        attrgetter("device.coulomb_rel_tol"), _positive),
+        attrgetter("device.coulomb_rel_tol"), _quad_tol),
     Key("device", "dipoles", _reals, None,
         attrgetter("device.dipoles"), _nonnegative),
     Key("register", "energies_ev", _reals, None,
@@ -573,8 +582,8 @@ def _check_outputs(v: dict[str, Any], n_qubits: int) -> None:
                 "outputs",
                 "biexcitonic_conditioning",
             )
-    if pair is not None and max(pair) >= dim:
-        raise ConfigError(f"indices must be below {dim}", "outputs", "coherence_pair")
+    if pair is not None and (min(pair) < 0 or max(pair) >= dim):
+        raise ConfigError(f"indices must lie in 0..{dim - 1}", "outputs", "coherence_pair")
 
 
 def load_config(path: str) -> RunConfig:

@@ -30,16 +30,16 @@ row's start rather than 0.  That is exact up to roundoff and costs
 O(N 4^N) per call; the dense jump operators of channel_operator survive
 only as the tests' reference.
 
-Everything that stays fixed through a propagation is built once before
-the loop: the drive table (pulses.tabulate_drive) and the Generator (H0,
-the flat flip-pair indices and the dissipator's row table).  Each RK4
-stage is one liouvillian_apply, whose commutator is one product rho H over
-all B*d rows of the stack (bit for bit the per-member H rho for d >= 4 with
-OpenBLAS 0.3.31, within 4 ulps at d = 2) and exactly Hermitian, so every
-state is too once rho0 is Hermitized on entry.  _StepCheck tests every
-step's state, in batches of EIG_BATCH_BYTES: its trace drift against
-trace_tol, then its positivity by one Cholesky of the batch shifted by
-eig_floor, and eigvalsh only for a batch that fails it.
+What stays fixed through a propagation is built once before the loop:
+the Generator (H0, the flat flip-pair indices and the dissipator's row
+table).  Each RK4 stage is one liouvillian_apply, whose commutator is one
+product rho H over all B*d rows of the stack (bit for bit the per-member
+H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at d = 2) and
+exactly Hermitian, so every state is too once rho0 is Hermitized on
+entry.  _StepCheck tests every step's state, in batches of
+EIG_BATCH_BYTES: its trace drift against trace_tol, then its positivity by
+one Cholesky of the batch shifted by eig_floor, and eigvalsh only for a
+batch that fails it.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
@@ -72,7 +72,7 @@ from .model import (
     flip_pairs,
     lowering_operator,
 )
-from .pulses import PulseSequence, field_at, tabulate_drive
+from .pulses import PulseSequence, field_at
 
 
 def pure_state_density(vector: Sequence[complex]) -> np.ndarray:
@@ -562,12 +562,9 @@ def integrate_master_equation(
 def default_reference_energy(
     sequence: PulseSequence, register: ExcitonRegister
 ) -> float:
-    """Rotating-frame reference: exciton energy of the first pulse's dot."""
-    if len(sequence) > 0:
-        return float(
-            register.exciton_energies_ev[sequence.pulses[0].target_dipole]
-        )
-    return float(register.exciton_energies_ev[0])
+    """Rotating-frame reference: exciton energy of the first pulse's dot, else dot 0's."""
+    dot = sequence.pulses[0].target_dipole if len(sequence) > 0 else 0
+    return float(register.exciton_energies_ev[dot])
 
 
 def propagate(
@@ -586,28 +583,22 @@ def propagate(
     (extended to duration_ps when configured).
     """
     config = config or SimulationConfig()
-    if len(sequence) > 0:
-        tau_min = min(p.tau_ps for p in sequence)
-        if config.time_step_ps > tau_min / 20.0:
-            raise TimeStepError(
-                f"time step {config.time_step_ps} ps too coarse: must be at most "
-                f"tau_min/20 = {tau_min / 20.0:.3e} ps"
-            )
-
-    ref = (
-        config.reference_energy_ev
-        if config.reference_energy_ev is not None
-        else default_reference_energy(sequence, register)
-    )
+    tau_min = min((p.tau_ps for p in sequence), default=math.inf)
+    if config.time_step_ps > tau_min / 20.0:
+        raise TimeStepError(
+            f"time step {config.time_step_ps} ps too coarse: must be at most "
+            f"tau_min/20 = {tau_min / 20.0:.3e} ps"
+        )
+    ref = config.reference_energy_ev
+    if ref is None:
+        ref = default_reference_energy(sequence, register)
     occupancy = bit_table(register.n_qubits).sum(axis=1).astype(float)
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
-    table = tabulate_drive(sequence, register.transition_dipoles, ref)
 
     def drive(times: np.ndarray) -> np.ndarray:
-        return field_at(table, times)
+        return field_at(sequence, register.transition_dipoles, ref, times)
 
-    t_start = min(0.0, sequence.start_ps) if len(sequence) else 0.0
-    t_end = sequence.end_ps if len(sequence) else 0.0
+    t_start, t_end = min(0.0, sequence.start_ps), sequence.end_ps  # 0.0 without pulses
     if config.duration_ps is not None:
         t_end = max(t_end, t_start + config.duration_ps)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -148,7 +148,7 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class TimingPolicy:
-    """How the compiler chooses pulse durations and start times.
+    """How the compiler chooses pulse durations and their spacing.
 
     tau_ps None means: derive the duration from the selectivity budget
     (hbar / (fraction * smallest gap)); an explicit tau is validated
@@ -158,7 +158,6 @@ class TimingPolicy:
 
     tau_ps: float | None = None
     selectivity_fraction: float = 0.25
-    start_ps: float | None = None
     fallback_tau_ps: float = 0.1
     gap_factor: float = 8.0  # center-to-center spacing in units of tau
 
@@ -244,6 +243,7 @@ def compile_gate(
     register: ExcitonRegister,
     spec: GateSpec,
     policy: TimingPolicy = TimingPolicy(),
+    start_ps: float | None = None,
 ) -> PulseSequence:
     """Compile one gate into its pulse sequence.
 
@@ -251,6 +251,8 @@ def compile_gate(
     equal to the angle; cnot becomes a pi pulse conditioned on its control;
     unconditional-not emits one pi pulse per neighbor-occupation branch,
     ordered by ascending carrier energy and spaced gap_factor * tau apart.
+    The first pulse is centred at start_ps, or at ENVELOPE_CUTOFF * tau
+    when start_ps is None.
 
     A pulse rotates every neighbour pattern at its carrier, so a gate that
     must leave a pattern at the addressed frequency untouched (a condition
@@ -299,9 +301,7 @@ def compile_gate(
                 f"conditional frequencies of dot {dot_label(spec.target)}",
                 required_tau_ps=tau_required,
             )
-    first_center = (
-        policy.start_ps if policy.start_ps is not None else ENVELOPE_CUTOFF * tau
-    )
+    first_center = start_ps if start_ps is not None else ENVELOPE_CUTOFF * tau
     pulses = [
         Pulse(
             carrier_energy_ev=freqs[i],
@@ -331,9 +331,7 @@ def compile_program(
     cursor: float | None = None
     for gate_index, (spec, start) in enumerate(entries):
         try:
-            if start is None:
-                start = cursor  # None for the very first gate: compile default
-            seq = compile_gate(register, spec, replace(policy, start_ps=start))
+            seq = compile_gate(register, spec, policy, cursor if start is None else start)
         except (CompileError, InvalidGateError) as err:
             raise CompileError(f"gate {gate_index + 1}: {err}") from err
         pulses.extend(seq.pulses)
@@ -342,92 +340,52 @@ def compile_program(
     return PulseSequence(tuple(pulses))
 
 
-@dataclass(frozen=True)
-class DriveTable:
-    """The per-pulse constants of field_at, computed once per propagation.
-
-    Each row is (center_ps, ENVELOPE_CUTOFF * tau_ps, tau_ps,
-    0.5 * pulse_amplitude, detuning from the reference carrier (rad/ps),
-    phase_rad, dipoles, target dipole), so that field_at only does the work
-    that depends on the times.  The dipoles are stored as complex numbers,
-    which is what numpy casts them to in every product with a complex
-    amplitude.
-    """
-
-    n_dots: int
-    rows: tuple[tuple, ...]
-
-
-def tabulate_drive(
+def field_at(
     sequence: PulseSequence,
     dipoles: Sequence[float],
     reference_energy_ev: float,
-) -> DriveTable:
-    """DriveTable of a sequence in the frame rotating at reference_energy_ev.
+    t: float | np.ndarray,
+) -> np.ndarray:
+    """Per-dot drive amplitudes (meV) in the frame rotating at
+    reference_energy_ev: (N,) at one time t, or (T, N) at each time of a
+    1-D array t.
 
-    Raises InvalidParameterError for a pulse whose target dipole is not
-    positive.
+    sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) d / d_p:
+    each pulse reaches every dot, scaled by its dipole d over the dipole d_p
+    of the pulse's target_dipole, and the conjugate drives the lowering
+    part.  The envelope exp(-(t - center)^2 / (2 tau^2)) is cut to 0 beyond
+    ENVELOPE_CUTOFF durations from the center, so it never underflows.
+    Inside the window each term is formed in Python floats (x ** 2,
+    math.exp, cmath.exp), whose last bit numpy's square and exp do not
+    always match; only t - center, the window test and the dipole scaling
+    run on arrays, where numpy rounds as Python does.  So every amplitude is
+    bit for bit the formula's at one time or many, save a -0.0 that the sum
+    into zeros makes 0.0.  Each pulse's constants are formed before its
+    window test: a target dipole that is not positive raises
+    InvalidParameterError at any t.
     """
     dipoles = np.asarray(dipoles, dtype=float)
-    complex_dipoles = dipoles.astype(complex)
-    rows = []
+    complex_dipoles = dipoles.astype(complex)  # numpy's cast in each complex product
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    out = np.zeros((flat.size, dipoles.size), dtype=complex)
     for pulse in sequence:
-        d_target = dipoles[pulse.target_dipole]
-        omega0 = pulse_amplitude(pulse, d_target)
+        half_omega0 = 0.5 * pulse_amplitude(pulse, dipoles[pulse.target_dipole])
         detuning = (
             (pulse.carrier_energy_ev - reference_energy_ev)
             * units.MEV_PER_EV
             / units.HBAR_MEV_PS
         )
-        rows.append((
-            pulse.center_ps,
-            ENVELOPE_CUTOFF * pulse.tau_ps,
-            pulse.tau_ps,
-            0.5 * omega0,
-            detuning,
-            pulse.phase_rad,
-            complex_dipoles,
-            complex_dipoles[pulse.target_dipole],
-        ))
-    return DriveTable(dipoles.size, tuple(rows))
-
-
-def field_at(table: DriveTable, t: float | np.ndarray) -> np.ndarray:
-    """Per-dot rotating-frame drive amplitudes, meV: (N,) at one time t, or
-    (T, N) at each time of a 1-D array t.  Each pulse reaches every dot,
-    scaled by that dot's dipole over the dipole of its target_dipole.
-
-    The complex half-amplitude
-    sum_p Omega_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p)) relative to
-    the reference carrier omega_ref; its conjugate drives the lowering part.
-    The envelope exp(-(t - center)^2 / (2 tau^2)) is cut to 0 beyond
-    ENVELOPE_CUTOFF durations from the center.  Each pulse's terms are
-    formed at the times inside its window with the per-pulse formula in
-    Python floats (CPython's x ** 2, math.exp and cmath.exp), because
-    numpy's square and exp differ from those in the last bit; only the
-    offsets t - center, the window test and the dipole scaling run on
-    arrays, where numpy rounds as Python does.  So every amplitude is bit
-    for bit the formula's, at one time or many: the terms are added to
-    zeros in pulse order, which can turn a -0.0 into 0.0 and nothing else.
-    Inside the window |t - center| / tau is at most ENVELOPE_CUTOFF, so the
-    envelope never underflows to 0.
-    """
-    times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
-    out = np.zeros((flat.size, table.n_dots), dtype=complex)
-    for center, cutoff, tau, half_omega0, detuning, phase, dipoles, d_target in table.rows:
-        offsets = flat - center
-        inside = np.flatnonzero(~(np.abs(offsets) > cutoff))
-        if not inside.size:
-            continue
+        offsets = flat - pulse.center_ps
+        inside = np.flatnonzero(~(np.abs(offsets) > ENVELOPE_CUTOFF * pulse.tau_ps))
         values = np.array([
             half_omega0
-            * math.exp(-0.5 * (dt / tau) ** 2)
-            * cmath.exp(-1j * (detuning * ti + phase))
+            * math.exp(-0.5 * (dt / pulse.tau_ps) ** 2)
+            * cmath.exp(-1j * (detuning * ti + pulse.phase_rad))
             for dt, ti in zip(offsets[inside].tolist(), flat[inside].tolist())
         ])
-        out[inside] += values[:, None] * dipoles / d_target
-    return out.reshape(*times.shape, table.n_dots)
+        out[inside] += values[:, None] * complex_dipoles / complex_dipoles[pulse.target_dipole]
+    return out.reshape(*times.shape, dipoles.size)
 
 
 def ideal_gate_unitary(register: ExcitonRegister, spec: GateSpec) -> np.ndarray:

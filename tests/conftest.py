@@ -20,7 +20,7 @@ from excitonsim.dynamics import (
     purity,
 )
 from excitonsim.model import build_hamiltonian
-from excitonsim.pulses import ENVELOPE_CUTOFF, field_at, pulse_amplitude, tabulate_drive
+from excitonsim.pulses import ENVELOPE_CUTOFF, field_at, pulse_amplitude
 
 BELL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bell_two_dot.cfg"
 
@@ -47,12 +47,10 @@ def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, referenc
                 sp[idx | (1 << l), idx] = 1.0
         raising.append(sp)
 
-    table = tabulate_drive(sequence, register.transition_dipoles, reference_energy_ev)
-
     def rhs(t, y):
         rho = y.reshape(dim, dim)
         h = np.diag(h0).astype(complex)
-        amps = field_at(table, t)
+        amps = field_at(sequence, register.transition_dipoles, reference_energy_ev, t)
         for f_l, op in zip(amps, raising):
             h -= f_l * op + np.conj(f_l) * op.conj().T
         return ((-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)).ravel()
@@ -90,8 +88,8 @@ def _envelope(pulse, t):
 def _field_reference(sequence, t, dipoles, reference_energy_ev):
     """Per-dot rotating-frame drive amplitude at time t, pulse by pulse.
 
-    The scalar formula that pulses.field_at evaluates from a DriveTable,
-    written out from the Pulse fields at every call:
+    The scalar formula that pulses.field_at evaluates, written out one
+    time and one pulse at a time:
     sum_p Omega_p env_p(t)/2 exp(-i ((omega_p - omega_ref) t + phi_p))
     d / d_target.
     """

@@ -24,7 +24,6 @@ from excitonsim.model import ExcitonRegister
 from excitonsim.pulses import (
     GateSpec,
     PulseSequence,
-    TimingPolicy,
     compile_gate,
     ideal_gate_unitary,
 )
@@ -220,9 +219,7 @@ class TestGateFidelity:
         inverse = compile_gate(
             reg,
             GateSpec("rotation", 0, angle=2 * math.pi - theta),
-            policy=TimingPolicy(
-                start_ps=seq.pulses[-1].center_ps + 8 * seq.pulses[-1].tau_ps
-            ),
+            start_ps=seq.pulses[-1].center_ps + 8 * seq.pulses[-1].tau_ps,
         )
         both = PulseSequence(seq.pulses + inverse.pulses)
         config = SimulationConfig(time_step_ps=1e-3)

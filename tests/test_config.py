@@ -397,6 +397,7 @@ def with_line(section, line):
         ("outputs", "fidelity_target = 1 0 0 nanj", "[outputs] fidelity_target: "),
         ("outputs", "coherence_pair = a:b", "[outputs] coherence_pair: "),
         ("outputs", "coherence_pair = 0:9", "[outputs] coherence_pair: "),
+        ("outputs", "coherence_pair = -1:0", "[outputs] coherence_pair: "),
         (
             "outputs",
             "coherence_pair = 0",
@@ -448,15 +449,32 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
     assert err.startswith(f"error: {cfg}: {named}"), err
 
 
-@pytest.mark.parametrize("pattern", ["a:0", "a:1,b:1", "a:1,a:0,b:1", "b:1;a:1,0:0"])
-def test_bad_conditioning_stops_spectrum_before_any_file(pattern, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        *(
+            pytest.param(
+                f"biexcitonic_conditioning = {pattern}",
+                "[outputs] biexcitonic_conditioning: ",
+                id=pattern,
+            )
+            for pattern in ["a:0", "a:1,b:1", "a:1,a:0,b:1", "b:1;a:1,0:0"]
+        ),
+        # a grid of ~1e303 points, refused before it is allocated
+        pytest.param(
+            "spectrum_linewidth_mev = 1e-300",
+            "[outputs] spectrum_linewidth_mev: ",
+            id="linewidth=1e-300",
+        ),
+    ],
+)
+def test_bad_conditioning_stops_spectrum_before_any_file(line, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    line = f"biexcitonic_conditioning = {pattern}"
     cfg.write_text(with_line("outputs", line), encoding="utf-8")
     out = tmp_path / "out"
     rc = main(["spectrum", "--config", str(cfg), "--out-dir", str(out)])
     assert rc == 2
-    assert "[outputs] biexcitonic_conditioning: " in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not list(out.iterdir())
 
 
@@ -469,6 +487,32 @@ well_widths_nm = 5.0
 hbar_omega_e_mev = 20.0
 hbar_omega_h_mev = 10.0
 """
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "field_kv_cm = 1e300",
+        "well_widths_nm = 1e300",
+        "well_widths_nm = 1e-300",
+        "hbar_omega_e_mev = 1e300",
+        "hbar_omega_e_mev = 1e-300",
+        "hbar_omega_h_mev = 1e300",
+        "hbar_omega_h_mev = 1e-300",
+        "coulomb_rel_tol = 1e-300",
+    ],
+)
+def test_bad_device_value_exits_2_naming_its_key(line, tmp_path, capsys):
+    # finite values whose powers in the device model overflow or round to 0,
+    # and a tolerance below what the Coulomb quadrature accepts
+    key = line.partition("=")[0].strip()
+    lines = [l for l in ONE_DOT_DEVICE.splitlines() if not l.startswith(f"{key} =")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+    rc = main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [device] {key}: "), err
 
 
 @pytest.mark.parametrize(

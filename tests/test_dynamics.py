@@ -630,9 +630,9 @@ class TestDriveBlocks:
     def test_drive_called_once_per_block(self, monkeypatch):
         calls = []
 
-        def counting_field_at(table, times):
+        def counting_field_at(sequence, dipoles, reference_energy_ev, times):
             calls.append(np.shape(times))
-            return field_at(table, times)
+            return field_at(sequence, dipoles, reference_energy_ev, times)
 
         monkeypatch.setattr(dynamics, "field_at", counting_field_at)
         traj = propagate(

@@ -27,7 +27,6 @@ from excitonsim.pulses import (
     ideal_gate_unitary,
     pulse_amplitude,
     required_tau_ps,
-    tabulate_drive,
 )
 
 HBAR = units.HBAR_MEV_PS
@@ -328,13 +327,12 @@ def drive_cases(draw):
 class TestFieldAt:
     @given(drive_cases())
     @settings(max_examples=200, deadline=None)
-    def test_table_equals_per_pulse_reference(self, field_reference, case):
+    def test_scalar_and_array_times_equal_per_pulse_reference(self, field_reference, case):
         seq, dipoles, ref, times = case
-        table = tabulate_drive(seq, dipoles, ref)
         expected = np.array([field_reference(seq, t, dipoles, ref) for t in times])
         for t, amps in zip(times, expected):
-            assert np.array_equal(field_at(table, t), amps)
-        assert np.array_equal(field_at(table, np.array(times)), expected)
+            assert np.array_equal(field_at(seq, dipoles, ref, t), amps)
+        assert np.array_equal(field_at(seq, dipoles, ref, np.array(times)), expected)
 
     def test_array_equals_per_pulse_reference_on_a_grid(self, field_reference):
         # dyadic centres and durations, so that t - center is exact at the
@@ -352,7 +350,7 @@ class TestFieldAt:
             np.nextafter(edges, [-np.inf, np.inf, -np.inf, np.inf]),  # just outside
         ))
         expected = np.array([field_reference(seq, t, dipoles, ref) for t in times])
-        amps = field_at(tabulate_drive(seq, dipoles, ref), times)
+        amps = field_at(seq, dipoles, ref, times)
         assert amps.shape == (times.size, 2)
         assert np.array_equal(amps, expected)
         active = [sum(abs(t - p.center_ps) <= ENVELOPE_CUTOFF * p.tau_ps for p in seq)
@@ -364,7 +362,7 @@ class TestFieldAt:
     def test_zero_outside_support(self, register):
         seq = compile_gate(register, GateSpec("cnot", 1, conditions=((0, 1),)))
         t = seq.end_ps + 1.0
-        amps = field_at(tabulate_drive(seq, register.transition_dipoles, 1.71), t)
+        amps = field_at(seq, register.transition_dipoles, 1.71, t)
         assert np.array_equal(amps, np.zeros(2))
 
     def test_two_color_linearity(self, register):
@@ -373,16 +371,21 @@ class TestFieldAt:
         both = PulseSequence((p1, p2))
         t = 1.2
         ref = 1.71
-        sum_parts = field_at(
-            tabulate_drive(PulseSequence((p1,)), [1.0, 1.0], ref), t
-        ) + field_at(tabulate_drive(PulseSequence((p2,)), [1.0, 1.0], ref), t)
-        amps = field_at(tabulate_drive(both, [1.0, 1.0], ref), t)
+        sum_parts = field_at(PulseSequence((p1,)), [1.0, 1.0], ref, t) + field_at(
+            PulseSequence((p2,)), [1.0, 1.0], ref, t
+        )
+        amps = field_at(both, [1.0, 1.0], ref, t)
         assert np.allclose(amps, sum_parts, rtol=1e-12)
+
+    def test_zero_target_dipole_rejected_outside_every_window(self):
+        seq = PulseSequence((Pulse(1.71, 0.0, 0.1, math.pi, target_dipole=1),))
+        with pytest.raises(InvalidParameterError, match="zero transition dipole"):
+            field_at(seq, [1.0, 0.0], 1.71, seq.end_ps + 1.0)
 
     def test_global_addressing_scales_by_dipole_ratio(self):
         pulse = Pulse(1.71, 0.0, 0.1, math.pi, target_dipole=0)
         seq = PulseSequence((pulse,))
-        amps = field_at(tabulate_drive(seq, [1.0, 0.5], 1.71), 0.0)
+        amps = field_at(seq, [1.0, 0.5], 1.71, 0.0)
         assert amps[1] == pytest.approx(0.5 * amps[0], rel=1e-12)
 
 
