@@ -155,7 +155,8 @@ def absorption_spectrum(
 
     The grid reaches 40 linewidths past the outermost lines in steps of a
     50th of a linewidth, wide and fine enough to hold >= 99% of the weight.
-    A grid of over MAX_SPECTRUM_POINTS points raises InvalidParameterError.
+    A grid of over MAX_SPECTRUM_POINTS points, or one so wide that the
+    square of its span overflows, raises InvalidParameterError.
     """
     lines = spectrum_lines(register, kind, patterns)
     if linewidth_mev <= 0:
@@ -169,6 +170,8 @@ def absorption_spectrum(
     start, stop = min(positions) - pad, max(positions) + pad + step
     if not (step > 0 and (stop - start) / step <= MAX_SPECTRUM_POINTS):
         raise InvalidParameterError(f"needs a grid of over {MAX_SPECTRUM_POINTS} points")
+    if not (stop - start) * (stop - start) < math.inf:
+        raise InvalidParameterError("linewidth too wide: the squared grid span overflows")
     grid = np.arange(start, stop, step)
     intensity = np.zeros_like(grid)
     for line in lines:

@@ -679,5 +679,7 @@ def program_error(err: ExcitonSimError, config: RunConfig) -> ConfigError:
 
 
 def step_error(err: TimeStepError) -> ConfigError:
-    """A step too coarse for the shortest pulse, blamed on the step."""
-    return ConfigError(str(err), "integration", "time_step_ps")
+    """A step too coarse for the shortest pulse, or a window of too many
+    steps, blamed on the step, or on the duration if it set the window."""
+    key = "duration_ps" if getattr(err, "extended", False) else "time_step_ps"
+    return ConfigError(str(err), "integration", key)

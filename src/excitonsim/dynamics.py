@@ -13,10 +13,12 @@ straight into the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low>
 and -conj(f_l) at <low|H|high> of every pair that flips dot l.  The drive
 is evaluated once per DRIVE_BLOCK_STEPS steps, at all of their stage times
 t, t + dt/2 and t + dt in one field_at call (k2 and k3 share the
-midpoint), and each step writes its three stage Hamiltonians into the flip
-pairs of one (3, d, d) buffer that holds H0 (stage_hamiltonians).  field_at
-forms every amplitude with the per-pulse formula's own operations, so this
-is bit for bit the run that evaluates the drive stage by stage.
+midpoint).  The three stage Hamiltonians of a whole checked batch of steps
+(see below) are written by one gather and one scatter into the flip pairs
+of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians).
+field_at forms every amplitude with the per-pulse formula's own
+operations, so this is bit for bit the run that evaluates the drive stage
+by stage.
 
 The channels are applied through the bit table too, rather than as dense
 operator products: the whole dissipator is one sparse row table with one
@@ -31,15 +33,19 @@ O(N 4^N) per call; the dense jump operators of channel_operator survive
 only as the tests' reference.
 
 What stays fixed through a propagation is built once before the loop:
-the Generator (H0, the flat flip-pair indices and the dissipator's row
-table).  Each RK4 stage is one liouvillian_apply, whose commutator is one
-product rho H over all B*d rows of the stack (bit for bit the per-member
-H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at d = 2) and
-exactly Hermitian, so every state is too once rho0 is Hermitized on
-entry.  _StepCheck tests every step's state, in batches of
+the Generator (H0, the flat flip-pair indices, the dissipator's row table
+and -i/hbar), every buffer and their views.  Each RK4 stage is one
+liouvillian_apply, whose commutator is one product rho H over all B*d rows
+of the stack (bit for bit the per-member H rho for d >= 4 with OpenBLAS
+0.3.31, within 4 ulps at d = 2) and exactly Hermitian, so every state is
+too once rho0 is Hermitized on entry.  The second and third stages take
+the generator doubled and so give 2 k2 and 2 k3, whose stage inputs
+rho + (dt/4) (2 k2) and rho + (dt/2) (2 k3) are bit for bit those of k2
+and k3: a factor of 2 is exact in binary floating point, barring overflow
+and subnormals.  _StepCheck tests every step's state, in batches of
 EIG_BATCH_BYTES: its trace drift against trace_tol, then its positivity by
 one Cholesky of the batch shifted by eig_floor, and eigvalsh only for a
-batch that fails it.
+batch that fails it.  The loop runs a batch of S steps, then its check.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
@@ -57,13 +63,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import units
-from .errors import InvalidParameterError, PropagationDiagnosticsError, TimeStepError
+from .errors import (
+    InvalidParameterError,
+    PropagationDiagnosticsError,
+    StepCountError,
+    TimeStepError,
+)
 from .model import (
     ExcitonRegister,
     bit_table,
@@ -241,13 +252,27 @@ class Generator:
     own entry, even with a zero coefficient, because np.add.reduceat
     returns the element at an empty row's start instead of 0.  The values
     are real rates stored as complex, which numpy would cast them to in
-    every product with rho anyway.
+    every product with rho anyway.  scale is the commutator's factor
+    -i/hbar, a 0-d complex array, which numpy takes without a conversion.
     """
 
     h0: np.ndarray
     pairs: np.ndarray
     pair_dots: np.ndarray
     dissipator: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    scale: np.ndarray
+
+    def doubled(self) -> Generator:
+        """This generator times 2: the scale and the dissipator's values
+        doubled, component by component, so every derivative it gives is
+        bit for bit twice this one's (doubling is exact in binary floating
+        point, barring overflow and subnormals)."""
+        dissipator = self.dissipator
+        if dissipator is not None:
+            values, columns, row_starts = dissipator
+            dissipator = ((2.0 * values.real).astype(complex), columns, row_starts)
+        scale = np.array(complex(2.0 * self.scale.real, 2.0 * self.scale.imag))
+        return replace(self, dissipator=dissipator, scale=scale)
 
 
 def build_generator(
@@ -287,53 +312,84 @@ def build_generator(
             np.concatenate(columns)[order],
             np.searchsorted(rows[order], entries),
         )
-    return Generator(np.diag(h0).astype(complex), pairs, pair_dots, dissipator)
+    return Generator(
+        np.diag(h0).astype(complex), pairs, pair_dots, dissipator,
+        np.array(-1j / units.HBAR_MEV_PS),
+    )
 
 
 def stage_hamiltonians(
-    generator: Generator, blocks: Iterable[np.ndarray]
+    generator: Generator, blocks: Iterable[np.ndarray], out: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """H0 with the drive of each set of per-dot amplitudes in its flip pairs.
+    """Writes the drive of each set of per-dot amplitudes into the flip
+    pairs of out, len(out) sets at a time.
 
-    blocks yields (K, ..., N) arrays of amplitudes f (meV).  For each of the
-    K sets, in order, one (..., d, d) stack is yielded: H0 with
-    -f_l at <high|H|low> and -conj(f_l) at <low|H|high> of every flip pair
-    of dot l (each off-diagonal entry belongs to one pair).  The entries
-    0.0 - f and 0.0 - conj(f) are formed once per block; each set then
-    costs one gather and one scatter into a buffer that holds H0 and is
-    rewritten in place, so a yielded stack is valid until the next one.
+    blocks yields (K, ..., N) arrays of amplitudes f (meV), and out is a
+    C-contiguous (S, ..., d, d) stack of the generator's H0 (its ... axes
+    those of f).  Every S consecutive sets, in order, are written into
+    out's S entries, and the entries written are yielded: out, or out[:m]
+    for the last m < S sets.  A written entry is H0 with -f_l at
+    <high|H|low> and -conj(f_l) at <low|H|high> of every flip pair of dot l
+    (each off-diagonal entry belongs to one pair).  The entries 0.0 - f and
+    0.0 - conj(f) are formed once per block, and each group of S sets
+    costs one gather and one scatter; the rest of out keeps H0, and a
+    yielded stack is valid until the next.
     """
-    h = None
+    size, stages = len(out), math.prod(out.shape[1:-2])
+    n_dots = len(generator.h0).bit_length() - 1
+    stage = np.arange(size * stages)[:, None]
+    pairs = stage * generator.h0.size + generator.pairs
+    pair_dots = stage * 2 * n_dots + generator.pair_dots  # into (f, conj(f))
+    flat = out.reshape(-1)
+    rest = ()  # the sets of a block left over for the next group
     for f in blocks:
         entries = 0.0 - np.concatenate((f, np.conj(f)), axis=-1)
-        if h is None:
-            h = np.broadcast_to(generator.h0, (*f.shape[1:-1], *generator.h0.shape)).copy()
-            stage = np.arange(math.prod(f.shape[1:-1]))[:, None]
-            pairs = stage * generator.h0.size + generator.pairs
-            pair_dots = stage * entries.shape[-1] + generator.pair_dots
-            flat = h.reshape(-1)
-        for step_entries in entries:
-            flat[pairs] = step_entries.take(pair_dots)
-            yield h
+        if len(rest):
+            entries = np.concatenate((rest, entries))
+        n_full = len(entries) - len(entries) % size
+        for first in range(0, n_full, size):
+            flat[pairs] = entries[first : first + size].take(pair_dots)
+            yield out
+        rest = entries[n_full:]
+    if len(rest):
+        n = len(rest) * stages
+        flat[pairs[:n]] = rest.take(pair_dots[:n])
+        yield out[: len(rest)]
+
+
+def product_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A buffer for liouvillian_apply's product w = rho h of a rho of this
+    shape, (d, d) or (B, d, d): w as its B*d rows, w, and w's transposed
+    view."""
+    w = np.empty(shape, dtype=complex)
+    return w.reshape(-1, shape[-1]), w, w.swapaxes(-1, -2)
 
 
 def liouvillian_apply(
-    rho: np.ndarray, h: np.ndarray, generator: Generator, out: np.ndarray | None = None
+    rho: np.ndarray,
+    h: np.ndarray,
+    generator: Generator,
+    out: np.ndarray | None = None,
+    product: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units.
+    """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units,
+    times the generator's scale over -i/hbar.
 
     h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians,
     and rho must be Hermitian, so that h rho = (rho h)+: the commutator is
-    w+ - w of one product w = rho h, exactly Hermitian however w rounds.
-    For a (B, d, d) stack, whose members all take h, w is one product over
-    all B*d rows (a stack of one skips the reshapes), bit for bit B products
-    of one member each, and the per-member (h rho)+ bit for bit for d >= 4
-    with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The channels' segmented
-    sum over the dissipator's row table keeps it so.  Writes into out if given.
+    w+ - w of one product w = rho h, exactly Hermitian however w rounds,
+    and it is multiplied by generator.scale.  For a (B, d, d) stack, whose
+    members all take h, w is one product over all B*d rows, bit for bit B
+    products of one member each, and the per-member (h rho)+ bit for bit
+    for d >= 4 with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The
+    channels' segmented sum over the dissipator's row table keeps it so.
+    Writes into out if given, and w into product (product_buffer of rho's
+    shape) if given.
     """
-    w = rho @ h if len(rho) == 1 else (rho.reshape(-1, rho.shape[-1]) @ h).reshape(rho.shape)
-    out = np.subtract(np.conjugate(w.swapaxes(-1, -2), out=out), w, out=out)
-    out *= -1j / units.HBAR_MEV_PS
+    rows, w, w_t = product_buffer(rho.shape) if product is None else product
+    np.matmul(rho.reshape(rows.shape), h, rows)
+    out = np.subtract(np.conjugate(w_t, out=out), w, out=out)
+    out *= generator.scale
     if generator.dissipator is not None:
         values, columns, row_starts = generator.dissipator
         flat = rho.reshape(*rho.shape[:-2], -1)
@@ -345,54 +401,45 @@ def liouvillian_apply(
 
 # Each step's state is checked in batches of up to this many bytes of
 # states: one trace and one Cholesky call per batch instead of one test per
-# step, and one eigvalsh call only when the Cholesky fails.
+# step, and one eigvalsh call only when the Cholesky fails.  The batch's
+# length in steps is also that of each write of stage Hamiltonians, whose
+# buffer thus holds 3 times this many bytes.
 EIG_BATCH_BYTES = 64 * 1024
 
 
 class _StepCheck:
     """Every integration step's (B, d, d) stack, tested in batches.
 
-    Each step's stack is written into the next slot of a buffer and counted
-    by add().  check() raises for the first buffered state, in (step,
-    member) order, that a per-step test would fail: its trace drift is
-    above trace_tol (or not finite), or it is not finite, or it has an
-    eigenvalue below eig_floor.  Positivity is tested on the states before
-    the first trace failure by one batched Cholesky of each minus
-    eig_floor * I, which succeeds only if every smallest eigenvalue is above
-    eig_floor (it reads one triangle: every state is exactly Hermitian).
-    Only if it fails, or a state is not finite, does one eigvalsh find the
-    first state below the floor.  max_trace_drift starts at rho0's (step 0)
-    and keeps the worst drift checked, max_trace_drift_step its first step.
-    stacked: whether the error names the failing member as "state k".
+    Each step's stack is written into the next of the size slots of
+    states, and check() tests the slots filled.  It raises for the first
+    state, in (step, member) order, that a per-step test would fail: its
+    trace drift is above trace_tol (or not finite), or it is not finite, or
+    it has an eigenvalue below eig_floor.  Positivity is tested on the
+    states before the first trace failure by one batched Cholesky of each
+    minus eig_floor * I, which succeeds only if every smallest eigenvalue
+    is above eig_floor (it reads one triangle: every state is exactly
+    Hermitian).  Only if it fails, or a state is not finite, does one
+    eigvalsh find the first state below the floor.  max_trace_drift starts
+    at rho0's (step 0) and keeps the worst drift checked,
+    max_trace_drift_step its first step.  stacked: whether the error names
+    the failing member as "state k".
     """
 
     def __init__(self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool):
         members, dim = rho0.shape[0], rho0.shape[-1]
-        size = max(1, EIG_BATCH_BYTES // (16 * members * dim * dim))
-        self.states = np.empty((size, *rho0.shape), dtype=complex)
+        self.size = max(1, EIG_BATCH_BYTES // (16 * members * dim * dim))
+        self.states = np.empty((self.size, *rho0.shape), dtype=complex)
         self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
         self.members, self.stacked = members, stacked
         self.trace_tol, self.eig_floor = trace_tol, eig_floor
         self.floor = eig_floor * np.eye(dim)
         self.max_trace_drift = np.abs(rho0.trace(axis1=-2, axis2=-1).real - 1.0).max()
-        self.filled = self.last_step = self.max_trace_drift_step = 0
+        self.max_trace_drift_step = 0
 
-    def slot(self) -> np.ndarray:
-        """The buffer slot for the next state; checks a full buffer first."""
-        if self.filled == len(self.states):
-            self.check()
-        return self.states[self.filled]
-
-    def add(self, step: int) -> None:
-        """Count the slot just written as the state of this step."""
-        self.filled += 1
-        self.last_step = step
-
-    def check(self) -> None:
-        """Test the added states; raise for the first that fails."""
-        states = self.flat[: self.filled * self.members]
-        first_step = self.last_step - self.filled + 1
-        self.filled = 0
+    def check(self, first_step: int, filled: int) -> None:
+        """Test the first filled slots, the states of first_step on; raise
+        for the first that fails."""
+        states = self.flat[: filled * self.members]
         drift = np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0)
         traced = drift <= self.trace_tol
         n_traced = len(traced) if traced.all() else int(np.argmin(traced))
@@ -436,13 +483,31 @@ class _StepCheck:
 # stage times in one call.
 DRIVE_BLOCK_STEPS = 512
 
+# The most RK4 steps of one integration, over 250 times the 37,445 of
+# configs/device_derived.cfg; a window that needs more is refused before the
+# first step.
+MAX_STEPS = 10_000_000
+
+
+def _step_count(span_ps: float, time_step_ps: float, extended: bool = False) -> int:
+    """The steps of at most time_step_ps over a window of span_ps ps; more
+    than MAX_STEPS raise StepCountError, which carries extended."""
+    steps = span_ps / time_step_ps - 1e-12
+    if not steps <= MAX_STEPS:
+        raise StepCountError(
+            f"the {span_ps:.6g} ps window needs {steps:.3g} steps of "
+            f"{time_step_ps:.3g} ps, more than {MAX_STEPS}",
+            extended,
+        )
+    return max(int(math.ceil(steps)), 0)
+
 
 def _stage_amplitudes(
     drive: Callable[[np.ndarray], np.ndarray], t_start_ps: float, dt: float, n_steps: int
 ) -> Iterator[np.ndarray]:
     """The drive at each step's t, t + dt/2 and t + dt, as (K, 3, N) blocks
     of K = DRIVE_BLOCK_STEPS steps (the last block may be shorter), with
-    t = t_start + (step - 1) dt formed as the loop forms it."""
+    t = t_start + (step - 1) dt."""
     for first in range(0, n_steps, DRIVE_BLOCK_STEPS):
         t = t_start_ps + np.arange(first, min(first + DRIVE_BLOCK_STEPS, n_steps)) * dt
         times = np.stack((t, t + 0.5 * dt, t + dt), axis=-1)
@@ -465,12 +530,13 @@ def integrate_master_equation(
     share every step; the loop holds a single rho as a stack of one.
     drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
     (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps, and
-    each step's three stage Hamiltonians come from stage_hamiltonians' one
-    (3, d, d) buffer.  The requested step is shrunk to divide the window
-    exactly.  rho0 is Hermitized once; every state is then exactly Hermitian
-    (liouvillian_apply).  The trace is never re-normalized, its drift is a
-    diagnostic.  Every step's state is tested for trace drift and
-    positivity, in batches (_StepCheck).  A failure raises
+    stage_hamiltonians writes the three stage Hamiltonians of each checked
+    batch of steps into one buffer.  The requested step is shrunk to divide
+    the window exactly; a window of over MAX_STEPS steps raises
+    StepCountError.  rho0 is Hermitized once; every state is then exactly
+    Hermitian (liouvillian_apply).  The trace is never re-normalized, its
+    drift is a diagnostic.  Every step's state is tested for trace drift
+    and positivity, in batches (_StepCheck).  A failure raises
     PropagationDiagnosticsError naming the earliest failing step, and for a
     stack the lowest failing member at that step; a non-finite state fails
     too.  Samples are taken every sample_stride steps plus the final step.
@@ -492,9 +558,8 @@ def integrate_master_equation(
     span = t_end_ps - t_start_ps
     if span < 0:
         raise InvalidParameterError("integration window must not be reversed")
-    n_steps = max(int(math.ceil(span / config.time_step_ps - 1e-12)), 0)
+    n_steps = _step_count(span, config.time_step_ps)
     dt = span / n_steps if n_steps else 0.0
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
 
     pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
     if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
@@ -512,35 +577,46 @@ def integrate_master_equation(
 
     check = _StepCheck(rho, config.trace_tol, config.eig_floor, stacked=not single)
     sample(t_start_ps, rho)
+    # each step's H at t, t + dt/2 and t + dt, one checked batch of steps
+    # at a time, in a buffer that holds H0 and whose views are bound once
+    hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, dim, dim)).copy()
+    batch_hamiltonians = [tuple(h) for h in hamiltonians]
     if drive is None:
-        hamiltonians = itertools.repeat((generator.h0,) * 3)
-    else:  # H at t, t + dt/2 and t + dt
-        hamiltonians = stage_hamiltonians(
-            generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps)
+        writes = itertools.repeat(None)
+    else:
+        writes = stage_hamiltonians(
+            generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps), hamiltonians
         )
-    k = np.empty((4, *rho.shape), dtype=complex)  # the stage derivatives
+    doubled = generator.doubled()  # for 2 k2 and 2 k3
+    k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
     k1, k2, k3, k4 = k
     stage = np.empty_like(rho)  # each stage's input, rho + scale * k
-    t = t_start_ps
-    for step in range(1, n_steps + 1):
-        h_start, h_mid, h_end = next(hamiltonians)
-        liouvillian_apply(rho, h_start, generator, out=k1)
-        np.add(np.multiply(k1, half_dt, out=stage), rho, out=stage)
-        liouvillian_apply(stage, h_mid, generator, out=k2)
-        np.add(np.multiply(k2, half_dt, out=stage), rho, out=stage)
-        liouvillian_apply(stage, h_mid, generator, out=k3)
-        np.add(np.multiply(k3, dt, out=stage), rho, out=stage)
-        liouvillian_apply(stage, h_end, generator, out=k4)
-        # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); the slot may hold rho
-        k[1:3] *= 2.0
-        np.add.reduce(k, axis=0, out=stage)
-        stage *= sixth_dt
-        rho = np.add(stage, rho, out=check.slot())
-        check.add(step)
-        t = t_start_ps + step * dt
-        if step % config.sample_stride == 0 or step == n_steps:
-            sample(t, rho)
-    check.check()
+    product = product_buffer(rho.shape)
+    slots = list(check.states)
+    # 0-d complex arrays, which numpy multiplies by without converting them
+    quarter_dt, half_dt, sixth_dt = (
+        np.array(complex(x)) for x in (0.25 * dt, 0.5 * dt, dt / 6.0)
+    )
+    stride = config.sample_stride
+    for first in range(0, n_steps, check.size):
+        last = min(first + check.size, n_steps)
+        next(writes)
+        batch = zip(range(first + 1, last + 1), slots, batch_hamiltonians)
+        for step, slot, (h_start, h_mid, h_end) in batch:
+            liouvillian_apply(rho, h_start, generator, k1, product)
+            np.add(np.multiply(k1, half_dt, stage), rho, stage)
+            liouvillian_apply(stage, h_mid, doubled, k2, product)
+            np.add(np.multiply(k2, quarter_dt, stage), rho, stage)
+            liouvillian_apply(stage, h_mid, doubled, k3, product)
+            np.add(np.multiply(k3, half_dt, stage), rho, stage)
+            liouvillian_apply(stage, h_end, generator, k4, product)
+            # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); the slot may hold rho
+            np.add.reduce(k, axis=0, out=stage)
+            stage *= sixth_dt
+            rho = np.add(stage, rho, slot)
+            if step % stride == 0 or step == n_steps:
+                sample(t_start_ps + step * dt, rho)
+        check.check(first + 1, last - first)
 
     member = 0 if single else slice(None)  # a single state drops the member axis
     return Trajectory(
@@ -550,7 +626,7 @@ def integrate_master_equation(
         coherences=np.array(cohs)[:, member],
         coherence_pair=pair,
         final_state=rho[member].copy(),
-        final_time_ps=t,
+        final_time_ps=times[-1],
         reference_energy_ev=reference_energy_ev,
         h0_diag_mev=h0,
         n_steps=n_steps,
@@ -580,7 +656,9 @@ def propagate(
     Builds the Hamiltonian shifted by the reference energy per exciton and
     the rotating-frame drive from field_at, then runs the fixed-step
     integrator, with the channels' dissipator, over the sequence span
-    (extended to duration_ps when configured).
+    (extended to duration_ps when configured).  A window of over MAX_STEPS
+    steps raises StepCountError before any step, with extended telling
+    whether duration_ps set the window.
     """
     config = config or SimulationConfig()
     tau_min = min((p.tau_ps for p in sequence), default=math.inf)
@@ -599,8 +677,10 @@ def propagate(
         return field_at(sequence, register.transition_dipoles, ref, times)
 
     t_start, t_end = min(0.0, sequence.start_ps), sequence.end_ps  # 0.0 without pulses
-    if config.duration_ps is not None:
-        t_end = max(t_end, t_start + config.duration_ps)
+    extended = config.duration_ps is not None and t_start + config.duration_ps > t_end
+    if extended:
+        t_end = t_start + config.duration_ps
+    _step_count(t_end - t_start, config.time_step_ps, extended)  # refused before any step
 
     return integrate_master_equation(
         rho0,

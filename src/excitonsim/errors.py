@@ -13,6 +13,18 @@ class TimeStepError(InvalidParameterError):
     """An integration step too coarse for the shortest pulse."""
 
 
+class StepCountError(TimeStepError):
+    """An integration window that needs more steps than dynamics.MAX_STEPS.
+
+    ``extended`` tells whether the window was stretched past the pulses to
+    a configured duration.
+    """
+
+    def __init__(self, message: str, extended: bool = False):
+        super().__init__(message)
+        self.extended = extended
+
+
 class ConvergenceError(ExcitonSimError, RuntimeError):
     """Quadrature failed to reach the configured tolerance.
 

@@ -127,13 +127,17 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
     with bit l clear.  The stages run in propagate's order, and
     dynamics.liouvillian_apply applies each stage's H and the channels.
-    Two things are kept here on purpose that propagate no longer does: the
-    RK4 sum as seven in-place operations, ((k1 + 2 k2) + 2 k3) + k4 scaled
-    by dt/6 and added to rho, where propagate makes one np.add.reduce over
-    its four stages, and a re-Hermitization of every step's state, where
+    Three things are kept here on purpose that propagate no longer does:
+    k2 and k3 from the generator itself, with stage inputs at dt/2 and dt,
+    doubled only in the sum, where propagate takes 2 k2 and 2 k3 from a
+    doubled generator with stage inputs at dt/4 and dt/2; the RK4 sum as
+    seven in-place operations, ((k1 + 2 k2) + 2 k3) + k4 scaled by dt/6
+    and added to rho, where propagate makes one np.add.reduce over its
+    four stages; and a re-Hermitization of every step's state, where
     propagate's states are exactly Hermitian by construction.  A test that
-    finds propagate bit-equal to this loop thus also shows that the reduce
-    adds in that order and that the re-Hermitization is a no-op.  rho0 is
+    finds propagate bit-equal to this loop thus also shows that the
+    doubling is exact, that the reduce adds in that order and that the
+    re-Hermitization is a no-op.  rho0 is
     (d, d) or a (B, d, d) stack and must be exactly Hermitian (propagate
     Hermitizes its rho0 once); the window is the sequence's span, without
     propagate's checks and samples.
@@ -237,9 +241,9 @@ def _record_checked_states(monkeypatch, record):
     just before the integrator's step check tests it."""
     check = dynamics._StepCheck.check
 
-    def recording_check(self):
-        record(self.flat[: self.filled * self.members])
-        check(self)
+    def recording_check(self, first_step, filled):
+        record(self.flat[: filled * self.members])
+        check(self, first_step, filled)
 
     monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from excitonsim import dynamics
 from excitonsim.cli import main
 from excitonsim.config import (
     KEYS,
@@ -466,6 +467,12 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
             "[outputs] spectrum_linewidth_mev: ",
             id="linewidth=1e-300",
         ),
+        # a grid whose squared span overflows
+        pytest.param(
+            "spectrum_linewidth_mev = 1e300",
+            "[outputs] spectrum_linewidth_mev: ",
+            id="linewidth=1e300",
+        ),
     ],
 )
 def test_bad_conditioning_stops_spectrum_before_any_file(line, named, tmp_path, capsys):
@@ -576,3 +583,24 @@ def test_too_coarse_step_exits_2_naming_time_step(step, message, tmp_path, capsy
     assert rc == 2
     assert err.startswith(f"error: {cfg}: [integration] time_step_ps: "), err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("time_step_ps = 1e-300", "time_step_ps"),  # ~1e301 steps
+        ("time_step_ps = 1e-9", "time_step_ps"),  # ~3e9 steps
+        ("duration_ps = 1e300", "duration_ps"),
+        ("duration_ps = 1e4", "duration_ps"),  # 4e7 steps of the config's 2.5e-4 ps
+    ],
+)
+def test_window_of_too_many_steps_exits_2_before_any_file(line, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_line("integration", line), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [integration] {key}: "), err
+    assert f"more than {dynamics.MAX_STEPS}" in err
+    assert not list(out.iterdir())

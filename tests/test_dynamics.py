@@ -23,7 +23,11 @@ from excitonsim.dynamics import (
     stage_hamiltonians,
     validate_density_matrix,
 )
-from excitonsim.errors import InvalidParameterError, PropagationDiagnosticsError
+from excitonsim.errors import (
+    InvalidParameterError,
+    PropagationDiagnosticsError,
+    StepCountError,
+)
 from excitonsim.model import ExcitonRegister
 from excitonsim.pulses import (
     GateSpec,
@@ -197,7 +201,9 @@ def driven_channel_cases(draw):
 def drive_hamiltonian(generator, amps):
     """The Hamiltonian that stage_hamiltonians writes for one set of per-dot
     amplitudes."""
-    return next(stage_hamiltonians(generator, [amps[None]]))
+    h = generator.h0[None].copy()
+    next(stage_hamiltonians(generator, [amps[None]], h))
+    return h[0]
 
 
 def one_dot_bound(rho, h):
@@ -595,9 +601,11 @@ class TestIndependentIntegrator:
 
 
 class TestDriveBlocks:
-    """propagate evaluates the drive once per DRIVE_BLOCK_STEPS steps and
-    writes each step's stage Hamiltonians into one buffer; the result is bit
-    for bit that of a loop that builds every stage's H on its own."""
+    """propagate evaluates the drive once per DRIVE_BLOCK_STEPS steps, writes
+    the stage Hamiltonians of each checked batch of steps into one buffer
+    and forms 2 k2 and 2 k3 from a doubled generator; the result is bit for
+    bit that of a loop that builds every stage's H on its own and doubles
+    k2 and k3 after the fact."""
 
     SEQUENCE = PulseSequence(
         (
@@ -611,20 +619,63 @@ class TestDriveBlocks:
         LindbladChannel("pure-dephasing", 1, 0.2),
         LindbladChannel("decay", 1, 0.1),
     )
+    # a 3-dot register (d = 8) with a decay and a dephasing channel on
+    # every dot, and a third pulse on dot c
+    REGISTER_3 = ExcitonRegister(
+        np.array([1.70, 1.71, 1.72]),
+        np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 9.0], [0.0, 9.0, 0.0]]),
+    )
+    SEQUENCE_3 = PulseSequence(
+        (*SEQUENCE.pulses, Pulse(1.72, 0.3, 0.05, math.pi / 3, target_dipole=2))
+    )
+    CHANNELS_3 = tuple(
+        LindbladChannel(kind, l, 0.1 * (l + 1))
+        for l in range(3) for kind in ("decay", "pure-dephasing")
+    )
 
-    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
-    def test_equals_per_stage_reference(self, rk4_reference, stacked, with_channels):
+    @pytest.mark.parametrize(
+        "with_channels, stacked, dots",
+        [
+            pytest.param(
+                with_channels, stacked, dots,
+                id="-".join(
+                    ["channels" if with_channels else "coherent", "stack" if stacked else "single"]
+                    + (["3-dots"] if dots == 3 else [])
+                ),
+            )
+            for dots in (2, 3) for with_channels in (False, True) for stacked in (False, True)
+        ],
+    )
+    def test_equals_per_stage_reference(self, rk4_reference, with_channels, stacked, dots):
         rng = np.random.default_rng(11)
+        dim = 2**dots
         rho0 = (
-            np.array([random_density(rng, 4) for _ in range(3)])
+            np.array([random_density(rng, dim) for _ in range(3)])
             if stacked
-            else random_density(rng, 4)
+            else random_density(rng, dim)
         )
+        if dots == 2:
+            reg, sequence, channels = two_dot_register(), self.SEQUENCE, self.CHANNELS
+        else:
+            reg, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
+        channels = channels if with_channels else ()
+        traj = propagate(rho0, sequence, reg, channels, self.CONFIG)
+        # several checked batches, the last one partly filled
+        batch = dynamics.EIG_BATCH_BYTES // (16 * (3 if stacked else 1) * dim * dim)
+        assert batch < traj.n_steps and traj.n_steps % batch
+        expected = rk4_reference(rho0, sequence, reg, channels, self.CONFIG)
+        assert np.array_equal(traj.final_state, expected)
+
+    @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
+    def test_run_shorter_than_one_batch_equals_per_stage_reference(
+        self, rk4_reference, with_channels
+    ):
+        config = SimulationConfig(time_step_ps=2.5e-3)  # tau/20
+        rho0 = random_density(np.random.default_rng(12), 4)
         channels = self.CHANNELS if with_channels else ()
-        reg = two_dot_register()
-        traj = propagate(rho0, self.SEQUENCE, reg, channels, self.CONFIG)
-        expected = rk4_reference(rho0, self.SEQUENCE, reg, channels, self.CONFIG)
+        traj = propagate(rho0, self.SEQUENCE, two_dot_register(), channels, config)
+        assert traj.n_steps < dynamics.EIG_BATCH_BYTES // (16 * 4 * 4)
+        expected = rk4_reference(rho0, self.SEQUENCE, two_dot_register(), channels, config)
         assert np.array_equal(traj.final_state, expected)
 
     def test_drive_called_once_per_block(self, monkeypatch):
@@ -648,9 +699,9 @@ class TestDriveBlocks:
         # checks its count against the RK4 steps
         shapes = []
 
-        def counting_apply(rho, h, generator, out):
+        def counting_apply(rho, *args):
             shapes.append(rho.shape)
-            return liouvillian_apply(rho, h, generator, out)
+            return liouvillian_apply(rho, *args)
 
         monkeypatch.setattr(dynamics, "liouvillian_apply", counting_apply)
         rho0 = basis_state_density(2, 0)
@@ -690,6 +741,21 @@ class TestDiagnostics:
         assert err.value.step == 11
         assert str(err.value) == "non-finite density matrix at step 11"
 
+    def test_window_of_too_many_steps_is_refused_before_the_first_step(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
+
+        def run(t_end_ps, time_step_ps=1e-3):
+            return integrate_master_equation(
+                basis_state_density(1, 0), np.zeros(2), None, [], 0.0, t_end_ps,
+                SimulationConfig(time_step_ps=time_step_ps),
+            )
+
+        assert run(0.1).n_steps == 100
+        for t_end_ps, time_step_ps in [(0.101, 1e-3), (1e300, 1e-300)]:  # 101 and inf steps
+            with pytest.raises(StepCountError, match="more than 100$") as err:
+                run(t_end_ps, time_step_ps)
+            assert not err.value.extended
+
     def test_invalid_channel_parameters(self):
         with pytest.raises(InvalidParameterError):
             LindbladChannel("decay", 0, -1.0)
@@ -701,11 +767,14 @@ def kicked_apply(kicks):
     """A stand-in for dynamics.liouvillian_apply: d(rho)/dt is zero except
     during the steps named in kicks (four calls per RK4 step), where it is
     the given matrix, broadcast into out, rho's (B, d, d) stage buffer, so
-    one step moves rho by dt times it."""
+    one step moves rho by dt times it.  Like liouvillian_apply, it returns
+    the derivative times the generator's scale over -i/hbar: 2 for the
+    doubled generator of the second and third stage."""
     calls = itertools.count()
 
-    def apply(rho, h, generator, out):
-        out[...] = kicks.get(next(calls) // 4 + 1, 0.0)
+    def apply(rho, h, generator, out, product):
+        factor = (generator.scale / (-1j / HBAR)).real
+        out[...] = factor * np.asarray(kicks.get(next(calls) // 4 + 1, 0.0))
         return out
 
     return apply
@@ -825,10 +894,10 @@ def batched_verdict(states, eig_floor):
     no trace tolerance: only positivity is tested."""
     check = dynamics._StepCheck(states[:1], math.inf, eig_floor, stacked=False)
     try:
-        for step, state in enumerate(states, start=1):
-            check.slot()[0] = state
-            check.add(step)
-        check.check()
+        for first in range(0, len(states), check.size):
+            batch = states[first : first + check.size]
+            check.states[: len(batch), 0] = batch
+            check.check(first + 1, len(batch))
     except PropagationDiagnosticsError as err:
         return str(err), err.step
     return None
