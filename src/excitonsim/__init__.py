@@ -50,6 +50,7 @@ from .dynamics import (
     Trajectory,
     basis_state_density,
     build_generator,
+    liouville_generator,
     liouvillian_apply,
     propagate,
     pure_state_density,

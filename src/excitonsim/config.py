@@ -181,17 +181,28 @@ _at_least_one = _require(lambda v: np.all(v >= 1), "must be at least 1")
 _positive_list = _require(
     lambda v: v.size > 0 and np.all(v > 0), "must list positive values, one per dot"
 )
-_ascending = _require(
-    lambda v: np.all(v >= 0) and np.all(np.diff(v) > 0),
-    "must be non-negative and strictly ascending",
-)
-# The device model squares widths, trap energies and the field, and cubes
-# widths: inside [1e-100, 1e100] none of those powers overflows or is 0.
+# The device model squares and cubes well widths: inside [1e-100, 1e100]
+# none of those powers overflows or is 0.
 _scaled = _require(
     lambda v: v.size > 0 and np.all((v >= 1e-100) & (v <= 1e100)),
     "must lie in [1e-100, 1e100]",
 )
-_field = _require(lambda v: 0 <= v <= 1e100, "must lie in [0, 1e100]")
+# Physical windows of the other device inputs.  Outside them the model
+# leaves its range with no key to blame: below about 1.7 meV (electron) or
+# 0.7 meV (hole) of trap energy, or above about 270 kV/cm, the derived
+# exciton energy turns negative, and at masses of 1e-8 or 1e8 the Coulomb
+# quadrature does not converge.  Effective masses of real semiconductors
+# lie within [0.01, 10] free-electron masses, dot trap energies within
+# [5, 500] meV, and fields stay below GaAs's breakdown near 400 kV/cm.
+_mass = _require(lambda v: 0.01 <= v <= 10.0, "must lie in [0.01, 10]")
+_trap = _require(
+    lambda v: v.size > 0 and np.all((v >= 5.0) & (v <= 500.0)), "must lie in [5, 500] meV"
+)
+_field = _require(lambda v: 0 <= v <= 200.0, "must lie in [0, 200] kV/cm")
+_field_grid = _require(
+    lambda v: np.all((v >= 0) & (v <= 200.0)) and np.all(np.diff(v) > 0),
+    "must lie in [0, 200] kV/cm and ascend strictly",
+)
 _QUAD_REL_TOL = 50 * np.finfo(float).eps  # the least that scipy's quad accepts
 _quad_tol = _require(lambda v: v >= _QUAD_REL_TOL, f"must be at least {_QUAD_REL_TOL!r}")
 
@@ -415,9 +426,9 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "preset", _choice(GAAS_TWO_DOT_PRESET_NAME), None,
         attrgetter("device.preset")),
     Key("device", "electron_mass", _real, None,
-        _geometry(attrgetter("material.electron_effective_mass")), _positive),
+        _geometry(attrgetter("material.electron_effective_mass")), _mass),
     Key("device", "hole_mass", _real, None,
-        _geometry(attrgetter("material.hole_effective_mass")), _positive),
+        _geometry(attrgetter("material.hole_effective_mass")), _mass),
     Key("device", "epsilon_r", _real, None,
         _geometry(attrgetter("material.relative_permittivity")), _at_least_one),
     Key("device", "band_gap_ev", _real, None,
@@ -425,15 +436,15 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "well_widths_nm", _reals, None,
         _per_dot("well_width_nm"), _scaled),
     Key("device", "hbar_omega_e_mev", _reals, None,
-        _per_dot("confinement_energy_e_mev"), _scaled),
+        _per_dot("confinement_energy_e_mev"), _trap),
     Key("device", "hbar_omega_h_mev", _reals, None,
-        _per_dot("confinement_energy_h_mev"), _scaled),
+        _per_dot("confinement_energy_h_mev"), _trap),
     Key("device", "barriers_nm", _reals, [],
         _geometry(attrgetter("barrier_widths_nm")), _positive),
     Key("device", "field_kv_cm", _real, 30.0,
         attrgetter("device.structure.field_kv_cm"), _field),
     Key("device", "field_grid_kv_cm", _reals, [],
-        attrgetter("device.field_grid_kv_cm"), _ascending),
+        attrgetter("device.field_grid_kv_cm"), _field_grid),
     Key("device", "shift_pair", _pair(" ", parse_dot, "a b"), (0, 1),
         attrgetter("device.shift_pair"), dump=lambda pair: " ".join(map(dot_label, pair))),
     Key("device", "coulomb_rel_tol", _real, 1e-6,

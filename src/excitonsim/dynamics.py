@@ -15,7 +15,9 @@ is evaluated once per DRIVE_BLOCK_STEPS steps, at all of their stage times
 t, t + dt/2 and t + dt in one field_at call (k2 and k3 share the
 midpoint).  The three stage Hamiltonians of a whole checked batch of steps
 (see below) are written by one gather and one scatter into the flip pairs
-of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians).
+of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians),
+or in the Liouville form below into the d copies of every pair in a
+(S, 3, d^2, d^2) buffer that holds M0.
 field_at forms every amplitude with the per-pulse formula's own
 operations, so this is bit for bit the run that evaluates the drive stage
 by stage.
@@ -32,20 +34,40 @@ row's start rather than 0.  That is exact up to roundoff and costs
 O(N 4^N) per call; the dense jump operators of channel_operator survive
 only as the tests' reference.
 
+Each stage takes one of two forms.  The row table above serves every run
+without channels and every run of more than LIOUVILLE_MAX_DIM = 8 basis
+states (N >= 4).  A run with channels on N <= 3 dots takes the Liouville
+form instead (liouville_generator): the stage matrix is the (d^2, d^2)
+M = I (x) H + G of the row-major vec(rho), with G = D^T / (-2 scale) the
+row table written as a dense matrix D, so one vector-matrix product per
+member, w = vec(rho) M, holds rho H plus X = D(rho) / (-2 scale), and
+nothing else touches the dissipator.  The commutator's scale (w+ - w)
+stays: for the pure-imaginary scale = -i/hbar and a Hermitian rho,
+scale (X+ - X) is D(rho), because D(rho) is Hermitian and conj(scale) =
+-scale, and scale (Y+ - Y) is exactly Hermitian for any Y, since the
+product by a pure-imaginary number rounds the entries (i, j) and (j, i)
+of Y+ - Y = -(Y+ - Y)+ to exact conjugates.  The cut is set by measurement:
+at N <= 3 one apply of the Liouville form costs 45-75 % of the row
+table's, at N = 4 over 100 % (LIOUVILLE_MAX_DIM), and its d^4 entries
+would no longer fit a small buffer.
+
 What stays fixed through a propagation is built once before the loop:
-the Generator (H0, the flat flip-pair indices, the dissipator's row table
-and -i/hbar), every buffer and their views.  Each RK4 stage is one
-liouvillian_apply, whose commutator is one product rho H over all B*d rows
-of the stack (bit for bit the per-member H rho for d >= 4 with OpenBLAS
-0.3.31, within 4 ulps at d = 2) and exactly Hermitian, so every state is
-too once rho0 is Hermitized on entry.  The second and third stages take
-the generator doubled and so give 2 k2 and 2 k3, whose stage inputs
-rho + (dt/4) (2 k2) and rho + (dt/2) (2 k3) are bit for bit those of k2
-and k3: a factor of 2 is exact in binary floating point, barring overflow
-and subnormals.  _StepCheck tests every step's state, in batches of
-EIG_BATCH_BYTES: its trace drift against trace_tol, then its positivity by
-one Cholesky of the batch shifted by eig_floor, and eigvalsh only for a
-batch that fails it.  The loop runs a batch of S steps, then its check.
+the Generator (H0, or M0 in the Liouville form, the flat flip-pair
+indices, the dissipator's row table and -i/hbar), every buffer and their
+views.  Each RK4 stage is one liouvillian_apply, whose commutator is one
+product rho H over all B*d rows of the stack (bit for bit the per-member
+H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at d = 2), or one
+vector-matrix product vec(rho) M per member in the Liouville form, and
+exactly Hermitian, so every state is too once rho0 is Hermitized on
+entry.  The second and third stages take the generator doubled and so
+give 2 k2 and 2 k3, whose stage inputs rho + (dt/4) (2 k2) and
+rho + (dt/2) (2 k3) are bit for bit those of k2 and k3: a factor of 2 is
+exact in binary floating point, barring overflow and subnormals.
+_StepCheck tests every step's state, in batches of EIG_BATCH_BYTES, cut
+shorter where the batch's stage matrices would pass 6 EIG_BATCH_BYTES:
+its trace drift against trace_tol, then its positivity by one Cholesky of
+the batch shifted by eig_floor, and eigvalsh only for a batch that fails
+it.  The loop runs a batch of S steps, then its check.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
@@ -254,6 +276,15 @@ class Generator:
     are real rates stored as complex, which numpy would cast them to in
     every product with rho anyway.  scale is the commutator's factor
     -i/hbar, a 0-d complex array, which numpy takes without a conversion.
+    n_dots is N.
+
+    In the Liouville form of liouville_generator, taken with channels on
+    registers of up to LIOUVILLE_MAX_DIM basis states, h0 is instead the
+    (d^2, d^2) M0 = I (x) H0 + G, G = D^T / (-2 scale) the row table as a
+    dense matrix, pairs the flat (d^4) indices of the d copies of every
+    flip-pair entry, and dissipator None: liouvillian_apply's one product
+    applies the whole generator, and scale (w+ - w) is exactly Hermitian
+    and equals -(i/hbar)[H, rho] + D(rho) because scale is pure imaginary.
     """
 
     h0: np.ndarray
@@ -261,6 +292,7 @@ class Generator:
     pair_dots: np.ndarray
     dissipator: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     scale: np.ndarray
+    n_dots: int
 
     def doubled(self) -> Generator:
         """This generator times 2: the scale and the dissipator's values
@@ -314,7 +346,40 @@ def build_generator(
         )
     return Generator(
         np.diag(h0).astype(complex), pairs, pair_dots, dissipator,
-        np.array(-1j / units.HBAR_MEV_PS),
+        np.array(-1j / units.HBAR_MEV_PS), n_qubits,
+    )
+
+
+def liouville_generator(generator: Generator) -> Generator:
+    """The generator with channels in Liouville form, for registers of up to
+    LIOUVILLE_MAX_DIM basis states.
+
+    h0 becomes the (d^2, d^2) matrix M0 = I (x) H0 + G of the row-major
+    vec(rho), with G = D^T / (-2 scale) for the (d^2, d^2) matrix D of the
+    row table (d(rho)/dt.flat = D rho.flat), and vec(rho) M0 is then
+    vec(rho H0 + X) for X = D(rho) / (-2 scale).  Every flip-pair entry
+    <k|H|j> is written at its d copies ((i d + k) d^2 + i d + j), which are
+    off M0's diagonal and off G's jump entries ((i|2^l) d + (j|2^l), i d + j),
+    so a drive write never meets G.  G's entries are imaginary and those of
+    I (x) H0 real on the diagonal, so their sum rounds neither.  The
+    dissipator is None: liouvillian_apply's scale (w+ - w) of w = rho M,
+    for a pure-imaginary scale and a Hermitian rho, gives -(i/hbar)[H, rho]
+    + D(rho).  The doubled generator doubles only the scale, and G stays,
+    because it holds 1/scale.
+    """
+    dim = len(generator.h0)
+    values, columns, row_starts = generator.dissipator
+    rows = np.repeat(np.arange(dim * dim), np.diff(row_starts, append=len(values)))
+    dense = np.zeros((dim * dim, dim * dim))
+    dense[rows, columns] = values.real  # each (row, column) holds one term
+    copies = np.arange(dim)[:, None] * (dim * dim + 1)  # (i d) d^2 + i d
+    row, column = np.divmod(generator.pairs, dim)
+    return replace(
+        generator,
+        h0=np.kron(np.eye(dim), generator.h0) + dense.T / (-2.0 * generator.scale),
+        pairs=(copies * dim + row * dim * dim + column).ravel(),
+        pair_dots=np.tile(generator.pair_dots, dim),
+        dissipator=None,
     )
 
 
@@ -336,10 +401,9 @@ def stage_hamiltonians(
     yielded stack is valid until the next.
     """
     size, stages = len(out), math.prod(out.shape[1:-2])
-    n_dots = len(generator.h0).bit_length() - 1
     stage = np.arange(size * stages)[:, None]
     pairs = stage * generator.h0.size + generator.pairs
-    pair_dots = stage * 2 * n_dots + generator.pair_dots  # into (f, conj(f))
+    pair_dots = stage * 2 * generator.n_dots + generator.pair_dots  # into (f, conj(f))
     flat = out.reshape(-1)
     rest = ()  # the sets of a block left over for the next group
     for f in blocks:
@@ -357,12 +421,17 @@ def stage_hamiltonians(
         yield out[: len(rest)]
 
 
-def product_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A buffer for liouvillian_apply's product w = rho h of a rho of this
-    shape, (d, d) or (B, d, d): w as its B*d rows, w, and w's transposed
-    view."""
+def product_buffer(
+    shape: tuple[int, ...], liouville: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A buffer for liouvillian_apply's product w of a rho of this shape,
+    (d, d) or (B, d, d): w's rows, w, and w's transposed view.  The rows
+    are w's B*d rows of w = rho h, or in the Liouville form its B members
+    as (B, 1, d^2) rows, so that every member is its own vector-matrix
+    product, bit for bit that of a run of its own."""
     w = np.empty(shape, dtype=complex)
-    return w.reshape(-1, shape[-1]), w, w.swapaxes(-1, -2)
+    rows = w.reshape(-1, 1, shape[-1] ** 2) if liouville else w.reshape(-1, shape[-1])
+    return rows, w, w.swapaxes(-1, -2)
 
 
 def liouvillian_apply(
@@ -383,10 +452,15 @@ def liouvillian_apply(
     products of one member each, and the per-member (h rho)+ bit for bit
     for d >= 4 with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The
     channels' segmented sum over the dissipator's row table keeps it so.
+    In the Liouville form (liouville_generator), h is a (d^2, d^2) stage
+    matrix M, w = vec(rho) M holds rho H plus the dissipator's X, and the
+    same scale (w+ - w) is the whole generator, exactly Hermitian too.
     Writes into out if given, and w into product (product_buffer of rho's
-    shape) if given.
+    shape and h's form) if given.
     """
-    rows, w, w_t = product_buffer(rho.shape) if product is None else product
+    if product is None:
+        product = product_buffer(rho.shape, len(h) != rho.shape[-1])
+    rows, w, w_t = product
     np.matmul(rho.reshape(rows.shape), h, rows)
     out = np.subtract(np.conjugate(w_t, out=out), w, out=out)
     out *= generator.scale
@@ -403,8 +477,21 @@ def liouvillian_apply(
 # states: one trace and one Cholesky call per batch instead of one test per
 # step, and one eigvalsh call only when the Cholesky fails.  The batch's
 # length in steps is also that of each write of stage Hamiltonians, whose
-# buffer thus holds 3 times this many bytes.
+# buffer of 3 (D, D) matrices per step (D = d, or d^2 in the Liouville form)
+# is held to 6 times this many bytes, 384 KiB: a batch is cut to
+# EIG_BATCH_BYTES // (8 D^2) steps where it would exceed that, which only
+# the Liouville form does (32 steps at d = 4, 2 at d = 8).
 EIG_BATCH_BYTES = 64 * 1024
+
+# Registers of up to this many basis states apply their channels in the
+# Liouville form (liouville_generator).  One liouvillian_apply with a decay
+# and a dephasing channel on every dot, row table -> Liouville form, on a
+# 2-core Xeon KVM guest with one OpenBLAS thread: N = 2 16.8 -> 7.7 us
+# (B = 1) and 21.3 -> 10.3 us (B = 8); N = 3 18.8 -> 10.2 us (B = 1) and
+# 47.3 -> 34.8 us (B = 14); N = 4 25.9 -> 30.9 us (B = 1) and
+# 247 -> 510 us (B = 24).  At N = 3 a whole step still gains about 15 %
+# with the 2-step batches of the stage buffer's bound (EIG_BATCH_BYTES).
+LIOUVILLE_MAX_DIM = 8
 
 
 class _StepCheck:
@@ -425,9 +512,15 @@ class _StepCheck:
     the failing member as "state k".
     """
 
-    def __init__(self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool):
+    def __init__(
+        self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool,
+        stage_dim: int | None = None,
+    ):
         members, dim = rho0.shape[0], rho0.shape[-1]
-        self.size = max(1, EIG_BATCH_BYTES // (16 * members * dim * dim))
+        stage_bytes = 48 * (stage_dim or dim) ** 2  # 3 stage matrices per step
+        self.size = max(1, min(
+            EIG_BATCH_BYTES // (16 * members * dim * dim), 6 * EIG_BATCH_BYTES // stage_bytes
+        ))
         self.states = np.empty((self.size, *rho0.shape), dtype=complex)
         self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
         self.members, self.stacked = members, stacked
@@ -554,6 +647,10 @@ def integrate_master_equation(
     if h0.shape != (dim,):
         raise InvalidParameterError("diagonal Hamiltonian does not match state size")
     generator = build_generator(h0, channels)
+    liouville = generator.dissipator is not None and dim <= LIOUVILLE_MAX_DIM
+    if liouville:
+        generator = liouville_generator(generator)
+    stage_dim = len(generator.h0)
 
     span = t_end_ps - t_start_ps
     if span < 0:
@@ -575,11 +672,12 @@ def integrate_master_equation(
         occs.append([diag @ m for m in occupation_masks])
         cohs.append(state[:, pair[0], pair[1]].copy())
 
-    check = _StepCheck(rho, config.trace_tol, config.eig_floor, stacked=not single)
+    check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, stage_dim)
     sample(t_start_ps, rho)
-    # each step's H at t, t + dt/2 and t + dt, one checked batch of steps
-    # at a time, in a buffer that holds H0 and whose views are bound once
-    hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, dim, dim)).copy()
+    # each step's H (or M) at t, t + dt/2 and t + dt, one checked batch of
+    # steps at a time, in a buffer that holds H0 (M0) and whose views are
+    # bound once
+    hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, stage_dim, stage_dim)).copy()
     batch_hamiltonians = [tuple(h) for h in hamiltonians]
     if drive is None:
         writes = itertools.repeat(None)
@@ -591,7 +689,7 @@ def integrate_master_equation(
     k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
     k1, k2, k3, k4 = k
     stage = np.empty_like(rho)  # each stage's input, rho + scale * k
-    product = product_buffer(rho.shape)
+    product = product_buffer(rho.shape, liouville)
     slots = list(check.states)
     # 0-d complex arrays, which numpy multiplies by without converting them
     quarter_dt, half_dt, sixth_dt = (

@@ -12,27 +12,36 @@ from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
 from excitonsim.dynamics import (
     build_generator,
+    channel_operator,
     default_reference_energy,
     integrate_master_equation,
+    liouville_generator,
     liouvillian_apply,
     propagate,
     pure_state_density,
     purity,
 )
 from excitonsim.model import build_hamiltonian
-from excitonsim.pulses import ENVELOPE_CUTOFF, field_at, pulse_amplitude
+from excitonsim.pulses import ENVELOPE_CUTOFF, pulse_amplitude
 
 BELL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bell_two_dot.cfg"
 
 
-def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, reference_energy_ev):
-    """Final density matrix of a coherent run from scipy's adaptive RK45.
+def _adaptive_reference(
+    register, sequence, rho0, t_start_ps, t_end_ps, reference_energy_ev, channels=()
+):
+    """Final density matrix, or (B, d, d) stack, of a run from scipy's
+    adaptive RK45.
 
     An independent route to the state that dynamics.propagate reaches in
     the rotating frame at reference_energy_ev: the Hamiltonian and the
     sigma+ operators are rebuilt here from the basis-index bit patterns,
-    and the Liouville-von Neumann equation is integrated by solve_ivp
-    (rtol 1e-10, atol 1e-12) instead of the fixed-step RK4 loop.
+    the drive is _field_reference's per-pulse formula, the channels enter
+    as sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) of their dense jump
+    operators (dynamics.channel_operator), and the master equation is
+    integrated by solve_ivp (rtol 1e-10, atol 1e-12) instead of the
+    fixed-step RK4 loop.  No arithmetic is shared with dynamics' generator
+    or with pulses.field_at.
     """
     dim = 2**register.n_qubits
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
@@ -46,14 +55,20 @@ def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, referenc
             if not (idx >> l) & 1:
                 sp[idx | (1 << l), idx] = 1.0
         raising.append(sp)
+    jumps = [channel_operator(register, ch).astype(complex) for ch in channels]
+    decays = [lk.conj().T @ lk for lk in jumps]
+    shape = np.shape(rho0)
 
     def rhs(t, y):
-        rho = y.reshape(dim, dim)
+        rho = y.reshape(-1, dim, dim)
         h = np.diag(h0).astype(complex)
-        amps = field_at(sequence, register.transition_dipoles, reference_energy_ev, t)
+        amps = _field_reference(sequence, t, register.transition_dipoles, reference_energy_ev)
         for f_l, op in zip(amps, raising):
             h -= f_l * op + np.conj(f_l) * op.conj().T
-        return ((-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)).ravel()
+        out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
+        for lk, lk_dag_lk in zip(jumps, decays):
+            out += lk @ rho @ lk.conj().T - 0.5 * (lk_dag_lk @ rho + rho @ lk_dag_lk)
+        return out.ravel()
 
     sol = solve_ivp(
         rhs,
@@ -63,7 +78,7 @@ def _adaptive_reference(register, sequence, rho0, t_start_ps, t_end_ps, referenc
         atol=1e-12,
         max_step=0.05,
     )
-    return sol.y[:, -1].reshape(dim, dim)
+    return sol.y[:, -1].reshape(shape)
 
 
 @pytest.fixture
@@ -71,7 +86,8 @@ def adaptive_reference():
     """The adaptive solve_ivp cross-check as a callable.
 
     Call it as adaptive_reference(register, sequence, rho0, t_start_ps,
-    t_end_ps, reference_energy_ev); it returns the final density matrix.
+    t_end_ps, reference_energy_ev, channels=()); it returns the final
+    density matrix, or stack, of rho0's shape.
     """
     return _adaptive_reference
 
@@ -152,6 +168,10 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
     generator = build_generator(h0, channels)
+    dissipator = None  # G of the Liouville form, where propagate takes it
+    if channels and dim <= dynamics.LIOUVILLE_MAX_DIM:
+        generator = liouville_generator(generator)
+        dissipator = generator.h0 - np.kron(np.eye(dim), np.diag(h0))
 
     def dense_h(t):
         f = _field_reference(sequence, t, register.transition_dipoles, ref)
@@ -161,7 +181,7 @@ def _rk4_reference(rho0, sequence, register, channels, config):
                 if not (idx >> l) & 1:
                     h[idx | (1 << l), idx] = 0.0 - f[l]
                     h[idx, idx | (1 << l)] = 0.0 - np.conj(f[l])
-        return h
+        return h if dissipator is None else np.kron(np.eye(dim), h) + dissipator
 
     t_start = min(0.0, sequence.start_ps)
     span = sequence.end_ps - t_start

@@ -507,11 +507,17 @@ hbar_omega_h_mev = 10.0
         "hbar_omega_h_mev = 1e300",
         "hbar_omega_h_mev = 1e-300",
         "coulomb_rel_tol = 1e-300",
+        "hbar_omega_e_mev = 1e-8",
+        "electron_mass = 1e-8",
+        "field_kv_cm = 1e50",
+        "hbar_omega_h_mev = 1e-20",
     ],
 )
 def test_bad_device_value_exits_2_naming_its_key(line, tmp_path, capsys):
     # finite values whose powers in the device model overflow or round to 0,
-    # and a tolerance below what the Coulomb quadrature accepts
+    # a tolerance below what the Coulomb quadrature accepts, and values
+    # outside the physical windows, where the Coulomb quadrature fails or
+    # the exciton energy turns negative
     key = line.partition("=")[0].strip()
     lines = [l for l in ONE_DOT_DEVICE.splitlines() if not l.startswith(f"{key} =")]
     cfg = tmp_path / "run.cfg"

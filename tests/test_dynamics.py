@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from excitonsim import dynamics, units
+from excitonsim.analysis import default_fidelity_states
 from excitonsim.dynamics import (
     LindbladChannel,
     SimulationConfig,
@@ -16,6 +17,7 @@ from excitonsim.dynamics import (
     channel_operator,
     default_reference_energy,
     integrate_master_equation,
+    liouville_generator,
     liouvillian_apply,
     propagate,
     pure_state_density,
@@ -183,19 +185,21 @@ def channel_cases(draw):
 
 
 @st.composite
-def driven_channel_cases(draw):
-    """(n, rho, h0, amps, channels): N in 1..5, an exactly Hermitian rho,
-    drive_cases' amplitudes and a non-empty channel list, dephasing-only in
-    some draws, with rates that may be 0."""
-    n = draw(st.integers(1, 5))
+def driven_channel_cases(draw, max_dots=5, stacked=False):
+    """(n, rho, h0, amps, channels): N in 1..max_dots, an exactly Hermitian
+    rho (stacked: a (B, d, d) stack of 1..8 of them), drive_cases'
+    amplitudes and a non-empty channel list, dephasing-only in some draws,
+    with rates that may be 0."""
+    n = draw(st.integers(1, max_dots))
     amps = draw_amplitudes(draw, n)
     kinds = ["pure-dephasing"] if draw(st.booleans()) else ["decay", "pure-dephasing"]
     kind, dot = st.sampled_from(kinds), st.integers(0, n - 1)
     channels = draw(
         st.lists(st.builds(LindbladChannel, kind, dot, RATE), min_size=1, max_size=8)
     )
+    shape = (draw(st.integers(1, 8)), 2**n) if stacked else (2**n,)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return n, hermitian(rng, 2**n), rng.normal(scale=100.0, size=2**n), amps, channels
+    return n, hermitian(rng, *shape), rng.normal(scale=100.0, size=2**n), amps, channels
 
 
 def drive_hamiltonian(generator, amps):
@@ -216,6 +220,13 @@ def one_dot_bound(rho, h):
     of it over hbar (the worst of 20000 random draws was 2.6 ulps)."""
     if len(rho) > 2:
         return 0.0
+    return product_bound(rho, h)
+
+
+def product_bound(rho, h):
+    """Four ulps of the largest entry of |h| |rho|, over hbar: how far two
+    orders of summing the entries of rho h may round apart in the
+    commutator (one_dot_bound)."""
     return 4 * np.spacing((np.abs(h) @ np.abs(rho)).max()) / HBAR
 
 
@@ -311,6 +322,53 @@ class TestLiouvillian:
         bound = 1e-13 * np.abs(rho).max() * sum(ch.rate_per_ps for ch in channels)
         bound += one_dot_bound(rho, h)
         assert np.all(np.abs(out - expected) <= bound + 2 * np.spacing(np.abs(expected)))
+
+    @given(driven_channel_cases(max_dots=3, stacked=True))
+    @settings(max_examples=150, deadline=None)
+    def test_liouville_form_equals_dense_sum(self, case):
+        # the integrator's form for channels at N <= 3, exactly Hermitian.
+        # Each entry of rho H is a vector-matrix product of d^2 terms here,
+        # summed in another order than the dense d x d products, so beyond
+        # test_drive_with_channels_equals_dense_sum's bound it may round
+        # apart from them at every N, as the one-dot commutator does: by
+        # product_bound (the worst of 6000 random draws was 1.2 ulps)
+        n, rho, h0, amps, channels = case
+        reg = ExcitonRegister(np.full(n, 1.7), np.zeros((n, n)))
+        generator = build_generator(h0, channels)
+        liouville = liouville_generator(generator)
+        out = liouvillian_apply(rho, drive_hamiltonian(liouville, amps), liouville)
+        assert np.array_equal(out, out.swapaxes(-1, -2).conj())
+        h = drive_hamiltonian(generator, amps)
+        for member, out_k in zip(rho, out):
+            expected = dense_drive_generator(member, h0, amps) + dense_dissipator(
+                reg, member, channels
+            )
+            bound = 1e-13 * np.abs(member).max() * sum(ch.rate_per_ps for ch in channels)
+            bound += product_bound(member, h)
+            assert np.all(np.abs(out_k - expected) <= bound + 2 * np.spacing(np.abs(expected)))
+
+    @pytest.mark.parametrize(
+        "n, channels, stage_dim",
+        [(3, False, 8), (3, True, 64), (4, True, 16)],
+        ids=["3-dots-coherent", "3-dots-channels", "4-dots-channels"],
+    )
+    def test_integrator_picks_the_liouville_form_up_to_three_dots(
+        self, monkeypatch, n, channels, stage_dim
+    ):
+        shapes = set()
+
+        def recording_apply(rho, h, *args):
+            shapes.add(h.shape)
+            return liouvillian_apply(rho, h, *args)
+
+        monkeypatch.setattr(dynamics, "liouvillian_apply", recording_apply)
+        dim = 2**n
+        channel_list = [LindbladChannel("decay", 0, 0.1)] if channels else []
+        config = SimulationConfig(time_step_ps=1e-3)
+        integrate_master_equation(
+            basis_state_density(n, dim - 1), np.zeros(dim), None, channel_list, 0.0, 0.01, config
+        )
+        assert shapes == {(stage_dim, stage_dim)}
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("members", [1, 2, 8, 41])
@@ -599,6 +657,34 @@ class TestIndependentIntegrator:
         assert np.max(np.abs(rho_ref - traj.final_state)) < 1e-6
         assert np.max(np.abs(np.diag(rho_ref).real - traj.populations[-1])) < 1e-6
 
+    def test_cnot_with_channels_converges_at_fourth_order(self, adaptive_reference):
+        # the compiled CNOT on the two-dot register with the four channels
+        # of configs/decoherence_two_dot.cfg, gate_fidelity's stack of
+        # reference states: halving the step must cut the error against the
+        # adaptive Lindblad solution by 2^4, to within half an order (the
+        # solution's own error is about 1e-9, the errors 1.2e-7 and 7.9e-9)
+        reg = two_dot_register()
+        seq = compile_gate(reg, GateSpec("cnot", 1, conditions=((0, 1),)))
+        channels = [
+            LindbladChannel("decay", 0, 0.002),
+            LindbladChannel("decay", 1, 0.002),
+            LindbladChannel("pure-dephasing", 0, 0.02),
+            LindbladChannel("pure-dephasing", 1, 0.02),
+        ]
+        rho0 = np.array([pure_state_density(psi) for psi in default_fidelity_states(2)])
+        coarse, fine = (
+            propagate(rho0, seq, reg, channels, SimulationConfig(time_step_ps=dt))
+            for dt in (2e-3, 1e-3)
+        )
+        rho_ref = adaptive_reference(
+            reg, seq, rho0, fine.times_ps[0], fine.final_time_ps,
+            default_reference_energy(seq, reg), channels,
+        )
+        error_coarse, error_fine = (
+            np.max(np.abs(run.final_state - rho_ref)) for run in (coarse, fine)
+        )
+        assert 2**3.5 < error_coarse / error_fine < 2**4.5
+
 
 class TestDriveBlocks:
     """propagate evaluates the drive once per DRIVE_BLOCK_STEPS steps, writes
@@ -632,6 +718,9 @@ class TestDriveBlocks:
         LindbladChannel(kind, l, 0.1 * (l + 1))
         for l in range(3) for kind in ("decay", "pure-dephasing")
     )
+    # 601 steps, which no batch length of these runs (64, 21, or 2 steps
+    # in the Liouville form of the channels) divides
+    CONFIG_3 = SimulationConfig(time_step_ps=9.99e-4)
 
     @pytest.mark.parametrize(
         "with_channels, stacked, dots",
@@ -646,7 +735,9 @@ class TestDriveBlocks:
             for dots in (2, 3) for with_channels in (False, True) for stacked in (False, True)
         ],
     )
-    def test_equals_per_stage_reference(self, rk4_reference, with_channels, stacked, dots):
+    def test_equals_per_stage_reference(
+        self, monkeypatch, rk4_reference, with_channels, stacked, dots
+    ):
         rng = np.random.default_rng(11)
         dim = 2**dots
         rho0 = (
@@ -656,14 +747,23 @@ class TestDriveBlocks:
         )
         if dots == 2:
             reg, sequence, channels = two_dot_register(), self.SEQUENCE, self.CHANNELS
+            config = self.CONFIG
         else:
             reg, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
+            config = self.CONFIG_3
         channels = channels if with_channels else ()
-        traj = propagate(rho0, sequence, reg, channels, self.CONFIG)
+        batches = []
+        check = dynamics._StepCheck.check
+
+        def recording_check(self, first_step, filled):
+            batches.append(filled)
+            check(self, first_step, filled)
+
+        monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+        traj = propagate(rho0, sequence, reg, channels, config)
         # several checked batches, the last one partly filled
-        batch = dynamics.EIG_BATCH_BYTES // (16 * (3 if stacked else 1) * dim * dim)
-        assert batch < traj.n_steps and traj.n_steps % batch
-        expected = rk4_reference(rho0, sequence, reg, channels, self.CONFIG)
+        assert len(batches) > 1 and batches[-1] < batches[0]
+        expected = rk4_reference(rho0, sequence, reg, channels, config)
         assert np.array_equal(traj.final_state, expected)
 
     @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
@@ -674,6 +774,9 @@ class TestDriveBlocks:
         rho0 = random_density(np.random.default_rng(12), 4)
         channels = self.CHANNELS if with_channels else ()
         traj = propagate(rho0, self.SEQUENCE, two_dot_register(), channels, config)
+        # one batch of the row-table form; the Liouville form of the
+        # channels case cuts its batches to 32 steps, fewer than any
+        # propagate run takes (8 tau over steps of at most tau/20)
         assert traj.n_steps < dynamics.EIG_BATCH_BYTES // (16 * 4 * 4)
         expected = rk4_reference(rho0, self.SEQUENCE, two_dot_register(), channels, config)
         assert np.array_equal(traj.final_state, expected)
