@@ -34,10 +34,10 @@ row's start rather than 0.  That is exact up to roundoff and costs
 O(N 4^N) per call; the dense jump operators of channel_operator survive
 only as the tests' reference.
 
-Each stage takes one of two forms.  The row table above serves every run
-without channels and every run of more than LIOUVILLE_MAX_DIM = 8 basis
-states (N >= 4).  A run with channels on N <= 3 dots takes the Liouville
-form instead (liouville_generator): the stage matrix is the (d^2, d^2)
+A run with channels takes one of two forms.  The row table above serves
+registers of more than LIOUVILLE_MAX_DIM = 4 basis states (N >= 3).  On
+N <= 2 dots the channels take the Liouville form instead
+(liouville_generator): the stage matrix is the (d^2, d^2)
 M = I (x) H + G of the row-major vec(rho), with G = D^T / (-2 scale) the
 row table written as a dense matrix D, so one vector-matrix product per
 member, w = vec(rho) M, holds rho H plus X = D(rho) / (-2 scale), and
@@ -46,10 +46,11 @@ stays: for the pure-imaginary scale = -i/hbar and a Hermitian rho,
 scale (X+ - X) is D(rho), because D(rho) is Hermitian and conj(scale) =
 -scale, and scale (Y+ - Y) is exactly Hermitian for any Y, since the
 product by a pure-imaginary number rounds the entries (i, j) and (j, i)
-of Y+ - Y = -(Y+ - Y)+ to exact conjugates.  The cut is set by measurement:
-at N <= 3 one apply of the Liouville form costs 45-75 % of the row
-table's, at N = 4 over 100 % (LIOUVILLE_MAX_DIM), and its d^4 entries
-would no longer fit a small buffer.
+of Y+ - Y = -(Y+ - Y)+ to exact conjugates.  The cut is set by measurement
+(LIOUVILLE_MAX_DIM): at N = 2 the Liouville form halves the apply; at
+N = 3 it gains little, and OpenBLAS threads its 64 x 64 vector-matrix
+products unless told not to, which makes it slower; at N = 4 it loses
+even on one thread.
 
 What stays fixed through a propagation is built once before the loop:
 the Generator (H0, or M0 in the Liouville form, the flat flip-pair
@@ -362,10 +363,10 @@ def liouville_generator(generator: Generator) -> Generator:
     off M0's diagonal and off G's jump entries ((i|2^l) d + (j|2^l), i d + j),
     so a drive write never meets G.  G's entries are imaginary and those of
     I (x) H0 real on the diagonal, so their sum rounds neither.  The
-    dissipator is None: liouvillian_apply's scale (w+ - w) of w = rho M,
-    for a pure-imaginary scale and a Hermitian rho, gives -(i/hbar)[H, rho]
-    + D(rho).  The doubled generator doubles only the scale, and G stays,
-    because it holds 1/scale.
+    dissipator is None, because liouvillian_apply's scale (w+ - w) of
+    w = vec(rho) M gives the whole generator (see the module docstring).
+    The doubled generator doubles only the scale, and G stays, because it
+    holds 1/scale.
     """
     dim = len(generator.h0)
     values, columns, row_starts = generator.dissipator
@@ -480,7 +481,7 @@ def liouvillian_apply(
 # buffer of 3 (D, D) matrices per step (D = d, or d^2 in the Liouville form)
 # is held to 6 times this many bytes, 384 KiB: a batch is cut to
 # EIG_BATCH_BYTES // (8 D^2) steps where it would exceed that, which only
-# the Liouville form does (32 steps at d = 4, 2 at d = 8).
+# the Liouville form does (512 steps at d = 2, 32 at d = 4).
 EIG_BATCH_BYTES = 64 * 1024
 
 # Registers of up to this many basis states apply their channels in the
@@ -489,9 +490,13 @@ EIG_BATCH_BYTES = 64 * 1024
 # 2-core Xeon KVM guest with one OpenBLAS thread: N = 2 16.8 -> 7.7 us
 # (B = 1) and 21.3 -> 10.3 us (B = 8); N = 3 18.8 -> 10.2 us (B = 1) and
 # 47.3 -> 34.8 us (B = 14); N = 4 25.9 -> 30.9 us (B = 1) and
-# 247 -> 510 us (B = 24).  At N = 3 a whole step still gains about 15 %
-# with the 2-step batches of the stage buffer's bound (EIG_BATCH_BYTES).
-LIOUVILLE_MAX_DIM = 8
+# 247 -> 510 us (B = 24).  A whole 3-dot step gains less (69 -> 60 us at
+# B = 1, 257 -> 230 us at B = 14, on one thread), because the stage
+# buffer's bound cuts its batches to 2 steps; with OpenBLAS's default
+# threads, which split every 64 x 64 vector-matrix product, it loses
+# (204 -> 247 us at B = 8, 282 -> 351 us at B = 14).  So the cut lies
+# below N = 3.
+LIOUVILLE_MAX_DIM = 4
 
 
 class _StepCheck:
@@ -509,15 +514,17 @@ class _StepCheck:
     eigvalsh find the first state below the floor.  max_trace_drift starts
     at rho0's (step 0) and keeps the worst drift checked,
     max_trace_drift_step its first step.  stacked: whether the error names
-    the failing member as "state k".
+    the failing member as "state k".  stage_dim is the side of the loop's
+    stage matrices (d, or d^2 in the Liouville form), whose buffer of three
+    per step holds the batch to 6 EIG_BATCH_BYTES.
     """
 
     def __init__(
         self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool,
-        stage_dim: int | None = None,
+        stage_dim: int,
     ):
         members, dim = rho0.shape[0], rho0.shape[-1]
-        stage_bytes = 48 * (stage_dim or dim) ** 2  # 3 stage matrices per step
+        stage_bytes = 48 * stage_dim**2  # 3 stage matrices per step
         self.size = max(1, min(
             EIG_BATCH_BYTES // (16 * members * dim * dim), 6 * EIG_BATCH_BYTES // stage_bytes
         ))
@@ -624,11 +631,13 @@ def integrate_master_equation(
     drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
     (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps, and
     stage_hamiltonians writes the three stage Hamiltonians of each checked
-    batch of steps into one buffer.  The requested step is shrunk to divide
-    the window exactly; a window of over MAX_STEPS steps raises
-    StepCountError.  rho0 is Hermitized once; every state is then exactly
-    Hermitian (liouvillian_apply).  The trace is never re-normalized, its
-    drift is a diagnostic.  Every step's state is tested for trace drift
+    batch of steps into one buffer, as (d^2, d^2) stage matrices of the
+    Liouville form when there are channels and at most LIOUVILLE_MAX_DIM
+    basis states.  The requested step is shrunk to divide the window
+    exactly; a window of over MAX_STEPS steps raises StepCountError.  rho0
+    is Hermitized once; every state is then exactly Hermitian
+    (liouvillian_apply).  The trace is never re-normalized, its drift is a
+    diagnostic.  Every step's state is tested for trace drift
     and positivity, in batches (_StepCheck).  A failure raises
     PropagationDiagnosticsError naming the earliest failing step, and for a
     stack the lowest failing member at that step; a non-finite state fails

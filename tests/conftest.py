@@ -142,7 +142,11 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     built densely from the basis-index bits, H0 on the diagonal and
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
     with bit l clear.  The stages run in propagate's order, and
-    dynamics.liouvillian_apply applies each stage's H and the channels.
+    dynamics.liouvillian_apply applies each stage's H and the channels:
+    with channels on at most dynamics.LIOUVILLE_MAX_DIM basis states, in
+    propagate's Liouville form, as the stage matrix kron(I, H) + G, where
+    G is liouville_generator's M0 less kron(I, H0) (an exact difference:
+    the two only share the diagonal, where H0 is real and G imaginary).
     Three things are kept here on purpose that propagate no longer does:
     k2 and k3 from the generator itself, with stage inputs at dt/2 and dt,
     doubled only in the sum, where propagate takes 2 k2 and 2 k3 from a

@@ -326,7 +326,8 @@ class TestLiouvillian:
     @given(driven_channel_cases(max_dots=3, stacked=True))
     @settings(max_examples=150, deadline=None)
     def test_liouville_form_equals_dense_sum(self, case):
-        # the integrator's form for channels at N <= 3, exactly Hermitian.
+        # the Liouville form, which the integrator takes for channels at
+        # N <= 2 and which holds at N = 3 too, exactly Hermitian.
         # Each entry of rho H is a vector-matrix product of d^2 terms here,
         # summed in another order than the dense d x d products, so beyond
         # test_drive_with_channels_equals_dense_sum's bound it may round
@@ -349,10 +350,10 @@ class TestLiouvillian:
 
     @pytest.mark.parametrize(
         "n, channels, stage_dim",
-        [(3, False, 8), (3, True, 64), (4, True, 16)],
-        ids=["3-dots-coherent", "3-dots-channels", "4-dots-channels"],
+        [(2, False, 4), (2, True, 16), (3, True, 8), (4, True, 16)],
+        ids=["2-dots-coherent", "2-dots-channels", "3-dots-channels", "4-dots-channels"],
     )
-    def test_integrator_picks_the_liouville_form_up_to_three_dots(
+    def test_integrator_picks_the_liouville_form_up_to_two_dots(
         self, monkeypatch, n, channels, stage_dim
     ):
         shapes = set()
@@ -718,9 +719,6 @@ class TestDriveBlocks:
         LindbladChannel(kind, l, 0.1 * (l + 1))
         for l in range(3) for kind in ("decay", "pure-dephasing")
     )
-    # 601 steps, which no batch length of these runs (64, 21, or 2 steps
-    # in the Liouville form of the channels) divides
-    CONFIG_3 = SimulationConfig(time_step_ps=9.99e-4)
 
     @pytest.mark.parametrize(
         "with_channels, stacked, dots",
@@ -747,10 +745,8 @@ class TestDriveBlocks:
         )
         if dots == 2:
             reg, sequence, channels = two_dot_register(), self.SEQUENCE, self.CHANNELS
-            config = self.CONFIG
         else:
             reg, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
-            config = self.CONFIG_3
         channels = channels if with_channels else ()
         batches = []
         check = dynamics._StepCheck.check
@@ -760,10 +756,10 @@ class TestDriveBlocks:
             check(self, first_step, filled)
 
         monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
-        traj = propagate(rho0, sequence, reg, channels, config)
+        traj = propagate(rho0, sequence, reg, channels, self.CONFIG)
         # several checked batches, the last one partly filled
         assert len(batches) > 1 and batches[-1] < batches[0]
-        expected = rk4_reference(rho0, sequence, reg, channels, config)
+        expected = rk4_reference(rho0, sequence, reg, channels, self.CONFIG)
         assert np.array_equal(traj.final_state, expected)
 
     @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
@@ -995,7 +991,7 @@ def per_state_verdict(states, eig_floor):
 def batched_verdict(states, eig_floor):
     """The step check's verdict on the states as single-state steps, with
     no trace tolerance: only positivity is tested."""
-    check = dynamics._StepCheck(states[:1], math.inf, eig_floor, stacked=False)
+    check = dynamics._StepCheck(states[:1], math.inf, eig_floor, False, states.shape[-1])
     try:
         for first in range(0, len(states), check.size):
             batch = states[first : first + check.size]
