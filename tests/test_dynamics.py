@@ -777,6 +777,29 @@ class TestDriveBlocks:
         expected = rk4_reference(rho0, self.SEQUENCE, two_dot_register(), channels, config)
         assert np.array_equal(traj.final_state, expected)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_liouville_batches_hold_the_stage_buffer_bound(self, monkeypatch, n):
+        # the Liouville form's stage buffer holds 3 (d^2, d^2) matrices per
+        # step of a checked batch, and the batch is as long as 6
+        # EIG_BATCH_BYTES of them allow, shorter than the states' bound
+        batches = []
+        check = dynamics._StepCheck.check
+
+        def recording_check(self, first_step, filled):
+            batches.append(filled)
+            check(self, first_step, filled)
+
+        monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+        dim = 2**n
+        integrate_master_equation(
+            basis_state_density(n, dim - 1), np.zeros(dim), None,
+            [LindbladChannel("decay", 0, 0.1)], 0.0, 2.0, SimulationConfig(time_step_ps=1e-3),
+        )
+        step_bytes = 3 * 16 * dim**4
+        assert batches[0] < dynamics.EIG_BATCH_BYTES // (16 * dim * dim)
+        assert batches[0] * step_bytes <= 6 * dynamics.EIG_BATCH_BYTES
+        assert (batches[0] + 1) * step_bytes > 6 * dynamics.EIG_BATCH_BYTES
+
     def test_drive_called_once_per_block(self, monkeypatch):
         calls = []
 
