@@ -55,6 +55,7 @@ from .dynamics import (
     propagate,
     pure_state_density,
     purity,
+    stage_generator,
     validate_density_matrix,
 )
 from .model import (

@@ -46,6 +46,7 @@ from .device import (
     DeviceStructure,
     DotGeometry,
     MaterialParams,
+    DEFAULT_COULOMB_REL_TOL,
     GAAS_TWO_DOT_PRESET_NAME,
     build_register,
     gaas_two_dot,
@@ -181,28 +182,17 @@ _at_least_one = _require(lambda v: np.all(v >= 1), "must be at least 1")
 _positive_list = _require(
     lambda v: v.size > 0 and np.all(v > 0), "must list positive values, one per dot"
 )
-# The device model squares and cubes well widths: inside [1e-100, 1e100]
-# none of those powers overflows or is 0.
+_ascending = _require(
+    lambda v: np.all(v >= 0) and np.all(np.diff(v) > 0),
+    "must be non-negative and strictly ascending",
+)
+# The device model squares widths, trap energies and the field, and cubes
+# widths: inside [1e-100, 1e100] none of those powers overflows or is 0.
 _scaled = _require(
     lambda v: v.size > 0 and np.all((v >= 1e-100) & (v <= 1e100)),
     "must lie in [1e-100, 1e100]",
 )
-# Physical windows of the other device inputs.  Outside them the model
-# leaves its range with no key to blame: below about 1.7 meV (electron) or
-# 0.7 meV (hole) of trap energy, or above about 270 kV/cm, the derived
-# exciton energy turns negative, and at masses of 1e-8 or 1e8 the Coulomb
-# quadrature does not converge.  Effective masses of real semiconductors
-# lie within [0.01, 10] free-electron masses, dot trap energies within
-# [5, 500] meV, and fields stay below GaAs's breakdown near 400 kV/cm.
-_mass = _require(lambda v: 0.01 <= v <= 10.0, "must lie in [0.01, 10]")
-_trap = _require(
-    lambda v: v.size > 0 and np.all((v >= 5.0) & (v <= 500.0)), "must lie in [5, 500] meV"
-)
-_field = _require(lambda v: 0 <= v <= 200.0, "must lie in [0, 200] kV/cm")
-_field_grid = _require(
-    lambda v: np.all((v >= 0) & (v <= 200.0)) and np.all(np.diff(v) > 0),
-    "must lie in [0, 200] kV/cm and ascend strictly",
-)
+_field = _require(lambda v: 0 <= v <= 1e100, "must lie in [0, 1e100]")
 _QUAD_REL_TOL = 50 * np.finfo(float).eps  # the least that scipy's quad accepts
 _quad_tol = _require(lambda v: v >= _QUAD_REL_TOL, f"must be at least {_QUAD_REL_TOL!r}")
 
@@ -426,9 +416,9 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "preset", _choice(GAAS_TWO_DOT_PRESET_NAME), None,
         attrgetter("device.preset")),
     Key("device", "electron_mass", _real, None,
-        _geometry(attrgetter("material.electron_effective_mass")), _mass),
+        _geometry(attrgetter("material.electron_effective_mass")), _positive),
     Key("device", "hole_mass", _real, None,
-        _geometry(attrgetter("material.hole_effective_mass")), _mass),
+        _geometry(attrgetter("material.hole_effective_mass")), _positive),
     Key("device", "epsilon_r", _real, None,
         _geometry(attrgetter("material.relative_permittivity")), _at_least_one),
     Key("device", "band_gap_ev", _real, None,
@@ -436,15 +426,15 @@ KEYS: tuple[Key | Family, ...] = (
     Key("device", "well_widths_nm", _reals, None,
         _per_dot("well_width_nm"), _scaled),
     Key("device", "hbar_omega_e_mev", _reals, None,
-        _per_dot("confinement_energy_e_mev"), _trap),
+        _per_dot("confinement_energy_e_mev"), _scaled),
     Key("device", "hbar_omega_h_mev", _reals, None,
-        _per_dot("confinement_energy_h_mev"), _trap),
+        _per_dot("confinement_energy_h_mev"), _scaled),
     Key("device", "barriers_nm", _reals, [],
         _geometry(attrgetter("barrier_widths_nm")), _positive),
     Key("device", "field_kv_cm", _real, 30.0,
         attrgetter("device.structure.field_kv_cm"), _field),
     Key("device", "field_grid_kv_cm", _reals, [],
-        attrgetter("device.field_grid_kv_cm"), _field_grid),
+        attrgetter("device.field_grid_kv_cm"), _ascending),
     Key("device", "shift_pair", _pair(" ", parse_dot, "a b"), (0, 1),
         attrgetter("device.shift_pair"), dump=lambda pair: " ".join(map(dot_label, pair))),
     Key("device", "coulomb_rel_tol", _real, 1e-6,
@@ -564,6 +554,59 @@ def _device_section(v: dict[str, Any]) -> DeviceSection:
     return DeviceSection(structure, *(v[key] for key in fields))
 
 
+def _preset_values(n: int) -> dict[str, Any]:
+    """The GaAs preset's value of every device key the register derives
+    from, in KEYS' order, dot a's for each of n dots of a per-dot key."""
+    preset = gaas_two_dot()
+    material, dot = preset.material, preset.dots[0]
+    return {
+        "electron_mass": material.electron_effective_mass,
+        "hole_mass": material.hole_effective_mass,
+        "epsilon_r": material.relative_permittivity,
+        "band_gap_ev": material.band_gap_ev,
+        "well_widths_nm": [dot.well_width_nm] * n,
+        "hbar_omega_e_mev": [dot.confinement_energy_e_mev] * n,
+        "hbar_omega_h_mev": [dot.confinement_energy_h_mev] * n,
+        "barriers_nm": list(preset.barrier_widths_nm) * (n - 1),
+        "field_kv_cm": preset.field_kv_cm,
+        "coulomb_rel_tol": DEFAULT_COULOMB_REL_TOL,
+    }
+
+
+def _device_register(device: DeviceSection, v: dict[str, Any]) -> ExcitonRegister:
+    """The register derived from the device section.
+
+    Where the device model fails (a Coulomb quadrature does not converge,
+    or an exciton energy is not positive and finite), no single check of a
+    key can tell which input moved it out of its range: the Stark shift,
+    for one, grows with the field and falls with the masses and trap
+    energies.  The error then names the first key in KEYS' order whose
+    value, set back to the GaAs preset's together with those of the keys
+    before it, lets the register build.  Keys a preset leaves out, and
+    values that are the preset's already, are passed over.
+    """
+    def build(section: DeviceSection) -> ExcitonRegister:
+        return build_register(
+            section.structure, transition_dipoles=section.dipoles, rel_tol=section.coulomb_rel_tol
+        )
+
+    try:
+        return build(device)
+    except ExcitonSimError as err:
+        failure = err
+    values = dict(v)
+    for key, value in _preset_values(device.structure.n_dots).items():
+        if values[key] in (None, []) or values[key] == value:
+            continue
+        values[key] = value
+        try:
+            build(_device_section(values))
+        except ExcitonSimError:
+            continue
+        raise ConfigError(str(failure), "device", key) from failure
+    raise ConfigError(str(failure), "device") from failure
+
+
 def _register_section(v: dict[str, Any], shifts: dict[str, str]) -> ExcitonRegister:
     energies, dipoles = v["energies_ev"], v["dipoles"]
     if energies is None:
@@ -614,12 +657,7 @@ def load_config(path: str) -> RunConfig:
     v = _read_keys(sections)
     device = _device_section(v["device"]) if "device" in sections else None
     if device is not None:
-        with _blame("device"):
-            register = build_register(
-                device.structure,
-                transition_dipoles=device.dipoles,
-                rel_tol=device.coulomb_rel_tol,
-            )
+        register = _device_register(device, v["device"])
     else:
         register = _register_section(v["register"], sections["register"])
     n = register.n_qubits

@@ -48,9 +48,10 @@ scale (X+ - X) is D(rho), because D(rho) is Hermitian and conj(scale) =
 product by a pure-imaginary number rounds the entries (i, j) and (j, i)
 of Y+ - Y = -(Y+ - Y)+ to exact conjugates.  The cut is set by measurement
 (LIOUVILLE_MAX_DIM): at N = 2 the Liouville form halves the apply; at
-N = 3 it gains little, and OpenBLAS threads its 64 x 64 vector-matrix
-products unless told not to, which makes it slower; at N = 4 it loses
-even on one thread.
+N = 3 a whole gate_fidelity run gains nothing on one thread and is slower
+with OpenBLAS's default threads, which split its 64 x 64 vector-matrix
+products; at N = 4 a single apply loses even on one thread.
+stage_generator makes the choice, for the integrator and its tests.
 
 What stays fixed through a propagation is built once before the loop:
 the Generator (H0, or M0 in the Liouville form, the flat flip-pair
@@ -384,6 +385,18 @@ def liouville_generator(generator: Generator) -> Generator:
     )
 
 
+def stage_generator(
+    h0_diag_mev: np.ndarray, channels: Sequence[LindbladChannel] = ()
+) -> Generator:
+    """The generator of H0 (meV) and the channels in the form the integrator
+    takes: with channels on at most LIOUVILLE_MAX_DIM basis states the
+    Liouville form of liouville_generator, else that of build_generator."""
+    generator = build_generator(h0_diag_mev, channels)
+    if generator.dissipator is not None and len(generator.h0) <= LIOUVILLE_MAX_DIM:
+        return liouville_generator(generator)
+    return generator
+
+
 def stage_hamiltonians(
     generator: Generator, blocks: Iterable[np.ndarray], out: np.ndarray
 ) -> Iterator[np.ndarray]:
@@ -490,12 +503,14 @@ EIG_BATCH_BYTES = 64 * 1024
 # 2-core Xeon KVM guest with one OpenBLAS thread: N = 2 16.8 -> 7.7 us
 # (B = 1) and 21.3 -> 10.3 us (B = 8); N = 3 18.8 -> 10.2 us (B = 1) and
 # 47.3 -> 34.8 us (B = 14); N = 4 25.9 -> 30.9 us (B = 1) and
-# 247 -> 510 us (B = 24).  A whole 3-dot step gains less (69 -> 60 us at
-# B = 1, 257 -> 230 us at B = 14, on one thread), because the stage
-# buffer's bound cuts its batches to 2 steps; with OpenBLAS's default
-# threads, which split every 64 x 64 vector-matrix product, it loses
-# (204 -> 247 us at B = 8, 282 -> 351 us at B = 14).  So the cut lies
-# below N = 3.
+# 247 -> 510 us (B = 24).  End to end, the 3-dot gate_fidelity of
+# tools/stage_forms.py (14 states, 14,042 steps), on the same machine,
+# gains nothing on one thread (median 3.20 -> 3.12 s, the Liouville form
+# faster in 6 of 10 runs, inside both forms' quartiles), because the stage
+# buffer's bound cuts its batches to 2 steps, and loses a quarter with
+# OpenBLAS's default two threads, which split every 64 x 64 vector-matrix
+# product (3.21 -> 4.05 s, slower in 10 of 10).  So the cut lies below
+# N = 3.
 LIOUVILLE_MAX_DIM = 4
 
 
@@ -633,7 +648,7 @@ def integrate_master_equation(
     stage_hamiltonians writes the three stage Hamiltonians of each checked
     batch of steps into one buffer, as (d^2, d^2) stage matrices of the
     Liouville form when there are channels and at most LIOUVILLE_MAX_DIM
-    basis states.  The requested step is shrunk to divide the window
+    basis states (stage_generator).  The requested step is shrunk to divide the window
     exactly; a window of over MAX_STEPS steps raises StepCountError.  rho0
     is Hermitized once; every state is then exactly Hermitian
     (liouvillian_apply).  The trace is never re-normalized, its drift is a
@@ -655,10 +670,7 @@ def integrate_master_equation(
     h0 = np.asarray(h0_diag_mev, dtype=float)
     if h0.shape != (dim,):
         raise InvalidParameterError("diagonal Hamiltonian does not match state size")
-    generator = build_generator(h0, channels)
-    liouville = generator.dissipator is not None and dim <= LIOUVILLE_MAX_DIM
-    if liouville:
-        generator = liouville_generator(generator)
+    generator = stage_generator(h0, channels)
     stage_dim = len(generator.h0)
 
     span = t_end_ps - t_start_ps
@@ -698,7 +710,7 @@ def integrate_master_equation(
     k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
     k1, k2, k3, k4 = k
     stage = np.empty_like(rho)  # each stage's input, rho + scale * k
-    product = product_buffer(rho.shape, liouville)
+    product = product_buffer(rho.shape, stage_dim != dim)
     slots = list(check.states)
     # 0-d complex arrays, which numpy multiplies by without converting them
     quarter_dt, half_dt, sixth_dt = (

@@ -11,15 +11,14 @@ from excitonsim import dynamics, units
 from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
 from excitonsim.dynamics import (
-    build_generator,
     channel_operator,
     default_reference_energy,
     integrate_master_equation,
-    liouville_generator,
     liouvillian_apply,
     propagate,
     pure_state_density,
     purity,
+    stage_generator,
 )
 from excitonsim.model import build_hamiltonian
 from excitonsim.pulses import ENVELOPE_CUTOFF, pulse_amplitude
@@ -142,11 +141,11 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     built densely from the basis-index bits, H0 on the diagonal and
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
     with bit l clear.  The stages run in propagate's order, and
-    dynamics.liouvillian_apply applies each stage's H and the channels:
-    with channels on at most dynamics.LIOUVILLE_MAX_DIM basis states, in
-    propagate's Liouville form, as the stage matrix kron(I, H) + G, where
-    G is liouville_generator's M0 less kron(I, H0) (an exact difference:
-    the two only share the diagonal, where H0 is real and G imaginary).
+    dynamics.liouvillian_apply applies each stage's H and the channels
+    with the generator of dynamics.stage_generator, in the form propagate
+    takes: in the Liouville form, as the stage matrix kron(I, H) + G, where
+    G is the generator's M0 less kron(I, H0) (an exact difference: the two
+    only share the diagonal, where H0 is real and G imaginary).
     Three things are kept here on purpose that propagate no longer does:
     k2 and k3 from the generator itself, with stage inputs at dt/2 and dt,
     doubled only in the sum, where propagate takes 2 k2 and 2 k3 from a
@@ -171,10 +170,9 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     )
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
-    generator = build_generator(h0, channels)
+    generator = stage_generator(h0, channels)
     dissipator = None  # G of the Liouville form, where propagate takes it
-    if channels and dim <= dynamics.LIOUVILLE_MAX_DIM:
-        generator = liouville_generator(generator)
+    if len(generator.h0) != dim:
         dissipator = generator.h0 - np.kron(np.eye(dim), np.diag(h0))
 
     def dense_h(t):

@@ -496,6 +496,15 @@ hbar_omega_h_mev = 10.0
 """
 
 
+def one_dot_device_with(tmp_path, *lines):
+    """A config file of ONE_DOT_DEVICE with the keys of lines replaced."""
+    keys = [line.partition("=")[0].strip() for line in lines]
+    kept = [l for l in ONE_DOT_DEVICE.splitlines() if l.partition("=")[0].strip() not in keys]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([*kept, *lines]) + "\n", encoding="utf-8")
+    return cfg
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -515,13 +524,45 @@ hbar_omega_h_mev = 10.0
 )
 def test_bad_device_value_exits_2_naming_its_key(line, tmp_path, capsys):
     # finite values whose powers in the device model overflow or round to 0,
-    # a tolerance below what the Coulomb quadrature accepts, and values
-    # outside the physical windows, where the Coulomb quadrature fails or
-    # the exciton energy turns negative
+    # a tolerance below what the Coulomb quadrature accepts, and values at
+    # which the Coulomb quadrature fails or the exciton energy turns
+    # negative, named because their preset value lets the register build
     key = line.partition("=")[0].strip()
-    lines = [l for l in ONE_DOT_DEVICE.splitlines() if not l.startswith(f"{key} =")]
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join([*lines, line]) + "\n", encoding="utf-8")
+    cfg = one_dot_device_with(tmp_path, line)
+    rc = main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [device] {key}: "), err
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [["field_kv_cm = 250"], ["hbar_omega_e_mev = 3.0", "hbar_omega_h_mev = 3.0"]],
+    ids=["field=250", "traps=3"],
+)
+def test_device_values_the_model_holds_load(lines, tmp_path):
+    # far from GaAs's values but inside the model's range: no key is refused
+    # for a value the register builds from
+    register = load_config(str(one_dot_device_with(tmp_path, *lines))).register
+    assert register.exciton_energies_ev[0] > 0
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        (["field_kv_cm = 200", "electron_mass = 0.01"], "electron_mass"),
+        (["field_kv_cm = 200", "hole_mass = 0.01"], "hole_mass"),
+        (["field_kv_cm = 2000", "hole_mass = 0.01"], "field_kv_cm"),
+    ],
+    ids=["light-electron", "light-hole", "light-hole-strong-field"],
+)
+def test_device_failure_names_first_key_whose_preset_value_builds(
+    lines, key, tmp_path, capsys
+):
+    # the Stark shift of a light carrier in a strong field turns the exciton
+    # energy negative: setting the mass back to GaAs's mends it, unless the
+    # field is too strong for that too
+    cfg = one_dot_device_with(tmp_path, *lines)
     rc = main(["compile", "--config", str(cfg), "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2

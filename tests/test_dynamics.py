@@ -687,6 +687,20 @@ class TestIndependentIntegrator:
         assert 2**3.5 < error_coarse / error_fine < 2**4.5
 
 
+def record_batches(monkeypatch):
+    """The list of (filled, size) of every batch the integrator's step check
+    tests while the test runs: the steps checked and the batch's length."""
+    batches = []
+    check = dynamics._StepCheck.check
+
+    def recording_check(self, first_step, filled):
+        batches.append((filled, self.size))
+        check(self, first_step, filled)
+
+    monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+    return batches
+
+
 class TestDriveBlocks:
     """propagate evaluates the drive once per DRIVE_BLOCK_STEPS steps, writes
     the stage Hamiltonians of each checked batch of steps into one buffer
@@ -748,32 +762,30 @@ class TestDriveBlocks:
         else:
             reg, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
         channels = channels if with_channels else ()
-        batches = []
-        check = dynamics._StepCheck.check
-
-        def recording_check(self, first_step, filled):
-            batches.append(filled)
-            check(self, first_step, filled)
-
-        monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+        batches = record_batches(monkeypatch)
         traj = propagate(rho0, sequence, reg, channels, self.CONFIG)
         # several checked batches, the last one partly filled
-        assert len(batches) > 1 and batches[-1] < batches[0]
+        assert len(batches) > 1 and batches[-1][0] < batches[-1][1]
         expected = rk4_reference(rho0, sequence, reg, channels, self.CONFIG)
         assert np.array_equal(traj.final_state, expected)
 
     @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
     def test_run_shorter_than_one_batch_equals_per_stage_reference(
-        self, rk4_reference, with_channels
+        self, monkeypatch, rk4_reference, with_channels
     ):
+        # batches of 1 MiB of states: 4096 steps of one 4 x 4 state, and 512
+        # in the Liouville form of the channels case, whose stage buffer
+        # cuts its batches to 32 steps at the default bound, fewer than any
+        # propagate run takes (8 tau over steps of at most tau/20)
+        monkeypatch.setattr(dynamics, "EIG_BATCH_BYTES", 1 << 20)
+        batches = record_batches(monkeypatch)
         config = SimulationConfig(time_step_ps=2.5e-3)  # tau/20
         rho0 = random_density(np.random.default_rng(12), 4)
         channels = self.CHANNELS if with_channels else ()
         traj = propagate(rho0, self.SEQUENCE, two_dot_register(), channels, config)
-        # one batch of the row-table form; the Liouville form of the
-        # channels case cuts its batches to 32 steps, fewer than any
-        # propagate run takes (8 tau over steps of at most tau/20)
-        assert traj.n_steps < dynamics.EIG_BATCH_BYTES // (16 * 4 * 4)
+        # one checked batch, partly filled: the stage buffer's last write
+        # holds only the run's steps
+        assert len(batches) == 1 and batches[0][0] == traj.n_steps < batches[0][1]
         expected = rk4_reference(rho0, self.SEQUENCE, two_dot_register(), channels, config)
         assert np.array_equal(traj.final_state, expected)
 
@@ -782,23 +794,17 @@ class TestDriveBlocks:
         # the Liouville form's stage buffer holds 3 (d^2, d^2) matrices per
         # step of a checked batch, and the batch is as long as 6
         # EIG_BATCH_BYTES of them allow, shorter than the states' bound
-        batches = []
-        check = dynamics._StepCheck.check
-
-        def recording_check(self, first_step, filled):
-            batches.append(filled)
-            check(self, first_step, filled)
-
-        monkeypatch.setattr(dynamics._StepCheck, "check", recording_check)
+        batches = record_batches(monkeypatch)
         dim = 2**n
         integrate_master_equation(
             basis_state_density(n, dim - 1), np.zeros(dim), None,
             [LindbladChannel("decay", 0, 0.1)], 0.0, 2.0, SimulationConfig(time_step_ps=1e-3),
         )
         step_bytes = 3 * 16 * dim**4
-        assert batches[0] < dynamics.EIG_BATCH_BYTES // (16 * dim * dim)
-        assert batches[0] * step_bytes <= 6 * dynamics.EIG_BATCH_BYTES
-        assert (batches[0] + 1) * step_bytes > 6 * dynamics.EIG_BATCH_BYTES
+        size = batches[0][1]
+        assert batches[0][0] == size < dynamics.EIG_BATCH_BYTES // (16 * dim * dim)
+        assert size * step_bytes <= 6 * dynamics.EIG_BATCH_BYTES
+        assert (size + 1) * step_bytes > 6 * dynamics.EIG_BATCH_BYTES
 
     def test_drive_called_once_per_block(self, monkeypatch):
         calls = []

@@ -3,9 +3,10 @@
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs 10
 
 Runs each checkout's own perfbench/run.py from that checkout's root, once
-per side and pair, one run at a time.  Pair i takes seed first_seed + i on
-both sides; the side that runs first alternates from pair to pair, so
-that a slow spell of the machine falls on both.  The seeds are fresh
+per side and pair, one run at a time, each for the run_seconds of the
+change's BENCHMARK.json, the benchmark's own run length.  Pair i takes
+seed first_seed + i on both sides; the side that runs first alternates
+from pair to pair, so that a slow spell of the machine falls on both.  The seeds are fresh
 unless --first-seed is given: by default they start at a number drawn
 from the clock, which is printed.  For every end-to-end metric it prints
 each side's median and quartiles (statistics.quantiles, n=4), the pairs
@@ -53,13 +54,12 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int)
     args = parser.parse_args()
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     first_seed = args.first_seed if args.first_seed is not None else int(time.time()) % 100_000
     print(f"{args.workload}: {args.pairs} pairs, seeds {first_seed}..."
