@@ -50,12 +50,12 @@ from .dynamics import (
     Trajectory,
     basis_state_density,
     build_generator,
-    liouville_generator,
+    hermitian_coordinates,
     liouvillian_apply,
+    map_generator,
     propagate,
     pure_state_density,
     purity,
-    stage_generator,
     validate_density_matrix,
 )
 from .model import (

@@ -35,6 +35,7 @@ from .device import shift_vs_field
 from .dynamics import Trajectory, basis_state_density, propagate, purity
 from .errors import (
     ConfigError,
+    ConvergenceError,
     ExcitonSimError,
     InvalidParameterError,
     PropagationDiagnosticsError,
@@ -55,9 +56,12 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 def cmd_shift(config: RunConfig, out_dir: Path) -> int:
     device = sweep_device(config)
     l, lp = device.shift_pair
-    rows = shift_vs_field(
-        device.structure, l, lp, device.field_grid_kv_cm, rel_tol=device.coulomb_rel_tol
-    )
+    try:  # the register built at the configured field, so a failing sweep is the grid's
+        rows = shift_vs_field(
+            device.structure, l, lp, device.field_grid_kv_cm, rel_tol=device.coulomb_rel_tol
+        )
+    except (ConvergenceError, InvalidParameterError) as err:
+        raise ConfigError(str(err), "device", "field_grid_kv_cm") from err
     lines = [
         f"# biexcitonic shift of dots {dot_label(l)},{dot_label(lp)} vs in-plane field",
         "field_kV_cm,delta_E_meV",

@@ -15,9 +15,7 @@ is evaluated once per DRIVE_BLOCK_STEPS steps, at all of their stage times
 t, t + dt/2 and t + dt in one field_at call (k2 and k3 share the
 midpoint).  The three stage Hamiltonians of a whole checked batch of steps
 (see below) are written by one gather and one scatter into the flip pairs
-of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians),
-or in the Liouville form below into the d copies of every pair in a
-(S, 3, d^2, d^2) buffer that holds M0.
+of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians).
 field_at forms every amplitude with the per-pulse formula's own
 operations, so this is bit for bit the run that evaluates the drive stage
 by stage.
@@ -34,49 +32,49 @@ row's start rather than 0.  That is exact up to roundoff and costs
 O(N 4^N) per call; the dense jump operators of channel_operator survive
 only as the tests' reference.
 
-A run with channels takes one of two forms.  The row table above serves
-registers of more than LIOUVILLE_MAX_DIM = 4 basis states (N >= 3).  On
-N <= 2 dots the channels take the Liouville form instead
-(liouville_generator): the stage matrix is the (d^2, d^2)
-M = I (x) H + G of the row-major vec(rho), with G = D^T / (-2 scale) the
-row table written as a dense matrix D, so one vector-matrix product per
-member, w = vec(rho) M, holds rho H plus X = D(rho) / (-2 scale), and
-nothing else touches the dissipator.  The commutator's scale (w+ - w)
-stays: for the pure-imaginary scale = -i/hbar and a Hermitian rho,
-scale (X+ - X) is D(rho), because D(rho) is Hermitian and conj(scale) =
--scale, and scale (Y+ - Y) is exactly Hermitian for any Y, since the
-product by a pure-imaginary number rounds the entries (i, j) and (j, i)
-of Y+ - Y = -(Y+ - Y)+ to exact conjugates.  The cut is set by measurement
-(LIOUVILLE_MAX_DIM): at N = 2 the Liouville form halves the apply; at
-N = 3 a whole gate_fidelity run gains nothing on one thread and is slower
-with OpenBLAS's default threads, which split its 64 x 64 vector-matrix
-products; at N = 4 a single apply loses even on one thread.
-stage_generator makes the choice, for the integrator and its tests.
+A run with channels on at most LIOUVILLE_MAX_DIM = 4 basis states
+(N <= 2) takes the map form instead of the stage loop below.  Each state
+is carried as its d^2 real coordinates x (hermitian_coordinates: rho_ii,
+then Re rho_ij and Im rho_ij for i < j), in which d(rho)/dt = x L for a
+real (d^2, d^2) generator that is affine in the drive,
+L = L0 + sum_l (Re f_l R_l + Im f_l I_l).  map_generator reads L0, R_l
+and I_l off the row table's liouvillian_apply on the coordinates' basis
+matrices, once per run.  One product of a checked batch's amplitudes with
+the stacked R_l and I_l then gives every stage generator L1, L2, L3 (at
+t, t + dt/2, t + dt) of the batch, and three batched products give each
+step's RK4 increment E = (dt/6)(L1 + 2A + 2B + C), with A = L2 + (dt/2)
+L1 L2, B = L2 + (dt/2) A L2 and C = L3 + dt B L3 (step_maps): x + x E is
+the RK4 step of x.  A step is one vector-matrix product x E and one
+addition per member, and after each batch one real product rebuilds the
+batch's states, exactly Hermitian by construction, for the step check and
+the samples.  The map form sums in another order than the stage loop, so
+its states differ from the loop's by roundoff (7e-16 on gate_fidelity's
+CNOT stack); coherent runs and runs with channels on N >= 3 keep the
+stage loop.  The cut is set by measurement (LIOUVILLE_MAX_DIM's comment).
 
 What stays fixed through a propagation is built once before the loop:
-the Generator (H0, or M0 in the Liouville form, the flat flip-pair
-indices, the dissipator's row table and -i/hbar), every buffer and their
-views.  Each RK4 stage is one liouvillian_apply, whose commutator is one
-product rho H over all B*d rows of the stack (bit for bit the per-member
-H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at d = 2), or one
-vector-matrix product vec(rho) M per member in the Liouville form, and
-exactly Hermitian, so every state is too once rho0 is Hermitized on
-entry.  The second and third stages take the generator doubled and so
-give 2 k2 and 2 k3, whose stage inputs rho + (dt/4) (2 k2) and
-rho + (dt/2) (2 k3) are bit for bit those of k2 and k3: a factor of 2 is
-exact in binary floating point, barring overflow and subnormals.
+the Generator (H0, the flat flip-pair indices, the dissipator's row table
+and -i/hbar), every buffer and their views.  Each RK4 stage of the stage
+loop is one liouvillian_apply, whose commutator is one product rho H over
+all B*d rows of the stack (bit for bit the per-member H rho for d >= 4
+with OpenBLAS 0.3.31, within 4 ulps at d = 2), and exactly Hermitian, so
+every state is too once rho0 is Hermitized on entry.  The second and third
+stages take the generator doubled and so give 2 k2 and 2 k3, whose stage
+inputs rho + (dt/4) (2 k2) and rho + (dt/2) (2 k3) are bit for bit those
+of k2 and k3: a factor of 2 is exact in binary floating point, barring
+overflow and subnormals.
 _StepCheck tests every step's state, in batches of EIG_BATCH_BYTES, cut
-shorter where the batch's stage matrices would pass 6 EIG_BATCH_BYTES:
+shorter where the batch's stage buffers would pass 6 EIG_BATCH_BYTES:
 its trace drift against trace_tol, then its positivity by one Cholesky of
 the batch shifted by eig_floor, and eigvalsh only for a batch that fails
 it.  The loop runs a batch of S steps, then its check.
 
 The equation is linear, so the loop propagates a (B, d, d) stack, a single
 (d, d) rho as a stack of one.  The members share each stage's drive
-amplitudes and Hamiltonian, each ends bit for bit where a run of its own
-would, and each is tested as a single state would be; a failure names the
-earliest step, the lowest failing member there, and, for a stack, that
-member as "state k".
+amplitudes and Hamiltonian (each step's increment in the map form), each
+ends bit for bit where a run of its own would, and each is tested as a
+single state would be; a failure names the earliest step, the lowest
+failing member there, and, for a stack, that member as "state k".
 
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
@@ -278,15 +276,8 @@ class Generator:
     are real rates stored as complex, which numpy would cast them to in
     every product with rho anyway.  scale is the commutator's factor
     -i/hbar, a 0-d complex array, which numpy takes without a conversion.
-    n_dots is N.
-
-    In the Liouville form of liouville_generator, taken with channels on
-    registers of up to LIOUVILLE_MAX_DIM basis states, h0 is instead the
-    (d^2, d^2) M0 = I (x) H0 + G, G = D^T / (-2 scale) the row table as a
-    dense matrix, pairs the flat (d^4) indices of the d copies of every
-    flip-pair entry, and dissipator None: liouvillian_apply's one product
-    applies the whole generator, and scale (w+ - w) is exactly Hermitian
-    and equals -(i/hbar)[H, rho] + D(rho) because scale is pure imaginary.
+    n_dots is N.  The map form reads its real generator off this one
+    (map_generator).
     """
 
     h0: np.ndarray
@@ -352,49 +343,19 @@ def build_generator(
     )
 
 
-def liouville_generator(generator: Generator) -> Generator:
-    """The generator with channels in Liouville form, for registers of up to
-    LIOUVILLE_MAX_DIM basis states.
-
-    h0 becomes the (d^2, d^2) matrix M0 = I (x) H0 + G of the row-major
-    vec(rho), with G = D^T / (-2 scale) for the (d^2, d^2) matrix D of the
-    row table (d(rho)/dt.flat = D rho.flat), and vec(rho) M0 is then
-    vec(rho H0 + X) for X = D(rho) / (-2 scale).  Every flip-pair entry
-    <k|H|j> is written at its d copies ((i d + k) d^2 + i d + j), which are
-    off M0's diagonal and off G's jump entries ((i|2^l) d + (j|2^l), i d + j),
-    so a drive write never meets G.  G's entries are imaginary and those of
-    I (x) H0 real on the diagonal, so their sum rounds neither.  The
-    dissipator is None, because liouvillian_apply's scale (w+ - w) of
-    w = vec(rho) M gives the whole generator (see the module docstring).
-    The doubled generator doubles only the scale, and G stays, because it
-    holds 1/scale.
-    """
-    dim = len(generator.h0)
-    values, columns, row_starts = generator.dissipator
-    rows = np.repeat(np.arange(dim * dim), np.diff(row_starts, append=len(values)))
-    dense = np.zeros((dim * dim, dim * dim))
-    dense[rows, columns] = values.real  # each (row, column) holds one term
-    copies = np.arange(dim)[:, None] * (dim * dim + 1)  # (i d) d^2 + i d
-    row, column = np.divmod(generator.pairs, dim)
-    return replace(
-        generator,
-        h0=np.kron(np.eye(dim), generator.h0) + dense.T / (-2.0 * generator.scale),
-        pairs=(copies * dim + row * dim * dim + column).ravel(),
-        pair_dots=np.tile(generator.pair_dots, dim),
-        dissipator=None,
-    )
-
-
-def stage_generator(
-    h0_diag_mev: np.ndarray, channels: Sequence[LindbladChannel] = ()
-) -> Generator:
-    """The generator of H0 (meV) and the channels in the form the integrator
-    takes: with channels on at most LIOUVILLE_MAX_DIM basis states the
-    Liouville form of liouville_generator, else that of build_generator."""
-    generator = build_generator(h0_diag_mev, channels)
-    if generator.dissipator is not None and len(generator.h0) <= LIOUVILLE_MAX_DIM:
-        return liouville_generator(generator)
-    return generator
+def _batches(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The sets of blocks' (K, ...) arrays, in order, regrouped into arrays
+    of size sets; the last may hold fewer."""
+    rest = ()  # the sets of a block left over for the next group
+    for block in blocks:
+        if len(rest):
+            block = np.concatenate((rest, block))
+        n_full = len(block) - len(block) % size
+        for first in range(0, n_full, size):
+            yield block[first : first + size]
+        rest = block[n_full:]
+    if len(rest):
+        yield rest
 
 
 def stage_hamiltonians(
@@ -409,8 +370,7 @@ def stage_hamiltonians(
     out's S entries, and the entries written are yielded: out, or out[:m]
     for the last m < S sets.  A written entry is H0 with -f_l at
     <high|H|low> and -conj(f_l) at <low|H|high> of every flip pair of dot l
-    (each off-diagonal entry belongs to one pair).  The entries 0.0 - f and
-    0.0 - conj(f) are formed once per block, and each group of S sets
+    (each off-diagonal entry belongs to one pair).  Each group of S sets
     costs one gather and one scatter; the rest of out keeps H0, and a
     yielded stack is valid until the next.
     """
@@ -419,33 +379,105 @@ def stage_hamiltonians(
     pairs = stage * generator.h0.size + generator.pairs
     pair_dots = stage * 2 * generator.n_dots + generator.pair_dots  # into (f, conj(f))
     flat = out.reshape(-1)
-    rest = ()  # the sets of a block left over for the next group
-    for f in blocks:
+    for f in _batches(blocks, size):
+        n = len(f) * stages
         entries = 0.0 - np.concatenate((f, np.conj(f)), axis=-1)
-        if len(rest):
-            entries = np.concatenate((rest, entries))
-        n_full = len(entries) - len(entries) % size
-        for first in range(0, n_full, size):
-            flat[pairs] = entries[first : first + size].take(pair_dots)
-            yield out
-        rest = entries[n_full:]
-    if len(rest):
-        n = len(rest) * stages
-        flat[pairs[:n]] = rest.take(pair_dots[:n])
-        yield out[: len(rest)]
+        flat[pairs[:n]] = entries.take(pair_dots[:n])
+        yield out[: len(f)]
 
 
-def product_buffer(
-    shape: tuple[int, ...], liouville: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A buffer for liouvillian_apply's product w of a rho of this shape,
-    (d, d) or (B, d, d): w's rows, w, and w's transposed view.  The rows
-    are w's B*d rows of w = rho h, or in the Liouville form its B members
-    as (B, 1, d^2) rows, so that every member is its own vector-matrix
-    product, bit for bit that of a run of its own."""
+def hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 real coordinates of a Hermitian (d, d) matrix: rho_ii, then
+    Re rho_ij, then Im rho_ij for i < j, in row-major order.
+
+    Returns (columns, rebuild).  columns are the coordinates' positions in
+    the matrix's float view: rho.view(float).reshape(-1, 2 d^2)[:, columns]
+    reads them.  Row k of the (d^2, 2 d^2) rebuild is the float view of the
+    basis matrix E_k (|i><i|, |i><j| + |j><i| or i|i><j| - i|j><i|), so
+    x @ rebuild is the float view of sum_k x_k E_k.  Every column of
+    rebuild holds at most one entry, 1 or -1, so that product rounds
+    nothing, and the matrix it rebuilds is exactly Hermitian.
+    """
+    upper_i, upper_j = np.triu_indices(dim, 1)
+    diagonal = np.arange(dim) * (dim + 1)
+    upper, lower = upper_i * dim + upper_j, upper_j * dim + upper_i
+    columns = np.concatenate((2 * diagonal, 2 * upper, 2 * upper + 1))
+    mirrors = np.concatenate((2 * diagonal, 2 * lower, 2 * lower + 1))
+    rebuild = np.zeros((dim * dim, 2 * dim * dim))
+    rows = np.arange(dim * dim)
+    rebuild[rows, columns] = 1.0
+    rebuild[rows, mirrors] = np.where(rows < dim + upper.size, 1.0, -1.0)
+    return columns, rebuild
+
+
+def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The generator in hermitian_coordinates, affine in the drive:
+    (L0, drive).
+
+    d(rho)/dt = x L for the row vector x of rho's coordinates, with
+    L = L0 + sum_l (Re f_l R_l + Im f_l I_l), and the (2N, d^4) drive
+    stacks R_0 .. R_{N-1}, I_0 .. I_{N-1} flattened, so that L is
+    [Re f, Im f] @ drive + L0, flattened.  Row k of L0 holds the
+    coordinates of liouvillian_apply of the basis matrix E_k with H0 and
+    the channels, and row k of R_l (I_l) those with the drive of f_l = 1
+    (f_l = i) alone, without H0 or the channels: the row table's exact
+    generator, read off once.
+    """
+    dim, n = len(generator.h0), generator.n_dots
+    columns, rebuild = hermitian_coordinates(dim)
+    basis = rebuild.view(complex).reshape(dim * dim, dim, dim)
+
+    def coordinates(h: np.ndarray, gen: Generator) -> np.ndarray:
+        return liouvillian_apply(basis, h, gen).view(float).reshape(dim * dim, -1)[:, columns]
+
+    drives = np.zeros((2 * n, dim, dim), dtype=complex)  # f = e_l, then f = i e_l
+    next(stage_hamiltonians(generator, [np.concatenate((np.eye(n), 1j * np.eye(n)))], drives))
+    coherent = replace(generator, dissipator=None)
+    return (
+        coordinates(generator.h0, generator),
+        np.array([coordinates(h, coherent).ravel() for h in drives]),
+    )
+
+
+def step_maps(stages: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
+    """The RK4 step increments of (m, 3, D, D) real stage generators L1, L2,
+    L3 of d(x)/dt = x L, written over L1 and returned as an (m, D, D) view.
+
+    The increment is E = (dt/6)(L1 + 2A + 2B + C), with A = L2 + (dt/2)
+    L1 L2, B = L2 + (dt/2) A L2 and C = L3 + dt B L3, so that x + x E is the
+    RK4 step of x: x A, x B and x C are its k2, k3 and k4.  The step map is
+    I + E, but the loop adds x E to x rather than form it: rounding 1 + E_kk
+    drops E's low bits, the same ones at every step of a constant generator,
+    and forming I + E raised configs/decoherence_two_dot.cfg's trace drift
+    from 7e-15 to 1.3e-13.  Three batched products; work is a (2, m', D, D)
+    buffer with m' >= m.
+    """
+    m = len(stages)
+    l1, l2, l3 = stages[:, 0], stages[:, 1], stages[:, 2]
+    a, b = work[0, :m], work[1, :m]
+    np.matmul(l1, l2, a)
+    a *= 0.5 * dt
+    a += l2  # A
+    np.matmul(a, l2, b)
+    b *= 0.5 * dt
+    b += l2  # B
+    a *= 2.0
+    l1 += a
+    np.matmul(b, l3, a)
+    a *= dt
+    a += l3  # C
+    b *= 2.0
+    l1 += b
+    l1 += a
+    l1 *= dt / 6.0
+    return l1
+
+
+def product_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A buffer for liouvillian_apply's product w = rho h of a rho of this
+    shape, (d, d) or (B, d, d): w's B*d rows, w, and w's transposed view."""
     w = np.empty(shape, dtype=complex)
-    rows = w.reshape(-1, 1, shape[-1] ** 2) if liouville else w.reshape(-1, shape[-1])
-    return rows, w, w.swapaxes(-1, -2)
+    return w.reshape(-1, shape[-1]), w, w.swapaxes(-1, -2)
 
 
 def liouvillian_apply(
@@ -466,14 +498,11 @@ def liouvillian_apply(
     products of one member each, and the per-member (h rho)+ bit for bit
     for d >= 4 with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The
     channels' segmented sum over the dissipator's row table keeps it so.
-    In the Liouville form (liouville_generator), h is a (d^2, d^2) stage
-    matrix M, w = vec(rho) M holds rho H plus the dissipator's X, and the
-    same scale (w+ - w) is the whole generator, exactly Hermitian too.
     Writes into out if given, and w into product (product_buffer of rho's
-    shape and h's form) if given.
+    shape) if given.
     """
     if product is None:
-        product = product_buffer(rho.shape, len(h) != rho.shape[-1])
+        product = product_buffer(rho.shape)
     rows, w, w_t = product
     np.matmul(rho.reshape(rows.shape), h, rows)
     out = np.subtract(np.conjugate(w_t, out=out), w, out=out)
@@ -490,27 +519,23 @@ def liouvillian_apply(
 # Each step's state is checked in batches of up to this many bytes of
 # states: one trace and one Cholesky call per batch instead of one test per
 # step, and one eigvalsh call only when the Cholesky fails.  The batch's
-# length in steps is also that of each write of stage Hamiltonians, whose
-# buffer of 3 (D, D) matrices per step (D = d, or d^2 in the Liouville form)
-# is held to 6 times this many bytes, 384 KiB: a batch is cut to
-# EIG_BATCH_BYTES // (8 D^2) steps where it would exceed that, which only
-# the Liouville form does (512 steps at d = 2, 32 at d = 4).
+# length in steps is also that of the loop's stage buffers, which are held
+# to 6 times this many bytes, 384 KiB: a batch is cut to fewer steps where
+# they would exceed that, which only the map form's 5 real (d^2, d^2)
+# matrices per step do (614 steps at d = 2, 38 at d = 4).
 EIG_BATCH_BYTES = 64 * 1024
 
-# Registers of up to this many basis states apply their channels in the
-# Liouville form (liouville_generator).  One liouvillian_apply with a decay
-# and a dephasing channel on every dot, row table -> Liouville form, on a
-# 2-core Xeon KVM guest with one OpenBLAS thread: N = 2 16.8 -> 7.7 us
-# (B = 1) and 21.3 -> 10.3 us (B = 8); N = 3 18.8 -> 10.2 us (B = 1) and
-# 47.3 -> 34.8 us (B = 14); N = 4 25.9 -> 30.9 us (B = 1) and
-# 247 -> 510 us (B = 24).  End to end, the 3-dot gate_fidelity of
-# tools/stage_forms.py (14 states, 14,042 steps), on the same machine,
-# gains nothing on one thread (median 3.20 -> 3.12 s, the Liouville form
-# faster in 6 of 10 runs, inside both forms' quartiles), because the stage
-# buffer's bound cuts its batches to 2 steps, and loses a quarter with
-# OpenBLAS's default two threads, which split every 64 x 64 vector-matrix
-# product (3.21 -> 4.05 s, slower in 10 of 10).  So the cut lies below
-# N = 3.
+# Registers of up to this many basis states with channels take the map form
+# (map_generator, step_maps) instead of the stage loop.  The 3-dot
+# gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
+# cut at 4 (stage loop) against 8 (map form), alternating, 10 runs each on
+# a 2-core Xeon KVM guest: with one OpenBLAS thread 2.64 s [2.26, 2.99]
+# against 1.90 s [1.76, 2.13], the map form faster in 10 of 10; with two
+# threads 2.44 s [2.36, 2.94] against 2.16 s [2.01, 2.52], faster in 8 of
+# 10 (medians [quartiles]); the fidelities are equal.  No benchmark
+# workload runs channels at N = 3, so the cut would move only on a win in
+# every run on both settings, and it stays below N = 3.  At N = 4 each step
+# would take three products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
 
 
@@ -529,19 +554,17 @@ class _StepCheck:
     eigvalsh find the first state below the floor.  max_trace_drift starts
     at rho0's (step 0) and keeps the worst drift checked,
     max_trace_drift_step its first step.  stacked: whether the error names
-    the failing member as "state k".  stage_dim is the side of the loop's
-    stage matrices (d, or d^2 in the Liouville form), whose buffer of three
-    per step holds the batch to 6 EIG_BATCH_BYTES.
+    the failing member as "state k".  step_bytes is the size of the loop's
+    stage buffers per step, which holds the batch to 6 EIG_BATCH_BYTES.
     """
 
     def __init__(
         self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool,
-        stage_dim: int,
+        step_bytes: int,
     ):
         members, dim = rho0.shape[0], rho0.shape[-1]
-        stage_bytes = 48 * stage_dim**2  # 3 stage matrices per step
         self.size = max(1, min(
-            EIG_BATCH_BYTES // (16 * members * dim * dim), 6 * EIG_BATCH_BYTES // stage_bytes
+            EIG_BATCH_BYTES // (16 * members * dim * dim), 6 * EIG_BATCH_BYTES // step_bytes
         ))
         self.states = np.empty((self.size, *rho0.shape), dtype=complex)
         self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
@@ -629,94 +652,39 @@ def _stage_amplitudes(
         yield np.reshape(drive(times.ravel()), (*times.shape, -1))
 
 
-def integrate_master_equation(
-    rho0: np.ndarray,
-    h0_diag_mev: np.ndarray,
-    drive: Callable[[np.ndarray], np.ndarray] | None,
-    channels: Sequence[LindbladChannel],
-    t_start_ps: float,
-    t_end_ps: float,
-    config: SimulationConfig,
-    reference_energy_ev: float = 0.0,
-) -> Trajectory:
-    """Fixed-step integration of the master equation over [t_start, t_end].
-
-    rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
-    share every step; the loop holds a single rho as a stack of one.
-    drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
-    (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps, and
-    stage_hamiltonians writes the three stage Hamiltonians of each checked
-    batch of steps into one buffer, as (d^2, d^2) stage matrices of the
-    Liouville form when there are channels and at most LIOUVILLE_MAX_DIM
-    basis states (stage_generator).  The requested step is shrunk to divide the window
-    exactly; a window of over MAX_STEPS steps raises StepCountError.  rho0
-    is Hermitized once; every state is then exactly Hermitian
-    (liouvillian_apply).  The trace is never re-normalized, its drift is a
-    diagnostic.  Every step's state is tested for trace drift
-    and positivity, in batches (_StepCheck).  A failure raises
-    PropagationDiagnosticsError naming the earliest failing step, and for a
-    stack the lowest failing member at that step; a non-finite state fails
-    too.  Samples are taken every sample_stride steps plus the final step.
-    """
-    rho = np.asarray(rho0, dtype=complex)
-    validate_density_matrix(rho)
-    rho = 0.5 * (rho + rho.swapaxes(-1, -2).conj())  # exactly Hermitian from here on
-    single = rho.ndim == 2
-    rho = rho.reshape(-1, *rho.shape[-2:])
+def _stage_loop(
+    rho: np.ndarray,
+    generator: Generator,
+    amplitudes: Iterator[np.ndarray] | None,
+    dt: float,
+    n_steps: int,
+    check: _StepCheck,
+    sample: Callable[[int, np.ndarray], None],
+    stride: int,
+) -> np.ndarray:
+    """The RK4 steps of the (B, d, d) stack rho as four liouvillian_apply
+    per step; returns the final stack.  amplitudes are _stage_amplitudes'
+    blocks (None: no drive), written by stage_hamiltonians into one buffer
+    of each checked batch's stage Hamiltonians."""
     dim = rho.shape[-1]
-    n_qubits = dim.bit_length() - 1
-    if 2**n_qubits != dim:
-        raise InvalidParameterError("state dimension must be a power of two")
-    h0 = np.asarray(h0_diag_mev, dtype=float)
-    if h0.shape != (dim,):
-        raise InvalidParameterError("diagonal Hamiltonian does not match state size")
-    generator = stage_generator(h0, channels)
-    stage_dim = len(generator.h0)
-
-    span = t_end_ps - t_start_ps
-    if span < 0:
-        raise InvalidParameterError("integration window must not be reversed")
-    n_steps = _step_count(span, config.time_step_ps)
-    dt = span / n_steps if n_steps else 0.0
-
-    pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
-    if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
-        raise InvalidParameterError(f"coherence pair {pair} out of range")
-    occupation_masks = bit_table(n_qubits).T.astype(float, order="C")
-
-    times, pops, occs, cohs = [], [], [], []
-
-    def sample(t, state):
-        times.append(t)
-        diag = np.real(np.diagonal(state, axis1=-2, axis2=-1))
-        pops.append(diag.copy())  # state may be a reused buffer slot
-        occs.append([diag @ m for m in occupation_masks])
-        cohs.append(state[:, pair[0], pair[1]].copy())
-
-    check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, stage_dim)
-    sample(t_start_ps, rho)
-    # each step's H (or M) at t, t + dt/2 and t + dt, one checked batch of
-    # steps at a time, in a buffer that holds H0 (M0) and whose views are
-    # bound once
-    hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, stage_dim, stage_dim)).copy()
+    # each step's H at t, t + dt/2 and t + dt, one checked batch of steps
+    # at a time, in a buffer that holds H0 and whose views are bound once
+    hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, dim, dim)).copy()
     batch_hamiltonians = [tuple(h) for h in hamiltonians]
-    if drive is None:
+    if amplitudes is None:
         writes = itertools.repeat(None)
     else:
-        writes = stage_hamiltonians(
-            generator, _stage_amplitudes(drive, t_start_ps, dt, n_steps), hamiltonians
-        )
+        writes = stage_hamiltonians(generator, amplitudes, hamiltonians)
     doubled = generator.doubled()  # for 2 k2 and 2 k3
     k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
     k1, k2, k3, k4 = k
     stage = np.empty_like(rho)  # each stage's input, rho + scale * k
-    product = product_buffer(rho.shape, stage_dim != dim)
+    product = product_buffer(rho.shape)
     slots = list(check.states)
     # 0-d complex arrays, which numpy multiplies by without converting them
     quarter_dt, half_dt, sixth_dt = (
         np.array(complex(x)) for x in (0.25 * dt, 0.5 * dt, dt / 6.0)
     )
-    stride = config.sample_stride
     for first in range(0, n_steps, check.size):
         last = min(first + check.size, n_steps)
         next(writes)
@@ -734,8 +702,133 @@ def integrate_master_equation(
             stage *= sixth_dt
             rho = np.add(stage, rho, slot)
             if step % stride == 0 or step == n_steps:
-                sample(t_start_ps + step * dt, rho)
+                sample(step, rho)
         check.check(first + 1, last - first)
+    return rho
+
+
+def _map_loop(
+    rho: np.ndarray,
+    generator: Generator,
+    amplitudes: Iterator[np.ndarray] | None,
+    dt: float,
+    n_steps: int,
+    check: _StepCheck,
+    sample: Callable[[int, np.ndarray], None],
+    stride: int,
+) -> np.ndarray:
+    """The RK4 steps of the (B, d, d) stack rho in the map form, as
+    x + x E with one vector-matrix product x E per member and step of its
+    hermitian_coordinates x; returns the final stack.  Each checked batch
+    builds its stage generators from its amplitudes (None: no drive) with
+    one product, its step increments E with step_maps, and then, after its
+    steps, its states with one product into the step check's slots."""
+    members, dim = rho.shape[0], rho.shape[-1]
+    size = dim * dim
+    columns, rebuild = hermitian_coordinates(dim)
+    l0, drive = map_generator(generator)
+    stages = np.empty((check.size, 3, size, size))  # L1, L2, L3, then E over L1
+    work = np.empty((2, check.size, size, size))
+    coordinates = np.empty((check.size, members, 1, size))  # each step's x
+    delta = np.empty((members, 1, size))  # each step's x E
+    slots = list(coordinates)
+    states = check.states.view(float).reshape(check.size * members, 2 * size)
+    x = np.ascontiguousarray(rho).view(float).reshape(members, 1, 2 * size)[..., columns]
+    groups = itertools.repeat(None) if amplitudes is None else _batches(amplitudes, check.size)
+    for first in range(0, n_steps, check.size):
+        last = min(first + check.size, n_steps)
+        m, f = last - first, next(groups)
+        batch = stages[:m]
+        if f is None:
+            batch[...] = l0
+        else:
+            f = np.concatenate((np.real(f), np.imag(f)), axis=-1).reshape(3 * m, -1)
+            np.matmul(f, drive, batch.reshape(3 * m, -1))
+            batch += l0
+        for slot, increment in zip(slots, step_maps(batch, dt, work)):
+            x = np.add(x, np.matmul(x, increment, delta), slot)
+        np.matmul(coordinates[:m].reshape(m * members, size), rebuild, states[: m * members])
+        for step in range(first + 1, last + 1):
+            if step % stride == 0 or step == n_steps:
+                sample(step, check.states[step - first - 1])
+        check.check(first + 1, m)
+    return check.states[m - 1] if n_steps else rho
+
+
+def integrate_master_equation(
+    rho0: np.ndarray,
+    h0_diag_mev: np.ndarray,
+    drive: Callable[[np.ndarray], np.ndarray] | None,
+    channels: Sequence[LindbladChannel],
+    t_start_ps: float,
+    t_end_ps: float,
+    config: SimulationConfig,
+    reference_energy_ev: float = 0.0,
+) -> Trajectory:
+    """Fixed-step integration of the master equation over [t_start, t_end].
+
+    rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
+    share every step; the loop holds a single rho as a stack of one.
+    drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
+    (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps.  With
+    channels on at most LIOUVILLE_MAX_DIM basis states the run takes the
+    map form (_map_loop), else the stage loop (_stage_loop), whose
+    stage_hamiltonians writes the three stage Hamiltonians of each checked
+    batch of steps into one buffer.  The requested step is shrunk to divide
+    the window exactly; a window of over MAX_STEPS steps raises
+    StepCountError.  rho0 is Hermitized once; every state is then exactly
+    Hermitian.  The trace is never re-normalized, its drift is a
+    diagnostic.  Every step's state is tested for trace drift and
+    positivity, in batches (_StepCheck).  A failure raises
+    PropagationDiagnosticsError naming the earliest failing step, and for a
+    stack the lowest failing member at that step; a non-finite state fails
+    too.  Samples are taken every sample_stride steps plus the final step.
+    """
+    rho = np.asarray(rho0, dtype=complex)
+    validate_density_matrix(rho)
+    rho = 0.5 * (rho + rho.swapaxes(-1, -2).conj())  # exactly Hermitian from here on
+    single = rho.ndim == 2
+    rho = rho.reshape(-1, *rho.shape[-2:])
+    dim = rho.shape[-1]
+    n_qubits = dim.bit_length() - 1
+    if 2**n_qubits != dim:
+        raise InvalidParameterError("state dimension must be a power of two")
+    h0 = np.asarray(h0_diag_mev, dtype=float)
+    if h0.shape != (dim,):
+        raise InvalidParameterError("diagonal Hamiltonian does not match state size")
+    generator = build_generator(h0, channels)
+    map_form = generator.dissipator is not None and dim <= LIOUVILLE_MAX_DIM
+
+    span = t_end_ps - t_start_ps
+    if span < 0:
+        raise InvalidParameterError("integration window must not be reversed")
+    n_steps = _step_count(span, config.time_step_ps)
+    dt = span / n_steps if n_steps else 0.0
+
+    pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
+    if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
+        raise InvalidParameterError(f"coherence pair {pair} out of range")
+    occupation_masks = bit_table(n_qubits).T.astype(float, order="C")
+
+    times, pops, occs, cohs = [], [], [], []
+
+    def sample(step, state):
+        times.append(t_start_ps + step * dt)
+        diag = np.real(np.diagonal(state, axis1=-2, axis2=-1))
+        pops.append(diag.copy())  # state may be a reused buffer slot
+        occs.append([diag @ m for m in occupation_masks])
+        cohs.append(state[:, pair[0], pair[1]].copy())
+
+    # bytes of the loop's stage buffers per step: 3 complex (d, d) stage
+    # Hamiltonians, or 5 real (d^2, d^2) matrices in the map form
+    step_bytes = 40 * dim**4 if map_form else 48 * dim**2
+    check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, step_bytes)
+    sample(0, rho)
+    amplitudes = None
+    if drive is not None:
+        amplitudes = _stage_amplitudes(drive, t_start_ps, dt, n_steps)
+    loop = _map_loop if map_form else _stage_loop
+    rho = loop(rho, generator, amplitudes, dt, n_steps, check, sample, config.sample_stride)
 
     member = 0 if single else slice(None)  # a single state drops the member axis
     return Trajectory(

@@ -11,6 +11,7 @@ from excitonsim import dynamics, units
 from excitonsim.analysis import default_fidelity_states, fidelity
 from excitonsim.cli import main
 from excitonsim.dynamics import (
+    build_generator,
     channel_operator,
     default_reference_energy,
     integrate_master_equation,
@@ -18,7 +19,6 @@ from excitonsim.dynamics import (
     propagate,
     pure_state_density,
     purity,
-    stage_generator,
 )
 from excitonsim.model import build_hamiltonian
 from excitonsim.pulses import ENVELOPE_CUTOFF, pulse_amplitude
@@ -142,10 +142,12 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     0.0 - f_l at <i + 2^l|H|i>, 0.0 - conj(f_l) at <i|H|i + 2^l> for every i
     with bit l clear.  The stages run in propagate's order, and
     dynamics.liouvillian_apply applies each stage's H and the channels
-    with the generator of dynamics.stage_generator, in the form propagate
-    takes: in the Liouville form, as the stage matrix kron(I, H) + G, where
-    G is the generator's M0 less kron(I, H0) (an exact difference: the two
-    only share the diagonal, where H0 is real and G imaginary).
+    with the row-table generator of dynamics.build_generator, which
+    propagate's stage loop takes: a coherent run, or one with channels on
+    three or more dots, ends bit for bit where this loop does.  A run with
+    channels on at most dynamics.LIOUVILLE_MAX_DIM basis states takes the
+    map form instead, which sums in another order, so it ends within
+    roundoff of this loop (test_dynamics.assert_matches_stage_loop).
     Three things are kept here on purpose that propagate no longer does:
     k2 and k3 from the generator itself, with stage inputs at dt/2 and dt,
     doubled only in the sum, where propagate takes 2 k2 and 2 k3 from a
@@ -170,10 +172,7 @@ def _rk4_reference(rho0, sequence, register, channels, config):
     )
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
     h0 = (build_hamiltonian(register) - ref * occupancy) * units.MEV_PER_EV
-    generator = stage_generator(h0, channels)
-    dissipator = None  # G of the Liouville form, where propagate takes it
-    if len(generator.h0) != dim:
-        dissipator = generator.h0 - np.kron(np.eye(dim), np.diag(h0))
+    generator = build_generator(h0, channels)
 
     def dense_h(t):
         f = _field_reference(sequence, t, register.transition_dipoles, ref)
@@ -183,7 +182,7 @@ def _rk4_reference(rho0, sequence, register, channels, config):
                 if not (idx >> l) & 1:
                     h[idx | (1 << l), idx] = 0.0 - f[l]
                     h[idx, idx | (1 << l)] = 0.0 - np.conj(f[l])
-        return h if dissipator is None else np.kron(np.eye(dim), h) + dissipator
+        return h
 
     t_start = min(0.0, sequence.start_ps)
     span = sequence.end_ps - t_start

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,18 @@ class TestShiftCommand:
         cfg = write_cfg(tmp_path, MINIMAL_REGISTER)
         rc = main(["shift", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_failing_sweep_names_the_field_grid(self, tmp_path, capsys):
+        # an ascending grid whose far fields break the Coulomb quadrature
+        cfg = write_cfg(
+            tmp_path, "[device]\npreset = gaas-two-dot\nfield_grid_kv_cm = 0 1e6 1e12 1e30\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's IntegrationWarning on the way
+            rc = main(["shift", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "[device] field_grid_kv_cm: " in capsys.readouterr().err
+        assert not (tmp_path / "shift.csv").exists()
 
 
 class TestSpectrumCommand:
