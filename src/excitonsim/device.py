@@ -358,10 +358,16 @@ def coulomb_integral(
         return math.exp(-0.5 * k * k * sbar2) * j0(k * s) * float(zk(k))
 
     k_max = 9.6 / math.sqrt(sbar2)
-    value, err_est = quad(integrand, 0.0, k_max, epsabs=0.0, epsrel=rel_tol, limit=400)
+    # full_output returns quad's reason for a flagged result instead of
+    # warning it, so that the ConvergenceError below is the one report
+    value, err_est, _, *reason = quad(
+        integrand, 0.0, k_max, epsabs=0.0, epsrel=rel_tol, limit=400, full_output=1
+    )
     if err_est > rel_tol * abs(value) + 1e-14:
         raise ConvergenceError(
-            "Coulomb quadrature did not converge", achieved_tol=err_est / abs(value)
+            "Coulomb quadrature did not converge"
+            + "".join(f": {r.splitlines()[0].strip().rstrip('.')}" for r in reason),
+            achieved_tol=err_est / abs(value),
         )
     prefactor = (
         units.COULOMB_MEV_NM * a.charge * b.charge / material.relative_permittivity

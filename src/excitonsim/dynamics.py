@@ -54,15 +54,20 @@ stage loop.  The cut is set by measurement (LIOUVILLE_MAX_DIM's comment).
 
 What stays fixed through a propagation is built once before the loop:
 the Generator (H0, the flat flip-pair indices, the dissipator's row table
-and -i/hbar), every buffer and their views.  Each RK4 stage of the stage
-loop is one liouvillian_apply, whose commutator is one product rho H over
-all B*d rows of the stack (bit for bit the per-member H rho for d >= 4
-with OpenBLAS 0.3.31, within 4 ulps at d = 2), and exactly Hermitian, so
-every state is too once rho0 is Hermitized on entry.  The second and third
-stages take the generator doubled and so give 2 k2 and 2 k3, whose stage
-inputs rho + (dt/4) (2 k2) and rho + (dt/2) (2 k3) are bit for bit those
-of k2 and k3: a factor of 2 is exact in binary floating point, barring
-overflow and subnormals.
+and -i/hbar), every buffer and their views.  The stage loop binds two
+stages once per run with stage_apply, one for the generator and one for
+it doubled, each holding its scale, its row table and its buffers, and
+it binds the row views of its C-ordered stage buffer and step-check slots
+once; each RK4 stage is then one call of a bound stage, with no module
+lookup, reshape or test per stage (liouvillian_apply, a stage bound and
+applied once, serves map_generator and the tests).  A stage's commutator
+is one product rho H over all B*d rows of the stack (bit for bit the
+per-member H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at
+d = 2), and exactly Hermitian, so every state is too once rho0 is
+Hermitized on entry.  The second and third stages take the generator
+doubled and so give 2 k2 and 2 k3, whose stage inputs rho + (dt/4) (2 k2)
+and rho + (dt/2) (2 k3) are bit for bit those of k2 and k3: a factor of 2
+is exact in binary floating point, barring overflow and subnormals.
 _StepCheck tests every step's state, in batches of EIG_BATCH_BYTES, cut
 shorter where the batch's stage buffers would pass 6 EIG_BATCH_BYTES:
 its trace drift against trace_tol, then its positivity by one Cholesky of
@@ -473,47 +478,73 @@ def step_maps(stages: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
     return l1
 
 
-def product_buffer(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A buffer for liouvillian_apply's product w = rho h of a rho of this
-    shape, (d, d) or (B, d, d): w's B*d rows, w, and w's transposed view."""
+def stage_apply(
+    generator: Generator, shape: tuple[int, ...]
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The exact generator d(rho)/dt of a rho of this shape, (d, d) or
+    (B, d, d), bound once: stage(rows, h, out) writes it for the
+    Hamiltonian h (meV), meV-ps units, times the generator's scale over
+    -i/hbar, into out, rho's shape, and returns out.
+
+    rows is rho.reshape(-1, d), its B*d rows, so that a caller that holds
+    C-contiguous buffers binds their row views once.  h is the generator's
+    H0 or a stage Hamiltonian of stage_hamiltonians, and rho must be
+    Hermitian, so that h rho = (rho h)+: the commutator is w+ - w of one
+    product w = rho h, exactly Hermitian however w rounds, and it is
+    multiplied by generator.scale.  For a stack, whose members all take h,
+    w is one product over all B*d rows, bit for bit B products of one
+    member each, and the per-member (h rho)+ bit for bit for d >= 4 with
+    OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The channels' row table is
+    repeated for each member of the flat stack, so that one gather, one
+    product and one segmented sum apply it to every member, each bit for
+    bit as it would alone; that keeps the derivative exactly Hermitian.
+    The bound stage holds its own buffers (the product w, the gather), so
+    it serves one caller at a time, and it calls its ufuncs with
+    positional outputs and no per-call test.
+    """
     w = np.empty(shape, dtype=complex)
-    return w.reshape(-1, shape[-1]), w, w.swapaxes(-1, -2)
+    product, w_t = w.reshape(-1, shape[-1]), w.swapaxes(-1, -2)
+    scale = generator.scale
+    dot, conjugate, subtract, multiply, add = (
+        np.dot, np.conjugate, np.subtract, np.multiply, np.add
+    )
+
+    def coherent(rows: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        dot(rows, h, product)  # the zgemm of np.matmul, with less call overhead
+        subtract(conjugate(w_t, out), w, out)
+        return multiply(out, scale, out)
+
+    if generator.dissipator is None:
+        return coherent
+    values, columns, row_starts = generator.dissipator
+    member = np.arange(math.prod(shape[:-2]))[:, None]  # each member's offsets
+    columns = (member * shape[-1] ** 2 + columns).ravel()
+    row_starts = (member * len(values) + row_starts).ravel()
+    values = np.tile(values, len(member))
+    gathered = np.empty(len(columns), dtype=complex)
+    sums = np.empty(shape, dtype=complex)
+    flat_sums = sums.reshape(-1)
+    take, reduceat = np.take, np.add.reduceat
+
+    def apply(rows: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        coherent(rows, h, out)
+        take(rows, columns, None, gathered, "clip")  # in range: clip skips a copy
+        multiply(values, gathered, gathered)
+        reduceat(gathered, row_starts, 0, None, flat_sums)
+        return add(out, sums, out)
+
+    return apply
 
 
 def liouvillian_apply(
-    rho: np.ndarray,
-    h: np.ndarray,
-    generator: Generator,
-    out: np.ndarray | None = None,
-    product: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    rho: np.ndarray, h: np.ndarray, generator: Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact generator d(rho)/dt for the Hamiltonian h (meV), meV-ps units,
-    times the generator's scale over -i/hbar.
-
-    h is the generator's H0 or a stage Hamiltonian of stage_hamiltonians,
-    and rho must be Hermitian, so that h rho = (rho h)+: the commutator is
-    w+ - w of one product w = rho h, exactly Hermitian however w rounds,
-    and it is multiplied by generator.scale.  For a (B, d, d) stack, whose
-    members all take h, w is one product over all B*d rows, bit for bit B
-    products of one member each, and the per-member (h rho)+ bit for bit
-    for d >= 4 with OpenBLAS 0.3.31 (within 4 ulps at d = 2).  The
-    channels' segmented sum over the dissipator's row table keeps it so.
-    Writes into out if given, and w into product (product_buffer of rho's
-    shape) if given.
-    """
-    if product is None:
-        product = product_buffer(rho.shape)
-    rows, w, w_t = product
-    np.matmul(rho.reshape(rows.shape), h, rows)
-    out = np.subtract(np.conjugate(w_t, out=out), w, out=out)
-    out *= generator.scale
-    if generator.dissipator is not None:
-        values, columns, row_starts = generator.dissipator
-        flat = rho.reshape(*rho.shape[:-2], -1)
-        out += np.add.reduceat(
-            values * flat.take(columns, axis=-1), row_starts, axis=-1
-        ).reshape(out.shape)
-    return out
+    """Exact generator d(rho)/dt for the Hamiltonian h (meV) of a (d, d)
+    rho or (B, d, d) stack, as stage_apply's stage bound for rho's shape
+    gives it; writes into out if given."""
+    if out is None:
+        out = np.empty(rho.shape, dtype=complex)
+    return stage_apply(generator, rho.shape)(rho.reshape(-1, rho.shape[-1]), h, out)
 
 
 # Each step's state is checked in batches of up to this many bytes of
@@ -662,10 +693,11 @@ def _stage_loop(
     sample: Callable[[int, np.ndarray], None],
     stride: int,
 ) -> np.ndarray:
-    """The RK4 steps of the (B, d, d) stack rho as four liouvillian_apply
-    per step; returns the final stack.  amplitudes are _stage_amplitudes'
-    blocks (None: no drive), written by stage_hamiltonians into one buffer
-    of each checked batch's stage Hamiltonians."""
+    """The RK4 steps of the (B, d, d) stack rho as four stages per step,
+    each a stage_apply stage bound once for the run; returns the final
+    stack.  amplitudes are _stage_amplitudes' blocks (None: no drive),
+    written by stage_hamiltonians into one buffer of each checked batch's
+    stage Hamiltonians."""
     dim = rho.shape[-1]
     # each step's H at t, t + dt/2 and t + dt, one checked batch of steps
     # at a time, in a buffer that holds H0 and whose views are bound once
@@ -675,12 +707,17 @@ def _stage_loop(
         writes = itertools.repeat(None)
     else:
         writes = stage_hamiltonians(generator, amplitudes, hamiltonians)
-    doubled = generator.doubled()  # for 2 k2 and 2 k3
+    apply = stage_apply(generator, rho.shape)
+    apply_doubled = stage_apply(generator.doubled(), rho.shape)  # for 2 k2 and 2 k3
     k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
     k1, k2, k3, k4 = k
-    stage = np.empty_like(rho)  # each stage's input, rho + scale * k
-    product = product_buffer(rho.shape)
-    slots = list(check.states)
+    # each stage's input, rho + scale * k, and the check's slots, C-ordered
+    # whatever rho's layout, so that their row views are bound once
+    stage = np.empty(rho.shape, dtype=complex)
+    stage_rows = stage.reshape(-1, dim)
+    slots = [(slot, slot.reshape(-1, dim)) for slot in check.states]
+    rows = rho.reshape(-1, dim)  # a copy if rho is not C-ordered: rho is only read
+    add, multiply, reduce = np.add, np.multiply, np.add.reduce
     # 0-d complex arrays, which numpy multiplies by without converting them
     quarter_dt, half_dt, sixth_dt = (
         np.array(complex(x)) for x in (0.25 * dt, 0.5 * dt, dt / 6.0)
@@ -689,18 +726,18 @@ def _stage_loop(
         last = min(first + check.size, n_steps)
         next(writes)
         batch = zip(range(first + 1, last + 1), slots, batch_hamiltonians)
-        for step, slot, (h_start, h_mid, h_end) in batch:
-            liouvillian_apply(rho, h_start, generator, k1, product)
-            np.add(np.multiply(k1, half_dt, stage), rho, stage)
-            liouvillian_apply(stage, h_mid, doubled, k2, product)
-            np.add(np.multiply(k2, quarter_dt, stage), rho, stage)
-            liouvillian_apply(stage, h_mid, doubled, k3, product)
-            np.add(np.multiply(k3, half_dt, stage), rho, stage)
-            liouvillian_apply(stage, h_end, generator, k4, product)
+        for step, (slot, slot_rows), (h_start, h_mid, h_end) in batch:
+            apply(rows, h_start, k1)
+            add(multiply(k1, half_dt, stage), rho, stage)
+            apply_doubled(stage_rows, h_mid, k2)
+            add(multiply(k2, quarter_dt, stage), rho, stage)
+            apply_doubled(stage_rows, h_mid, k3)
+            add(multiply(k3, half_dt, stage), rho, stage)
+            apply(stage_rows, h_end, k4)
             # rho + (dt/6) (((k1 + 2 k2) + 2 k3) + k4); the slot may hold rho
-            np.add.reduce(k, axis=0, out=stage)
-            stage *= sixth_dt
-            rho = np.add(stage, rho, slot)
+            reduce(k, 0, None, stage)
+            multiply(stage, sixth_dt, stage)
+            rho, rows = add(stage, rho, slot), slot_rows
             if step % stride == 0 or step == n_steps:
                 sample(step, rho)
         check.check(first + 1, last - first)

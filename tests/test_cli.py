@@ -141,11 +141,17 @@ class TestShiftCommand:
         cfg = write_cfg(
             tmp_path, "[device]\npreset = gaas-two-dot\nfield_grid_kv_cm = 0 1e6 1e12 1e30\n"
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy's IntegrationWarning on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["shift", "--config", str(cfg), "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "[device] field_grid_kv_cm: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[device] field_grid_kv_cm: " in err
+        # the error line is the whole report: no warning of scipy's on the way
+        assert caught == []
+        assert len(err.splitlines()) == 1 and err.startswith(
+            f"error: {cfg}: [device] field_grid_kv_cm: Coulomb quadrature did not converge"
+        )
         assert not (tmp_path / "shift.csv").exists()
 
 

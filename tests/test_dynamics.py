@@ -270,19 +270,25 @@ class TestLiouvillian:
         products = []
 
         class Counted(np.ndarray):
-            """An array that records every matmul it takes part in."""
+            """An array that records every matrix product it takes part in,
+            np.matmul or np.dot."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
-                    products.append(method)
+                    products.append(f"matmul.{method}")
                 inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
                 return getattr(ufunc, method)(*inputs, **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                if func in (np.dot, np.matmul, np.einsum, np.tensordot, np.inner, np.vdot):
+                    products.append(func.__name__)
+                return super().__array_function__(func, types, args, kwargs)
 
         rng = np.random.default_rng(7)
         generator = build_generator(rng.normal(scale=100.0, size=8), channels)
         h = drive_hamiltonian(generator, np.array([1.0, 2.0 - 1.0j, 0.5j]))
         out = liouvillian_apply(hermitian(rng, 2, 8), h.view(Counted), generator)
-        assert products == ["__call__"]
+        assert products == ["dot"]
         assert type(out) is np.ndarray
 
     def test_diagonal_state_is_stationary_without_drive(self):
@@ -379,15 +385,22 @@ class TestLiouvillian:
         self, monkeypatch, n, channels, map_form
     ):
         # the map form applies the row table only to read its generator off
-        # the d^2 basis matrices, 2N + 1 calls however many steps; the stage
-        # loop applies it four times per step to the (1, d, d) state
+        # the d^2 basis matrices, 2N + 1 bound and applied stages however
+        # many steps; the stage loop applies its bound stages four times per
+        # step to the (1, d, d) state
         shapes = []
+        bind = dynamics.stage_apply
 
-        def recording_apply(rho, h, *args):
-            shapes.append(rho.shape)
-            return liouvillian_apply(rho, h, *args)
+        def recording_bind(generator, shape):
+            apply = bind(generator, shape)
 
-        monkeypatch.setattr(dynamics, "liouvillian_apply", recording_apply)
+            def recording_apply(rows, h, out):
+                shapes.append(shape)
+                return apply(rows, h, out)
+
+            return recording_apply
+
+        monkeypatch.setattr(dynamics, "stage_apply", recording_bind)
         dim = 2**n
         channel_list = [LindbladChannel("decay", 0, 0.1)] if channels else []
         config = SimulationConfig(time_step_ps=1e-3)
@@ -424,19 +437,20 @@ class TestLiouvillian:
 
 
 @st.composite
-def hermitian_stack_cases(draw):
-    """(rho, h, generator): N in 1..6, an exactly Hermitian (B, d, d) stack
-    with B in 1..4, and the generator of a random H0 and of a channel list
-    of both kinds that may be empty, with rates that may be 0.  h is its
-    H0, or H0 with a drive of draw_amplitudes' amplitudes, or a random
-    exactly Hermitian matrix."""
-    n = draw(st.integers(1, 6))
+def hermitian_stack_cases(draw, max_dots=6, max_members=4, stacks=()):
+    """(rho, h, generator): N in 1..max_dots, an exactly Hermitian (B, d, d)
+    stack with B in 1..max_members (stacks: a (*stacks, B, d, d) array of
+    such stacks), and the generator of a random H0 and of a channel list of
+    both kinds that may be empty, with rates that may be 0.  h is its H0,
+    or H0 with a drive of draw_amplitudes' amplitudes, or a random exactly
+    Hermitian matrix."""
+    n = draw(st.integers(1, max_dots))
     kind, dot = st.sampled_from(["decay", "pure-dephasing"]), st.integers(0, n - 1)
     channels = draw(st.lists(st.builds(LindbladChannel, kind, dot, RATE), max_size=6))
     h_kind = draw(st.sampled_from(["h0", "drive", "dense"]))
     amps = draw_amplitudes(draw, n) if h_kind == "drive" else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rho = hermitian(rng, draw(st.integers(1, 4)), 2**n)
+    rho = hermitian(rng, *stacks, draw(st.integers(1, max_members)), 2**n)
     generator = build_generator(rng.normal(scale=100.0, size=2**n), channels)
     if h_kind == "h0":
         return rho, generator.h0, generator
@@ -480,6 +494,30 @@ class TestExactHermiticity:
         traj = propagate(rho0, sequence, register, channels, config)
         assert len(step_states) == traj.n_steps
         assert all(np.array_equal(state, state.conj().T) for state in step_states)
+
+
+class TestBoundStage:
+    """stage_apply binds a stage once per run, with its own buffers, and the
+    stage loop applies it to stack after stack."""
+
+    @given(hermitian_stack_cases(max_dots=3, max_members=8, stacks=(2,)), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_reused_stage_equals_fresh_member_calls(self, case, doubled):
+        # two different stacks in a row through one bound stage and one
+        # output buffer, as the loop's k1 .. k4: the reused product, gather
+        # and sum buffers leak nothing from the first call into the second
+        stacks, h, generator = case
+        if doubled:
+            generator = generator.doubled()
+        shape = stacks.shape[1:]
+        apply = dynamics.stage_apply(generator, shape)
+        out = np.empty(shape, dtype=complex)
+        for rho in stacks:
+            result = apply(rho.reshape(-1, shape[-1]), h, out)
+            assert result is out
+            assert np.array_equal(out, liouvillian_apply(rho, h, generator))
+            assert np.array_equal(out, [liouvillian_apply(member, h, generator) for member in rho])
+            assert np.array_equal(out, out.swapaxes(-1, -2).conj())
 
 
 class TestMapForm:
@@ -955,23 +993,52 @@ class TestDriveBlocks:
 
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "stack"])
     def test_liouvillian_apply_called_four_times_per_step(self, monkeypatch, members):
-        # perfbench's tracer wraps dynamics.liouvillian_apply by name and
-        # checks its count against the RK4 steps; that holds for the stage
-        # loop, here with channels on three dots, and not for the map form
+        # the stage loop, here with channels on three dots, binds one stage
+        # for the generator and one for the doubled generator per run, and
+        # applies them four times per RK4 step; the map form does not
         # (test_integrator_picks_the_liouville_form_up_to_two_dots)
-        shapes = []
+        shapes, scales = [], []
+        bind = dynamics.stage_apply
 
-        def counting_apply(rho, *args):
-            shapes.append(rho.shape)
-            return liouvillian_apply(rho, *args)
+        def counting_bind(generator, shape):
+            scales.append(generator.scale.item())
+            apply = bind(generator, shape)
 
-        monkeypatch.setattr(dynamics, "liouvillian_apply", counting_apply)
+            def counting_apply(rows, h, out):
+                shapes.append(out.shape)
+                return apply(rows, h, out)
+
+            return counting_apply
+
+        monkeypatch.setattr(dynamics, "stage_apply", counting_bind)
         rho0 = basis_state_density(3, 0)
         if members is not None:
             rho0 = np.array([rho0] * members)
         traj = propagate(rho0, self.SEQUENCE_3, self.REGISTER_3, self.CHANNELS_3, self.CONFIG)
+        assert scales == [-1j / HBAR, -2j / HBAR]
         assert len(shapes) == 4 * traj.n_steps
         assert set(shapes) == {(members or 1, 8, 8)}
+
+    @pytest.mark.parametrize("dots", [2, 3], ids=["2-dots-coherent", "3-dots-channels"])
+    def test_stack_in_any_memory_layout(self, dots):
+        # the stage loop binds the row views of its stage buffer and of the
+        # check's slots once, which holds because it makes them C-ordered: a
+        # stack whose member axis is innermost in memory runs bit for bit as
+        # its C-ordered copy does
+        dim = 2**dots
+        rho0 = np.array([random_density(np.random.default_rng(k), dim) for k in range(3)])
+        strided = np.ascontiguousarray(np.moveaxis(rho0, 0, -1)).transpose(2, 0, 1)
+        assert np.array_equal(strided, rho0) and not strided.flags.c_contiguous
+        if dots == 2:
+            register, sequence, channels = two_dot_register(), self.SEQUENCE, ()
+        else:
+            register, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
+        runs = [
+            propagate(rho, sequence, register, channels, self.CONFIG) for rho in (rho0, strided)
+        ]
+        assert np.array_equal(runs[0].final_state, runs[1].final_state)
+        assert np.array_equal(runs[0].coherences, runs[1].coherences)
+        assert np.array_equal(runs[0].populations, runs[1].populations)
 
 
 class TestDiagnostics:
@@ -1026,20 +1093,25 @@ class TestDiagnostics:
 
 
 def kicked_apply(kicks):
-    """A stand-in for dynamics.liouvillian_apply: d(rho)/dt is zero except
-    during the steps named in kicks (four calls per RK4 step), where it is
-    the given matrix, broadcast into out, rho's (B, d, d) stage buffer, so
-    one step moves rho by dt times it.  Like liouvillian_apply, it returns
-    the derivative times the generator's scale over -i/hbar: 2 for the
-    doubled generator of the second and third stage."""
+    """A stand-in for dynamics.stage_apply: every stage it binds gives a
+    d(rho)/dt that is zero except during the steps named in kicks (four
+    stage calls per RK4 step, counted over all the stages it binds), where
+    it is the given matrix, broadcast into out, rho's (B, d, d) stage
+    buffer, so one step moves rho by dt times it.  Like stage_apply's
+    stages, it returns the derivative times the generator's scale over
+    -i/hbar: 2 for the doubled generator of the second and third stage."""
     calls = itertools.count()
 
-    def apply(rho, h, generator, out, product):
+    def bind(generator, shape):
         factor = (generator.scale / (-1j / HBAR)).real
-        out[...] = factor * np.asarray(kicks.get(next(calls) // 4 + 1, 0.0))
-        return out
 
-    return apply
+        def apply(rows, h, out):
+            out[...] = factor * np.asarray(kicks.get(next(calls) // 4 + 1, 0.0))
+            return out
+
+        return apply
+
+    return bind
 
 
 class TestBatchedPositivity:
@@ -1051,7 +1123,7 @@ class TestBatchedPositivity:
     N_STEPS = 2 * SLOTS + 300  # the last batch is only partly filled
 
     def run(self, monkeypatch, kicks):
-        monkeypatch.setattr(dynamics, "liouvillian_apply", kicked_apply(kicks))
+        monkeypatch.setattr(dynamics, "stage_apply", kicked_apply(kicks))
         return integrate_master_equation(
             basis_state_density(1, 0),
             np.zeros(2),
@@ -1186,7 +1258,7 @@ class TestCholeskyPositivity:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         monkeypatch.setattr(
-            dynamics, "liouvillian_apply", kicked_apply({5: np.diag([5e-7, -5e-7]) / self.DT})
+            dynamics, "stage_apply", kicked_apply({5: np.diag([5e-7, -5e-7]) / self.DT})
         )
         n_steps = 3 * TestBatchedPositivity.SLOTS
         config = SimulationConfig(time_step_ps=self.DT)
@@ -1231,7 +1303,7 @@ class TestStackedDiagnostics:
     N_STEPS = 2 * SLOTS + 30
 
     def run(self, monkeypatch, kicks, rho0=None):
-        monkeypatch.setattr(dynamics, "liouvillian_apply", kicked_apply(kicks))
+        monkeypatch.setattr(dynamics, "stage_apply", kicked_apply(kicks))
         if rho0 is None:
             rho0 = np.array([basis_state_density(1, 0)] * 3)
         return integrate_master_equation(
