@@ -542,6 +542,7 @@ def liouvillian_apply(
     """Exact generator d(rho)/dt for the Hamiltonian h (meV) of a (d, d)
     rho or (B, d, d) stack, as stage_apply's stage bound for rho's shape
     gives it; writes into out if given."""
+    rho = np.asarray(rho, dtype=complex)  # np.dot takes no out of another dtype
     if out is None:
         out = np.empty(rho.shape, dtype=complex)
     return stage_apply(generator, rho.shape)(rho.reshape(-1, rho.shape[-1]), h, out)
