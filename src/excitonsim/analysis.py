@@ -10,12 +10,13 @@ phases are frozen and a fixed target state is meaningful at any final time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import (
+    MAX_STEPS,
     LindbladChannel,
     SimulationConfig,
     propagate,
@@ -212,8 +213,9 @@ def gate_fidelity(
     """Average fidelity of the propagated sequence against an ideal gate.
 
     The reference states of default_fidelity_states are propagated together
-    through the full sequence, as one (B, d, d) stack in one propagate call;
-    each final state, taken to the interaction picture, is compared with
+    through the full sequence, as one (B, d, d) stack in one propagate call
+    that samples only the first and the final step, the one it reads; each
+    final state, taken to the interaction picture, is compared with
     the ideal image of its reference state, and the average runs over the
     set.  ideal_unitary must be unitary to 1e-10.
     """
@@ -226,6 +228,7 @@ def gate_fidelity(
         raise InvalidParameterError(f"ideal gate is not unitary: max|U+U - I| = {error:.3e}")
     states = default_fidelity_states(register.n_qubits)
     rho0 = np.array([pure_state_density(psi) for psi in states])
+    config = replace(config, sample_stride=MAX_STEPS)
     traj = propagate(rho0, sequence, register, channels, config)
     total = 0.0
     for psi, rho_final in zip(states, traj.final_state_interaction_picture()):

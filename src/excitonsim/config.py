@@ -178,6 +178,7 @@ def _require(holds: Callable[[np.ndarray], bool], message: str):
 
 _positive = _require(lambda v: np.all(v > 0), "must be positive")
 _nonnegative = _require(lambda v: np.all(v >= 0), "must be non-negative")
+_nonpositive = _require(lambda v: np.all(v <= 0), "must be non-positive")
 _at_least_one = _require(lambda v: np.all(v >= 1), "must be at least 1")
 _positive_list = _require(
     lambda v: v.size > 0 and np.all(v > 0), "must list positive values, one per dot"
@@ -467,7 +468,7 @@ KEYS: tuple[Key | Family, ...] = (
     Key("integration", "trace_tol", _real, 1e-7,
         attrgetter("simulation.trace_tol"), _positive),
     Key("integration", "eig_floor", _real, -1e-6,
-        attrgetter("simulation.eig_floor")),
+        attrgetter("simulation.eig_floor"), _nonpositive),
     Key("outputs", "fidelity_target", _target, None,
         attrgetter("outputs.fidelity_target")),
     Key("outputs", "spectrum_linewidth_mev", _real, 0.5,

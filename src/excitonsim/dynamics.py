@@ -39,16 +39,18 @@ then Re rho_ij and Im rho_ij for i < j), in which d(rho)/dt = x L for a
 real (d^2, d^2) generator that is affine in the drive,
 L = L0 + sum_l (Re f_l R_l + Im f_l I_l).  map_generator reads L0, R_l
 and I_l off the row table's liouvillian_apply on the coordinates' basis
-matrices, once per run.  One product of a checked batch's amplitudes with
-the stacked R_l and I_l then gives every stage generator L1, L2, L3 (at
-t, t + dt/2, t + dt) of the batch, and three batched products give each
-step's RK4 increment E = (dt/6)(L1 + 2A + 2B + C), with A = L2 + (dt/2)
-L1 L2, B = L2 + (dt/2) A L2 and C = L3 + dt B L3 (step_maps): x + x E is
-the RK4 step of x.  A step is one vector-matrix product x E and one
-addition per member, and after each batch one real product rebuilds the
-batch's states, exactly Hermitian by construction, for the step check and
-the samples.  The map form sums in another order than the stage loop, so
-its states differ from the loop's by roundoff (7e-16 on gate_fidelity's
+matrices, once per run.  One product [Re f, Im f, 1] @ (dt/2) [R; I; L0]
+of a checked batch's amplitudes then gives every stage generator of the
+batch already scaled by dt/2, T1, T2, T3 = (dt/2) L at t, t + dt/2 and
+t + dt, and three batched products give each step's RK4 increment
+E = (T1 + T3 + 2 (A + B + B T3)) / 3, with A = T2 + T1 T2 and
+B = T2 + A T2 (step_maps): x + x E is the RK4 step of x.  The stack's
+coordinates are the rows of one (max(B, 2), d^2) array, a zero row
+padding a single state, so a step is one gemm x E over every member and
+one addition, and after each batch one real product rebuilds the batch's
+states, exactly Hermitian by construction, for the step check and the
+samples.  The map form sums in another order than the stage loop, so
+its states differ from the loop's by roundoff (1.8e-15 on gate_fidelity's
 CNOT stack); coherent runs and runs with channels on N >= 3 keep the
 stage loop.  The cut is set by measurement (LIOUVILLE_MAX_DIM's comment).
 
@@ -201,7 +203,7 @@ class SimulationConfig:
     the exciton energy of the first pulse's target dot.  duration_ps
     extends the integration window beyond the pulse span (required for
     empty sequences).  trace_tol / eig_floor are the per-step diagnostic
-    limits.
+    limits; eig_floor must not be positive.
     """
 
     time_step_ps: float = 1e-3
@@ -224,6 +226,8 @@ class SimulationConfig:
                 raise InvalidParameterError(f"{name} must be finite")
         if self.duration_ps is not None and not 0 <= self.duration_ps < math.inf:
             raise InvalidParameterError("duration_ps must be non-negative and finite")
+        if self.eig_floor > 0:  # a pure state's smallest eigenvalue is 0
+            raise InvalidParameterError("eig_floor must be non-positive")
 
 
 @dataclass
@@ -426,7 +430,8 @@ def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
     coordinates of liouvillian_apply of the basis matrix E_k with H0 and
     the channels, and row k of R_l (I_l) those with the drive of f_l = 1
     (f_l = i) alone, without H0 or the channels: the row table's exact
-    generator, read off once.
+    generator, read off once.  _map_loop stacks L0 under drive as one more
+    row, so that one product with [Re f, Im f, 1] gives L.
     """
     dim, n = len(generator.h0), generator.n_dots
     columns, rebuild = hermitian_coordinates(dim)
@@ -444,38 +449,36 @@ def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def step_maps(stages: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
-    """The RK4 step increments of (m, 3, D, D) real stage generators L1, L2,
-    L3 of d(x)/dt = x L, written over L1 and returned as an (m, D, D) view.
+def step_maps(stages: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The RK4 step increments of (m, 3, D, D) real stage generators of
+    d(x)/dt = x L, each scaled by dt/2: T1, T2, T3 = (dt/2) L at t,
+    t + dt/2 and t + dt.  Written over T1 and returned as an (m, D, D) view.
 
-    The increment is E = (dt/6)(L1 + 2A + 2B + C), with A = L2 + (dt/2)
-    L1 L2, B = L2 + (dt/2) A L2 and C = L3 + dt B L3, so that x + x E is the
-    RK4 step of x: x A, x B and x C are its k2, k3 and k4.  The step map is
-    I + E, but the loop adds x E to x rather than form it: rounding 1 + E_kk
-    drops E's low bits, the same ones at every step of a constant generator,
-    and forming I + E raised configs/decoherence_two_dot.cfg's trace drift
-    from 7e-15 to 1.3e-13.  Three batched products; work is a (2, m', D, D)
+    The increment is E = (T1 + T3 + 2 (A + B + B T3)) / 3, with
+    A = T2 + T1 T2 and B = T2 + A T2, so that x + x E is the RK4 step of x:
+    x A, x B and x (T3 + 2 B T3) are (dt/2) times its k2, k3 and k4.  The
+    step map is I + E, but the loop adds x E to x rather than form it:
+    rounding 1 + E_kk drops E's low bits, the same ones at every step of a
+    constant generator, and forming I + E raised
+    configs/decoherence_two_dot.cfg's trace drift from 7e-15 to 1.3e-13.
+    Three batched products; B T3 goes over T2, and work is a (2, m', D, D)
     buffer with m' >= m.
     """
     m = len(stages)
-    l1, l2, l3 = stages[:, 0], stages[:, 1], stages[:, 2]
+    t1, t2, t3 = stages[:, 0], stages[:, 1], stages[:, 2]
     a, b = work[0, :m], work[1, :m]
-    np.matmul(l1, l2, a)
-    a *= 0.5 * dt
-    a += l2  # A
-    np.matmul(a, l2, b)
-    b *= 0.5 * dt
-    b += l2  # B
-    a *= 2.0
-    l1 += a
-    np.matmul(b, l3, a)
-    a *= dt
-    a += l3  # C
-    b *= 2.0
-    l1 += b
-    l1 += a
-    l1 *= dt / 6.0
-    return l1
+    np.matmul(t1, t2, a)
+    a += t2  # A
+    np.matmul(a, t2, b)
+    b += t2  # B
+    np.matmul(b, t3, t2)  # B T3
+    t2 += a
+    t2 += b
+    t2 *= 2.0
+    t1 += t3
+    t1 += t2
+    t1 /= 3.0  # a division: 1/3 would round
+    return t1
 
 
 def stage_apply(
@@ -561,13 +564,17 @@ EIG_BATCH_BYTES = 64 * 1024
 # (map_generator, step_maps) instead of the stage loop.  The 3-dot
 # gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
 # cut at 4 (stage loop) against 8 (map form), alternating, 10 runs each on
-# a 2-core Xeon KVM guest: with one OpenBLAS thread 2.64 s [2.26, 2.99]
-# against 1.90 s [1.76, 2.13], the map form faster in 10 of 10; with two
-# threads 2.44 s [2.36, 2.94] against 2.16 s [2.01, 2.52], faster in 8 of
-# 10 (medians [quartiles]); the fidelities are equal.  No benchmark
+# a 2-core Xeon KVM guest: with one OpenBLAS thread 2.03 s [1.87, 2.16]
+# against 1.44 s [1.43, 1.61], with two threads 1.92 s [1.87, 2.11] against
+# 1.49 s [1.36, 1.71], the map form faster in 10 of 10 on both (medians
+# [quartiles]; before step_maps took its generators scaled by dt/2 it won
+# 8 of 10 on two threads); the fidelities differ by 1.1e-16.  No benchmark
 # workload runs channels at N = 3, so the cut would move only on a win in
-# every run on both settings, and it stays below N = 3.  At N = 4 each step
-# would take three products of 256 x 256 matrices.
+# every run on both settings.  That holds for the stack, but a single
+# 3-dot state with six channels (937 steps) takes 0.08-0.10 s in the map
+# form against 0.035 s in the stage loop, on one thread: a cut on d alone
+# cannot serve both, so it stays below N = 3.  At N = 4 each step would
+# take three products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
 
 
@@ -756,36 +763,46 @@ def _map_loop(
     stride: int,
 ) -> np.ndarray:
     """The RK4 steps of the (B, d, d) stack rho in the map form, as
-    x + x E with one vector-matrix product x E per member and step of its
-    hermitian_coordinates x; returns the final stack.  Each checked batch
-    builds its stage generators from its amplitudes (None: no drive) with
-    one product, its step increments E with step_maps, and then, after its
-    steps, its states with one product into the step check's slots."""
+    x + x E of the rows x of its hermitian_coordinates, one gemm x E per
+    step; returns the final stack.  Each checked batch builds its stage
+    generators, scaled by dt/2, from its amplitudes (None: no drive) with
+    one product [Re f, Im f, 1] @ (dt/2) [drive; L0], its step increments
+    E with step_maps, and then, after its steps, its states with one
+    product into the step check's slots.  The coordinates are a
+    (max(B, 2), d^2) array: a zero row pads a single state, so that every
+    member's row goes through gemm, whose rows round alike whatever the
+    row count (OpenBLAS 0.3.31), and ends bit for bit where a run of its
+    own would."""
     members, dim = rho.shape[0], rho.shape[-1]
-    size = dim * dim
+    size, rows = dim * dim, max(members, 2)
     columns, rebuild = hermitian_coordinates(dim)
     l0, drive = map_generator(generator)
-    stages = np.empty((check.size, 3, size, size))  # L1, L2, L3, then E over L1
+    generators = 0.5 * dt * np.vstack((drive, l0.reshape(1, -1)))  # (dt/2) [drive; L0]
+    weights = np.ones((3 * check.size, len(generators)))  # [Re f, Im f, 1] of each stage
+    stages = np.empty((check.size, 3, size, size))  # T1, T2, T3, then E over T1
     work = np.empty((2, check.size, size, size))
-    coordinates = np.empty((check.size, members, 1, size))  # each step's x
-    delta = np.empty((members, 1, size))  # each step's x E
+    coordinates = np.zeros((check.size, rows, size))  # each step's x
+    delta = np.empty((rows, size))  # each step's x E
     slots = list(coordinates)
     states = check.states.view(float).reshape(check.size * members, 2 * size)
-    x = np.ascontiguousarray(rho).view(float).reshape(members, 1, 2 * size)[..., columns]
+    x = np.zeros((rows, size))
+    x[:members] = np.ascontiguousarray(rho).view(float).reshape(members, 2 * size)[:, columns]
     groups = itertools.repeat(None) if amplitudes is None else _batches(amplitudes, check.size)
+    dot, add = np.dot, np.add
     for first in range(0, n_steps, check.size):
         last = min(first + check.size, n_steps)
         m, f = last - first, next(groups)
         batch = stages[:m]
         if f is None:
-            batch[...] = l0
+            batch[...] = generators[-1].reshape(size, size)
         else:
-            f = np.concatenate((np.real(f), np.imag(f)), axis=-1).reshape(3 * m, -1)
-            np.matmul(f, drive, batch.reshape(3 * m, -1))
-            batch += l0
-        for slot, increment in zip(slots, step_maps(batch, dt, work)):
-            x = np.add(x, np.matmul(x, increment, delta), slot)
-        np.matmul(coordinates[:m].reshape(m * members, size), rebuild, states[: m * members])
+            f = f.reshape(3 * m, -1)
+            np.concatenate((f.real, f.imag), axis=1, out=weights[: 3 * m, :-1])
+            dot(weights[: 3 * m], generators, batch.reshape(3 * m, -1))
+        for slot, increment in zip(slots, step_maps(batch, work)):
+            x = add(x, dot(x, increment, delta), slot)
+        np.matmul(coordinates[:m, :members].reshape(m * members, size), rebuild,
+                  states[: m * members])
         for step in range(first + 1, last + 1):
             if step % stride == 0 or step == n_steps:
                 sample(step, check.states[step - first - 1])

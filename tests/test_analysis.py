@@ -54,6 +54,15 @@ def coherent_cnot():
     return SimpleNamespace(sequence=seq, config=config, ideal=ideal, fidelity=fidelity)
 
 
+# the four channels of configs/decoherence_two_dot.cfg
+DECOHERENCE_CHANNELS = [
+    LindbladChannel("decay", 0, 0.002),
+    LindbladChannel("decay", 1, 0.002),
+    LindbladChannel("pure-dephasing", 0, 0.02),
+    LindbladChannel("pure-dephasing", 1, 0.02),
+]
+
+
 def random_local_unitary(rng):
     """Haar-ish random SU(2) from a normalized quaternion."""
     q = rng.normal(size=4)
@@ -253,17 +262,35 @@ class TestStackedGateFidelity:
 
     def test_cnot_with_decoherence_channels(self, register, coherent_cnot,
                                             gate_fidelity_reference):
-        # the four channels of configs/decoherence_two_dot.cfg, at a step
-        # five times the fixture's to keep the oracle's eight runs short
-        channels = [
-            LindbladChannel("decay", 0, 0.002),
-            LindbladChannel("decay", 1, 0.002),
-            LindbladChannel("pure-dephasing", 0, 0.02),
-            LindbladChannel("pure-dephasing", 1, 0.02),
-        ]
-        args = (coherent_cnot.sequence, register, channels,
+        # at a step five times the fixture's to keep the oracle's eight
+        # runs short
+        args = (coherent_cnot.sequence, register, DECOHERENCE_CHANNELS,
                 SimulationConfig(time_step_ps=5e-3), coherent_cnot.ideal)
         assert gate_fidelity(*args) == gate_fidelity_reference(*args)
+
+    def test_samples_do_not_change_the_fidelity(self, register, coherent_cnot, monkeypatch):
+        # gate_fidelity reads only the final states, so its propagation
+        # samples the first and the final step alone, whatever the stride
+        trajectories = []
+        propagate = analysis.propagate
+
+        def recording_propagate(*args, **kwargs):
+            trajectories.append(propagate(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(analysis, "propagate", recording_propagate)
+        values = {
+            gate_fidelity(coherent_cnot.sequence, register, DECOHERENCE_CHANNELS,
+                          SimulationConfig(time_step_ps=5e-3, sample_stride=stride),
+                          coherent_cnot.ideal)
+            for stride in (1, 10, 10**6)
+        }
+        assert len(values) == 1
+        assert len(trajectories) == 3
+        for traj in trajectories:
+            assert traj.n_steps > 2
+            assert traj.times_ps.tolist() == [traj.times_ps[0], traj.final_time_ps]
+            assert traj.populations.shape == (2, 8, 4)
 
     def test_one_dot_rotation(self, gate_fidelity_reference):
         reg = ExcitonRegister(

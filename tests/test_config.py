@@ -109,7 +109,9 @@ STRATEGIES = {
     ("integration", "reference_energy_ev"): lambda n: FINITE,
     ("integration", "duration_ps"): lambda n: st.floats(0.0, 1e3).map(repr),
     ("integration", "trace_tol"): lambda n: POSITIVE,
-    ("integration", "eig_floor"): lambda n: FINITE,
+    ("integration", "eig_floor"): lambda n: st.floats(
+        max_value=0.0, allow_nan=False, allow_infinity=False
+    ).map(repr),
     ("outputs", "fidelity_target"): lambda n: (
         st.just("bell") | amplitudes(4) if n == 2 else amplitudes(2**n)
     ),
@@ -395,6 +397,7 @@ def with_line(section, line):
         ),
         ("integration", "time_step_ps = fast", "[integration] time_step_ps: "),
         ("integration", "time_step_ps = nan", "[integration] time_step_ps: "),
+        ("integration", "eig_floor = 0.5", "[integration] eig_floor: must be non-positive"),
         ("outputs", "fidelity_target = 1 0 0 nanj", "[outputs] fidelity_target: "),
         ("outputs", "coherence_pair = a:b", "[outputs] coherence_pair: "),
         ("outputs", "coherence_pair = 0:9", "[outputs] coherence_pair: "),
@@ -585,6 +588,19 @@ def test_one_dot_spectrum_exits_2_before_any_file(text, named, tmp_path, capsys)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {cfg}: {named}"), err
+    assert not list(out.iterdir())
+
+
+def test_positive_eig_floor_stops_simulate_before_any_file(tmp_path, capsys):
+    # a pure state's smallest eigenvalue is 0, so a positive floor would
+    # fail every run at its first step as a numerical error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_line("integration", "eig_floor = 0.5"), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: [integration] eig_floor: must be non-positive"), err
     assert not list(out.iterdir())
 
 

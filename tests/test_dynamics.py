@@ -102,6 +102,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="finite"):
             SimulationConfig(**{field: bad})
 
+    @pytest.mark.parametrize("floor", [0.5, 5e-324])
+    def test_simulation_config_rejects_positive_eig_floor(self, floor):
+        with pytest.raises(InvalidParameterError, match="eig_floor must be non-positive"):
+            SimulationConfig(eig_floor=floor)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_channel_rejects_non_finite_or_negative_rate(self, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -557,7 +562,7 @@ class TestMapForm:
             k3 = (x_k + 0.5 * dt * k2) @ l2
             k4 = (x_k + dt * k3) @ l3
             expected.append(x_k + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        increments = step_maps(stages.copy(), dt, np.empty((2, 3, size, size)))
+        increments = step_maps(0.5 * dt * stages, np.empty((2, 3, size, size)))
         out = x + np.einsum("si,sij->sj", x, increments)
         assert np.allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
