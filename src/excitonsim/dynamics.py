@@ -450,9 +450,10 @@ def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def step_maps(stages: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The RK4 step increments of (m, 3, D, D) real stage generators of
-    d(x)/dt = x L, each scaled by dt/2: T1, T2, T3 = (dt/2) L at t,
-    t + dt/2 and t + dt.  Written over T1 and returned as an (m, D, D) view.
+    """The RK4 step increments of m steps' real stage generators of
+    d(x)/dt = x L, each scaled by dt/2: stages holds T1, T2, T3 = (dt/2) L
+    at t, t + dt/2 and t + dt as three (m, D, D) stacks, so that every pass
+    runs over contiguous memory.  Written over T1 and returned.
 
     The increment is E = (T1 + T3 + 2 (A + B + B T3)) / 3, with
     A = T2 + T1 T2 and B = T2 + A T2, so that x + x E is the RK4 step of x:
@@ -464,9 +465,8 @@ def step_maps(stages: np.ndarray, work: np.ndarray) -> np.ndarray:
     Three batched products; B T3 goes over T2, and work is a (2, m', D, D)
     buffer with m' >= m.
     """
-    m = len(stages)
-    t1, t2, t3 = stages[:, 0], stages[:, 1], stages[:, 2]
-    a, b = work[0, :m], work[1, :m]
+    t1, t2, t3 = stages
+    a, b = work[0, : len(t1)], work[1, : len(t1)]
     np.matmul(t1, t2, a)
     a += t2  # A
     np.matmul(a, t2, b)
@@ -766,9 +766,10 @@ def _map_loop(
     x + x E of the rows x of its hermitian_coordinates, one gemm x E per
     step; returns the final stack.  Each checked batch builds its stage
     generators, scaled by dt/2, from its amplitudes (None: no drive) with
-    one product [Re f, Im f, 1] @ (dt/2) [drive; L0], its step increments
-    E with step_maps, and then, after its steps, its states with one
-    product into the step check's slots.  The coordinates are a
+    one product [Re f, Im f, 1] @ (dt/2) [drive; L0] into a stage-major
+    (3, S, d^2, d^2) buffer, its step increments E with step_maps, and
+    then, after its steps, its states with one product into the step
+    check's slots.  The coordinates are a
     (max(B, 2), d^2) array: a zero row pads a single state, so that every
     member's row goes through gemm, whose rows round alike whatever the
     row count (OpenBLAS 0.3.31), and ends bit for bit where a run of its
@@ -778,8 +779,8 @@ def _map_loop(
     columns, rebuild = hermitian_coordinates(dim)
     l0, drive = map_generator(generator)
     generators = 0.5 * dt * np.vstack((drive, l0.reshape(1, -1)))  # (dt/2) [drive; L0]
-    weights = np.ones((3 * check.size, len(generators)))  # [Re f, Im f, 1] of each stage
-    stages = np.empty((check.size, 3, size, size))  # T1, T2, T3, then E over T1
+    weights = np.ones((3, check.size, len(generators)))  # [Re f, Im f, 1] of each stage
+    stages = np.empty((3, check.size, size, size))  # T1, T2, T3, then E over T1
     work = np.empty((2, check.size, size, size))
     coordinates = np.zeros((check.size, rows, size))  # each step's x
     delta = np.empty((rows, size))  # each step's x E
@@ -792,13 +793,12 @@ def _map_loop(
     for first in range(0, n_steps, check.size):
         last = min(first + check.size, n_steps)
         m, f = last - first, next(groups)
-        batch = stages[:m]
+        batch = stages[:, :m]
         if f is None:
             batch[...] = generators[-1].reshape(size, size)
-        else:
-            f = f.reshape(3 * m, -1)
-            np.concatenate((f.real, f.imag), axis=1, out=weights[: 3 * m, :-1])
-            dot(weights[: 3 * m], generators, batch.reshape(3 * m, -1))
+        else:  # f is (m, 3, N)
+            np.concatenate((f.real, f.imag), axis=-1, out=weights[:, :m, :-1].swapaxes(0, 1))
+            np.matmul(weights[:, :m], generators, batch.reshape(3, m, -1))
         for slot, increment in zip(slots, step_maps(batch, work)):
             x = add(x, dot(x, increment, delta), slot)
         np.matmul(coordinates[:m, :members].reshape(m * members, size), rebuild,

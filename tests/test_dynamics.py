@@ -562,7 +562,7 @@ class TestMapForm:
             k3 = (x_k + 0.5 * dt * k2) @ l2
             k4 = (x_k + dt * k3) @ l3
             expected.append(x_k + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
-        increments = step_maps(0.5 * dt * stages, np.empty((2, 3, size, size)))
+        increments = step_maps(0.5 * dt * stages.swapaxes(0, 1), np.empty((2, 3, size, size)))
         out = x + np.einsum("si,sij->sj", x, increments)
         assert np.allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
