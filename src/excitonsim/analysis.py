@@ -228,8 +228,7 @@ def gate_fidelity(
         raise InvalidParameterError(f"ideal gate is not unitary: max|U+U - I| = {error:.3e}")
     states = default_fidelity_states(register.n_qubits)
     rho0 = np.array([pure_state_density(psi) for psi in states])
-    config = replace(config, sample_stride=MAX_STEPS)
-    traj = propagate(rho0, sequence, register, channels, config)
+    traj = propagate(rho0, sequence, register, channels, replace(config, sample_stride=MAX_STEPS))
     total = 0.0
     for psi, rho_final in zip(states, traj.final_state_interaction_picture()):
         total += fidelity(rho_final, ideal @ psi)

@@ -763,17 +763,16 @@ def _map_loop(
     stride: int,
 ) -> np.ndarray:
     """The RK4 steps of the (B, d, d) stack rho in the map form, as
-    x + x E of the rows x of its hermitian_coordinates, one gemm x E per
-    step; returns the final stack.  Each checked batch builds its stage
-    generators, scaled by dt/2, from its amplitudes (None: no drive) with
-    one product [Re f, Im f, 1] @ (dt/2) [drive; L0] into a stage-major
+    x + x E of the rows x of its hermitian_coordinates; returns the final
+    stack.  Each checked batch builds its stage generators, scaled by dt/2,
+    from its amplitudes (None: no drive) with one product
+    [Re f, Im f, 1] @ (dt/2) [drive; L0] into a stage-major
     (3, S, d^2, d^2) buffer, its step increments E with step_maps, and
     then, after its steps, its states with one product into the step
-    check's slots.  The coordinates are a
-    (max(B, 2), d^2) array: a zero row pads a single state, so that every
-    member's row goes through gemm, whose rows round alike whatever the
-    row count (OpenBLAS 0.3.31), and ends bit for bit where a run of its
-    own would."""
+    check's slots.  Each step's x E is one gemm of a (max(B, 2), d^2)
+    array, a zero row padding a single state: gemm rounds each row alike
+    whatever the row count (OpenBLAS 0.3.31), so every member ends bit for
+    bit where a run of its own would."""
     members, dim = rho.shape[0], rho.shape[-1]
     size, rows = dim * dim, max(members, 2)
     columns, rebuild = hermitian_coordinates(dim)
