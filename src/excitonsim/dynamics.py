@@ -564,15 +564,15 @@ EIG_BATCH_BYTES = 64 * 1024
 # (map_generator, step_maps) instead of the stage loop.  The 3-dot
 # gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
 # cut at 4 (stage loop) against 8 (map form), alternating, 10 runs each on
-# a 2-core Xeon KVM guest: with one OpenBLAS thread 2.03 s [1.87, 2.16]
-# against 1.44 s [1.43, 1.61], with two threads 1.92 s [1.87, 2.11] against
-# 1.49 s [1.36, 1.71], the map form faster in 10 of 10 on both (medians
+# a 2-core Xeon KVM guest: with one OpenBLAS thread 1.99 s [1.91, 2.09]
+# against 1.30 s [1.30, 1.33], with two threads 1.95 s [1.91, 1.98] against
+# 1.32 s [1.31, 1.35], the map form faster in 10 of 10 on both (medians
 # [quartiles]; before step_maps took its generators scaled by dt/2 it won
 # 8 of 10 on two threads); the fidelities differ by 1.1e-16.  No benchmark
 # workload runs channels at N = 3, so the cut would move only on a win in
 # every run on both settings.  That holds for the stack, but a single
-# 3-dot state with six channels (937 steps) takes 0.08-0.10 s in the map
-# form against 0.035 s in the stage loop, on one thread: a cut on d alone
+# 3-dot state with six channels (937 steps) takes 0.072 s in the map form
+# against 0.044 s in the stage loop, on one thread: a cut on d alone
 # cannot serve both, so it stays below N = 3.  At N = 4 each step would
 # take three products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
