@@ -567,14 +567,13 @@ EIG_BATCH_BYTES = 64 * 1024
 # a 2-core Xeon KVM guest: with one OpenBLAS thread 1.99 s [1.91, 2.09]
 # against 1.30 s [1.30, 1.33], with two threads 1.95 s [1.91, 1.98] against
 # 1.32 s [1.31, 1.35], the map form faster in 10 of 10 on both (medians
-# [quartiles]; before step_maps took its generators scaled by dt/2 it won
-# 8 of 10 on two threads); the fidelities differ by 1.1e-16.  No benchmark
-# workload runs channels at N = 3, so the cut would move only on a win in
-# every run on both settings.  That holds for the stack, but a single
-# 3-dot state with six channels (937 steps) takes 0.072 s in the map form
-# against 0.044 s in the stage loop, on one thread: a cut on d alone
-# cannot serve both, so it stays below N = 3.  At N = 4 each step would
-# take three products of 256 x 256 matrices.
+# [quartiles]); the fidelities differ by 1.1e-16.  No benchmark workload
+# runs channels at N = 3, so the cut would move only on a win in every run
+# on both settings.  That holds for the stack, but a single 3-dot state
+# with six channels (937 steps) takes 0.072 s in the map form against
+# 0.044 s in the stage loop, on one thread: a cut on d alone cannot serve
+# both, so it stays below N = 3.  At N = 4 each step would take three
+# products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
 
 
