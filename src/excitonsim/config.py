@@ -51,7 +51,7 @@ from .device import (
     build_register,
     gaas_two_dot,
 )
-from .dynamics import LindbladChannel, SimulationConfig
+from .dynamics import LindbladChannel, SimulationConfig, check_time_resolution
 from .errors import ConfigError, ExcitonSimError, TimeStepError, ZeroDipoleError
 from .model import ExcitonRegister, dot_label, pattern_text
 from .pulses import GateSpec, TimingPolicy
@@ -145,8 +145,10 @@ def _target(text: str) -> str | tuple[complex, ...]:
     if text == "bell":
         return text
     amplitudes = tuple(map(complex, text.split()))
-    if not (all(map(np.isfinite, amplitudes)) and any(amplitudes)):
-        raise ValueError(f"expected finite amplitudes, not all zero, got {text!r}")
+    with np.errstate(all="ignore"):  # the squares inside the norm may leave the float range
+        norm = np.linalg.norm(amplitudes)
+    if not 0 < norm < math.inf:
+        raise ValueError(f"expected amplitudes of positive, finite norm, got {text!r}")
     return amplitudes
 
 
@@ -335,12 +337,17 @@ def _gate(text: str, n_qubits: int) -> tuple[GateSpec, float | None]:
 
 
 def _read_program(
-    items: dict[str, str], n_qubits: int
+    items: dict[str, str], n_qubits: int, time_step_ps: float
 ) -> list[tuple[GateSpec, float | None]]:
+    """The gates in order; an explicit start must lie where the floats
+    resolve the time step (check_time_resolution)."""
     program = []
     for key in sorted(items, key=lambda k: (int(k.split(".")[1]), k)):
         with _blame("program", key):
-            program.append(_gate(items[key], n_qubits))
+            spec, start = _gate(items[key], n_qubits)
+            if start is not None:
+                check_time_resolution(start, time_step_ps)
+            program.append((spec, start))
     return program
 
 
@@ -673,7 +680,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         register=register,
         device=device,
-        program=_read_program(sections.get("program", {}), n),
+        program=_read_program(sections.get("program", {}), n, simulation.time_step_ps),
         policy=policy,
         channels=_read_channels(sections.get("channels", {}), n),
         simulation=simulation,

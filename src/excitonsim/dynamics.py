@@ -8,80 +8,41 @@ Solves the Liouville-von Neumann equation with optional Lindblad channels,
 with a classical fixed-step 4th-order integrator (reproducible trajectories,
 no adaptive stepping).  The drive couples through the bit-flip operators:
 H_drive = -sum_l (f_l(t) sigma+_l + conj(f_l(t)) sigma-_l), where f_l is the
-complex per-dot half-amplitude returned by pulses.field_at.  It is written
-straight into the bit-flip pairs of model.flip_pairs: -f_l at <high|H|low>
-and -conj(f_l) at <low|H|high> of every pair that flips dot l.  The drive
-is evaluated once per DRIVE_BLOCK_STEPS steps, at all of their stage times
-t, t + dt/2 and t + dt in one field_at call (k2 and k3 share the
-midpoint).  The three stage Hamiltonians of a whole checked batch of steps
-(see below) are written by one gather and one scatter into the flip pairs
-of a (S, 3, d, d) buffer that holds H0 throughout (stage_hamiltonians).
-field_at forms every amplitude with the per-pulse formula's own
-operations, so this is bit for bit the run that evaluates the drive stage
-by stage.
+complex per-dot half-amplitude returned by pulses.field_at, written straight
+into the flip pairs of model.flip_pairs (stage_hamiltonians).  The channels
+go through the bit table too: the whole dissipator is one sparse row table,
+one row per entry (i, j) of rho (Generator), applied by one gather, one
+product and one segmented sum however many channels there are; the dense
+jump operators of channel_operator serve only as the tests' reference.
 
-The channels are applied through the bit table too, rather than as dense
-operator products: the whole dissipator is one sparse row table with one
-row per entry (i, j) of rho.  Each row holds that entry's own term, the
-sum of every anticommutator and dephasing rate at (i, j), and then one
-term per decaying dot l whose jump lands there: gamma_l rho[i|l, j|l] for
-i and j with bit l clear.  One gather, one product and one segmented sum
-apply it, however many channels there are; every row keeps its own term,
-even at rate 0, because np.add.reduceat returns the element at an empty
-row's start rather than 0.  That is exact up to roundoff and costs
-O(N 4^N) per call; the dense jump operators of channel_operator survive
-only as the tests' reference.
+integrate_master_equation is the one driver.  It propagates a (B, d, d)
+stack, a single rho as a stack of one, in batches of steps whose states a
+_StepCheck tests together.  For each batch it takes the drive at every
+step's t, t + dt/2 and t + dt (field_at is called once per block of whole
+batches, about DRIVE_BLOCK_STEPS steps), hands it to the form's stepper,
+samples the states, checks them, and starts the next batch from the last.
+The stepper is bound once per run, with every buffer and view it needs; it
+takes the batch's RK4 steps and writes each step's state into its slot of
+the check.  The two forms differ only in that arithmetic:
 
-A run with channels on at most LIOUVILLE_MAX_DIM = 4 basis states
-(N <= 2) takes the map form instead of the stage loop below.  Each state
-is carried as its d^2 real coordinates x (hermitian_coordinates: rho_ii,
-then Re rho_ij and Im rho_ij for i < j), in which d(rho)/dt = x L for a
-real (d^2, d^2) generator that is affine in the drive,
-L = L0 + sum_l (Re f_l R_l + Im f_l I_l).  map_generator reads L0, R_l
-and I_l off the row table's liouvillian_apply on the coordinates' basis
-matrices, once per run.  One product [Re f, Im f, 1] @ (dt/2) [R; I; L0]
-of a checked batch's amplitudes then gives every stage generator of the
-batch already scaled by dt/2, T1, T2, T3 = (dt/2) L at t, t + dt/2 and
-t + dt, and three batched products give each step's RK4 increment
-E = (T1 + T3 + 2 (A + B + B T3)) / 3, with A = T2 + T1 T2 and
-B = T2 + A T2 (step_maps): x + x E is the RK4 step of x.  The stack's
-coordinates are the rows of one (max(B, 2), d^2) array, a zero row
-padding a single state, so a step is one gemm x E over every member and
-one addition, and after each batch one real product rebuilds the batch's
-states, exactly Hermitian by construction, for the step check and the
-samples.  The map form sums in another order than the stage loop, so
-its states differ from the loop's by roundoff (1.8e-15 on gate_fidelity's
-CNOT stack); coherent runs and runs with channels on N >= 3 keep the
-stage loop.  The cut is set by measurement (LIOUVILLE_MAX_DIM's comment).
+- _stage_form, for coherent runs and runs with channels on N >= 3 dots:
+  four stages per step, each one call of a stage_apply stage.  A stage's
+  commutator is one product rho H over all B*d rows of the stack, exactly
+  Hermitian.  The second and third stages take the generator doubled and
+  give 2 k2 and 2 k3 bit for bit: a factor of 2 is exact in binary floating
+  point.
+- _map_form, for runs with channels on at most LIOUVILLE_MAX_DIM basis
+  states: each state is carried as its d^2 real coordinates x
+  (hermitian_coordinates), in which d(rho)/dt = x L for a real generator
+  affine in the drive (map_generator).  One product gives every stage
+  generator of the batch, step_maps each step's RK4 increment E, and a step
+  is x + x E, one gemm over the stack.  It sums in another order than the
+  stage form, so its states differ from that form's by roundoff (1.8e-15
+  on gate_fidelity's CNOT stack); the cut is measured (LIOUVILLE_MAX_DIM).
 
-What stays fixed through a propagation is built once before the loop:
-the Generator (H0, the flat flip-pair indices, the dissipator's row table
-and -i/hbar), every buffer and their views.  The stage loop binds two
-stages once per run with stage_apply, one for the generator and one for
-it doubled, each holding its scale, its row table and its buffers, and
-it binds the row views of its C-ordered stage buffer and step-check slots
-once; each RK4 stage is then one call of a bound stage, with no module
-lookup, reshape or test per stage (liouvillian_apply, a stage bound and
-applied once, serves map_generator and the tests).  A stage's commutator
-is one product rho H over all B*d rows of the stack (bit for bit the
-per-member H rho for d >= 4 with OpenBLAS 0.3.31, within 4 ulps at
-d = 2), and exactly Hermitian, so every state is too once rho0 is
-Hermitized on entry.  The second and third stages take the generator
-doubled and so give 2 k2 and 2 k3, whose stage inputs rho + (dt/4) (2 k2)
-and rho + (dt/2) (2 k3) are bit for bit those of k2 and k3: a factor of 2
-is exact in binary floating point, barring overflow and subnormals.
-_StepCheck tests every step's state, in batches of EIG_BATCH_BYTES, cut
-shorter where the batch's stage buffers would pass 6 EIG_BATCH_BYTES:
-its trace drift against trace_tol, then its positivity by one Cholesky of
-the batch shifted by eig_floor, and eigvalsh only for a batch that fails
-it.  The loop runs a batch of S steps, then its check.
-
-The equation is linear, so the loop propagates a (B, d, d) stack, a single
-(d, d) rho as a stack of one.  The members share each stage's drive
-amplitudes and Hamiltonian (each step's increment in the map form), each
-ends bit for bit where a run of its own would, and each is tested as a
-single state would be; a failure names the earliest step, the lowest
-failing member there, and, for a stack, that member as "state k".
+Every member of a stack ends bit for bit where a run of its own would and
+is tested as a single state would be; a failure names the earliest step,
+the lowest failing member there, and, for a stack, that member as "state k".
 
 The frame rotates at a reference energy, which keeps every meV-scale
 detuning and inter-color cross term while removing only the ~2.4 fs optical
@@ -93,7 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -352,47 +313,31 @@ def build_generator(
     )
 
 
-def _batches(blocks: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The sets of blocks' (K, ...) arrays, in order, regrouped into arrays
-    of size sets; the last may hold fewer."""
-    rest = ()  # the sets of a block left over for the next group
-    for block in blocks:
-        if len(rest):
-            block = np.concatenate((rest, block))
-        n_full = len(block) - len(block) % size
-        for first in range(0, n_full, size):
-            yield block[first : first + size]
-        rest = block[n_full:]
-    if len(rest):
-        yield rest
-
-
 def stage_hamiltonians(
-    generator: Generator, blocks: Iterable[np.ndarray], out: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Writes the drive of each set of per-dot amplitudes into the flip
-    pairs of out, len(out) sets at a time.
+    generator: Generator, out: np.ndarray
+) -> Callable[[np.ndarray], None]:
+    """A writer bound to out: write(f) writes the drive of each set of
+    per-dot amplitudes f into the flip pairs of out's leading entries.
 
-    blocks yields (K, ..., N) arrays of amplitudes f (meV), and out is a
-    C-contiguous (S, ..., d, d) stack of the generator's H0 (its ... axes
-    those of f).  Every S consecutive sets, in order, are written into
-    out's S entries, and the entries written are yielded: out, or out[:m]
-    for the last m < S sets.  A written entry is H0 with -f_l at
-    <high|H|low> and -conj(f_l) at <low|H|high> of every flip pair of dot l
-    (each off-diagonal entry belongs to one pair).  Each group of S sets
-    costs one gather and one scatter; the rest of out keeps H0, and a
-    yielded stack is valid until the next.
+    out is a C-contiguous (S, ..., d, d) stack of the generator's H0, and f
+    an (m, ..., N) array of amplitudes (meV) with m <= S and out's ... axes.
+    Set k goes into out[k], which then holds H0 with -f_l at <high|H|low>
+    and -conj(f_l) at <low|H|high> of every flip pair of dot l (each
+    off-diagonal entry belongs to one pair).  One gather and one scatter per
+    call; out[m:] keeps what it held.
     """
     size, stages = len(out), math.prod(out.shape[1:-2])
     stage = np.arange(size * stages)[:, None]
     pairs = stage * generator.h0.size + generator.pairs
     pair_dots = stage * 2 * generator.n_dots + generator.pair_dots  # into (f, conj(f))
     flat = out.reshape(-1)
-    for f in _batches(blocks, size):
+
+    def write(f: np.ndarray) -> None:
         n = len(f) * stages
         entries = 0.0 - np.concatenate((f, np.conj(f)), axis=-1)
         flat[pairs[:n]] = entries.take(pair_dots[:n])
-        yield out[: len(f)]
+
+    return write
 
 
 def hermitian_coordinates(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +375,7 @@ def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
     coordinates of liouvillian_apply of the basis matrix E_k with H0 and
     the channels, and row k of R_l (I_l) those with the drive of f_l = 1
     (f_l = i) alone, without H0 or the channels: the row table's exact
-    generator, read off once.  _map_loop stacks L0 under drive as one more
+    generator, read off once.  _map_form stacks L0 under drive as one more
     row, so that one product with [Re f, Im f, 1] gives L.
     """
     dim, n = len(generator.h0), generator.n_dots
@@ -441,7 +386,7 @@ def map_generator(generator: Generator) -> tuple[np.ndarray, np.ndarray]:
         return liouvillian_apply(basis, h, gen).view(float).reshape(dim * dim, -1)[:, columns]
 
     drives = np.zeros((2 * n, dim, dim), dtype=complex)  # f = e_l, then f = i e_l
-    next(stage_hamiltonians(generator, [np.concatenate((np.eye(n), 1j * np.eye(n)))], drives))
+    stage_hamiltonians(generator, drives)(np.concatenate((np.eye(n), 1j * np.eye(n))))
     coherent = replace(generator, dissipator=None)
     return (
         coordinates(generator.h0, generator),
@@ -458,7 +403,7 @@ def step_maps(stages: np.ndarray, work: np.ndarray) -> np.ndarray:
     The increment is E = (T1 + T3 + 2 (A + B + B T3)) / 3, with
     A = T2 + T1 T2 and B = T2 + A T2, so that x + x E is the RK4 step of x:
     x A, x B and x (T3 + 2 B T3) are (dt/2) times its k2, k3 and k4.  The
-    step map is I + E, but the loop adds x E to x rather than form it:
+    step map is I + E, but _map_form adds x E to x rather than form it:
     rounding 1 + E_kk drops E's low bits, the same ones at every step of a
     constant generator, and forming I + E raised
     configs/decoherence_two_dot.cfg's trace drift from 7e-15 to 1.3e-13.
@@ -554,16 +499,16 @@ def liouvillian_apply(
 # Each step's state is checked in batches of up to this many bytes of
 # states: one trace and one Cholesky call per batch instead of one test per
 # step, and one eigvalsh call only when the Cholesky fails.  The batch's
-# length in steps is also that of the loop's stage buffers, which are held
+# length in steps is also that of the stepper's buffers, which are held
 # to 6 times this many bytes, 384 KiB: a batch is cut to fewer steps where
 # they would exceed that, which only the map form's 5 real (d^2, d^2)
 # matrices per step do (614 steps at d = 2, 38 at d = 4).
 EIG_BATCH_BYTES = 64 * 1024
 
 # Registers of up to this many basis states with channels take the map form
-# (map_generator, step_maps) instead of the stage loop.  The 3-dot
+# (map_generator, step_maps) instead of the stage form.  The 3-dot
 # gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
-# cut at 4 (stage loop) against 8 (map form), alternating, 10 runs each on
+# cut at 4 (stage form) against 8 (map form), alternating, 10 runs each on
 # a 2-core Xeon KVM guest: with one OpenBLAS thread 1.99 s [1.91, 2.09]
 # against 1.30 s [1.30, 1.33], with two threads 1.95 s [1.91, 1.98] against
 # 1.32 s [1.31, 1.35], the map form faster in 10 of 10 on both (medians
@@ -571,7 +516,7 @@ EIG_BATCH_BYTES = 64 * 1024
 # runs channels at N = 3, so the cut would move only on a win in every run
 # on both settings.  That holds for the stack, but a single 3-dot state
 # with six channels (937 steps) takes 0.072 s in the map form against
-# 0.044 s in the stage loop, on one thread: a cut on d alone cannot serve
+# 0.044 s in the stage form, on one thread: a cut on d alone cannot serve
 # both, so it stays below N = 3.  At N = 4 each step would take three
 # products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
@@ -592,8 +537,8 @@ class _StepCheck:
     eigvalsh find the first state below the floor.  max_trace_drift starts
     at rho0's (step 0) and keeps the worst drift checked,
     max_trace_drift_step its first step.  stacked: whether the error names
-    the failing member as "state k".  step_bytes is the size of the loop's
-    stage buffers per step, which holds the batch to 6 EIG_BATCH_BYTES.
+    the failing member as "state k".  step_bytes is the size of the
+    stepper's buffers per step, which holds the batch to 6 EIG_BATCH_BYTES.
     """
 
     def __init__(
@@ -665,6 +610,18 @@ DRIVE_BLOCK_STEPS = 512
 MAX_STEPS = 10_000_000
 
 
+def check_time_resolution(time_ps: float, time_step_ps: float) -> None:
+    """Raise InvalidParameterError if the floats near time_ps are spaced
+    more than 1e-3 time steps apart (a time far from 0, or not finite):
+    there the step times round by so much that they no longer resolve the
+    step (a window 1e17 ps before 0 rounds to no step at all)."""
+    if not math.ulp(time_ps) <= 1e-3 * time_step_ps:
+        raise InvalidParameterError(
+            f"time {time_ps:.6g} ps is too far from 0: the floats there are "
+            f"{math.ulp(time_ps):.3g} ps apart, over 1e-3 of a {time_step_ps:.6g} ps step"
+        )
+
+
 def _step_count(span_ps: float, time_step_ps: float, extended: bool = False) -> int:
     """The steps of at most time_step_ps over a window of span_ps ps; more
     than MAX_STEPS raise StepCountError, which carries extended."""
@@ -679,41 +636,37 @@ def _step_count(span_ps: float, time_step_ps: float, extended: bool = False) -> 
 
 
 def _stage_amplitudes(
-    drive: Callable[[np.ndarray], np.ndarray], t_start_ps: float, dt: float, n_steps: int
+    drive: Callable[[np.ndarray], np.ndarray], t_start_ps: float, dt: float, n_steps: int,
+    size: int,
 ) -> Iterator[np.ndarray]:
-    """The drive at each step's t, t + dt/2 and t + dt, as (K, 3, N) blocks
-    of K = DRIVE_BLOCK_STEPS steps (the last block may be shorter), with
-    t = t_start + (step - 1) dt."""
-    for first in range(0, n_steps, DRIVE_BLOCK_STEPS):
-        t = t_start_ps + np.arange(first, min(first + DRIVE_BLOCK_STEPS, n_steps)) * dt
+    """The drive at each step's t, t + dt/2 and t + dt, with
+    t = t_start + (step - 1) dt, as one (size, 3, N) array per batch of size
+    steps (the last may hold fewer).  drive is called once per block of
+    size * max(1, DRIVE_BLOCK_STEPS // size) steps, whole batches."""
+    block = size * max(1, DRIVE_BLOCK_STEPS // size)
+    for first in range(0, n_steps, block):
+        t = t_start_ps + np.arange(first, min(first + block, n_steps)) * dt
         times = np.stack((t, t + 0.5 * dt, t + dt), axis=-1)
-        yield np.reshape(drive(times.ravel()), (*times.shape, -1))
+        f = np.reshape(drive(times.ravel()), (*times.shape, -1))
+        for batch in range(0, len(f), size):
+            yield f[batch : batch + size]
 
 
-def _stage_loop(
-    rho: np.ndarray,
-    generator: Generator,
-    amplitudes: Iterator[np.ndarray] | None,
-    dt: float,
-    n_steps: int,
-    check: _StepCheck,
-    sample: Callable[[int, np.ndarray], None],
-    stride: int,
-) -> np.ndarray:
-    """The RK4 steps of the (B, d, d) stack rho as four stages per step,
-    each a stage_apply stage bound once for the run; returns the final
-    stack.  amplitudes are _stage_amplitudes' blocks (None: no drive),
-    written by stage_hamiltonians into one buffer of each checked batch's
-    stage Hamiltonians."""
+def _stage_form(
+    rho: np.ndarray, generator: Generator, dt: float, check: _StepCheck
+) -> Callable[[np.ndarray, np.ndarray | None, int], None]:
+    """The stage form's stepper, bound once for stacks of rho's (B, d, d)
+    shape.  advance(rho, f, m) takes m RK4 steps from rho, each as four
+    calls of a stage_apply stage, and writes each step's stack into its slot
+    of check.states.  f holds the steps' (m, 3, N) drive amplitudes (None:
+    no drive), which stage_hamiltonians writes into a buffer of the batch's
+    stage Hamiltonians that holds H0 throughout."""
     dim = rho.shape[-1]
     # each step's H at t, t + dt/2 and t + dt, one checked batch of steps
     # at a time, in a buffer that holds H0 and whose views are bound once
     hamiltonians = np.broadcast_to(generator.h0, (check.size, 3, dim, dim)).copy()
     batch_hamiltonians = [tuple(h) for h in hamiltonians]
-    if amplitudes is None:
-        writes = itertools.repeat(None)
-    else:
-        writes = stage_hamiltonians(generator, amplitudes, hamiltonians)
+    write = stage_hamiltonians(generator, hamiltonians)
     apply = stage_apply(generator, rho.shape)
     apply_doubled = stage_apply(generator.doubled(), rho.shape)  # for 2 k2 and 2 k3
     k = np.empty((4, *rho.shape), dtype=complex)  # k1, 2 k2, 2 k3, k4
@@ -723,17 +676,18 @@ def _stage_loop(
     stage = np.empty(rho.shape, dtype=complex)
     stage_rows = stage.reshape(-1, dim)
     slots = [(slot, slot.reshape(-1, dim)) for slot in check.states]
-    rows = rho.reshape(-1, dim)  # a copy if rho is not C-ordered: rho is only read
     add, multiply, reduce = np.add, np.multiply, np.add.reduce
     # 0-d complex arrays, which numpy multiplies by without converting them
     quarter_dt, half_dt, sixth_dt = (
         np.array(complex(x)) for x in (0.25 * dt, 0.5 * dt, dt / 6.0)
     )
-    for first in range(0, n_steps, check.size):
-        last = min(first + check.size, n_steps)
-        next(writes)
-        batch = zip(range(first + 1, last + 1), slots, batch_hamiltonians)
-        for step, (slot, slot_rows), (h_start, h_mid, h_end) in batch:
+
+    def advance(rho: np.ndarray, f: np.ndarray | None, m: int) -> None:
+        if f is not None:
+            write(f)
+        rows = rho.reshape(-1, dim)  # a copy if rho is not C-ordered: rho is only read
+        batch = zip(range(m), slots, batch_hamiltonians)
+        for _, (slot, slot_rows), (h_start, h_mid, h_end) in batch:
             apply(rows, h_start, k1)
             add(multiply(k1, half_dt, stage), rho, stage)
             apply_doubled(stage_rows, h_mid, k2)
@@ -745,67 +699,54 @@ def _stage_loop(
             reduce(k, 0, None, stage)
             multiply(stage, sixth_dt, stage)
             rho, rows = add(stage, rho, slot), slot_rows
-            if step % stride == 0 or step == n_steps:
-                sample(step, rho)
-        check.check(first + 1, last - first)
-    return rho
+
+    return advance
 
 
-def _map_loop(
-    rho: np.ndarray,
-    generator: Generator,
-    amplitudes: Iterator[np.ndarray] | None,
-    dt: float,
-    n_steps: int,
-    check: _StepCheck,
-    sample: Callable[[int, np.ndarray], None],
-    stride: int,
-) -> np.ndarray:
-    """The RK4 steps of the (B, d, d) stack rho in the map form, as
-    x + x E of the rows x of its hermitian_coordinates; returns the final
-    stack.  Each checked batch builds its stage generators, scaled by dt/2,
-    from its amplitudes (None: no drive) with one product
-    [Re f, Im f, 1] @ (dt/2) [drive; L0] into a stage-major
-    (3, S, d^2, d^2) buffer, its step increments E with step_maps, and
-    then, after its steps, its states with one product into the step
-    check's slots.  Each step's x E is one gemm of a (max(B, 2), d^2)
-    array, a zero row padding a single state: gemm rounds each row alike
-    whatever the row count (OpenBLAS 0.3.31), so every member ends bit for
-    bit where a run of its own would."""
-    members, dim = rho.shape[0], rho.shape[-1]
-    size, rows = dim * dim, max(members, 2)
-    columns, rebuild = hermitian_coordinates(dim)
+def _map_form(
+    rho: np.ndarray, generator: Generator, dt: float, check: _StepCheck
+) -> Callable[[np.ndarray, np.ndarray | None, int], None]:
+    """The map form's stepper, bound once for stacks of rho's (B, d, d)
+    shape.  advance(rho, f, m) takes m RK4 steps from rho as x + x E of the
+    rows x of its hermitian_coordinates, and writes each step's stack into
+    its slot of check.states.  One product [Re f, Im f, 1] @ (dt/2)
+    [drive; L0] of the steps' (m, 3, N) amplitudes f (None: no drive) gives
+    their stage generators, scaled by dt/2, in a stage-major
+    (3, S, d^2, d^2) buffer, step_maps their increments E, and after the
+    steps one product x @ rebuild their states.  The first x is read off
+    rho by the columns gather, which is exact up to the sign of a zero:
+    every column of rebuild holds a single 1 or -1.  Each step's x E is one
+    gemm of a (max(B, 2), d^2) array, a zero row padding a single state:
+    gemm rounds each row alike whatever the row count (OpenBLAS 0.3.31), so
+    every member ends bit for bit where a run of its own would."""
+    members, size = rho.shape[0], rho.shape[-1] ** 2
+    columns, rebuild = hermitian_coordinates(rho.shape[-1])
     l0, drive = map_generator(generator)
     generators = 0.5 * dt * np.vstack((drive, l0.reshape(1, -1)))  # (dt/2) [drive; L0]
     weights = np.ones((3, check.size, len(generators)))  # [Re f, Im f, 1] of each stage
     stages = np.empty((3, check.size, size, size))  # T1, T2, T3, then E over T1
     work = np.empty((2, check.size, size, size))
-    coordinates = np.zeros((check.size, rows, size))  # each step's x
-    delta = np.empty((rows, size))  # each step's x E
+    coordinates = np.zeros((check.size, max(members, 2), size))  # each step's x
     slots = list(coordinates)
+    x, delta = np.zeros(coordinates.shape[1:]), np.empty(coordinates.shape[1:])  # x, x E
     states = check.states.view(float).reshape(check.size * members, 2 * size)
-    x = np.zeros((rows, size))
-    x[:members] = np.ascontiguousarray(rho).view(float).reshape(members, 2 * size)[:, columns]
-    groups = itertools.repeat(None) if amplitudes is None else _batches(amplitudes, check.size)
     dot, add = np.dot, np.add
-    for first in range(0, n_steps, check.size):
-        last = min(first + check.size, n_steps)
-        m, f = last - first, next(groups)
+
+    def advance(rho: np.ndarray, f: np.ndarray | None, m: int) -> None:
+        x[:members] = np.ascontiguousarray(rho).view(float).reshape(members, -1)[:, columns]
         batch = stages[:, :m]
         if f is None:
             batch[...] = generators[-1].reshape(size, size)
-        else:  # f is (m, 3, N)
+        else:
             np.concatenate((f.real, f.imag), axis=-1, out=weights[:, :m, :-1].swapaxes(0, 1))
             np.matmul(weights[:, :m], generators, batch.reshape(3, m, -1))
+        y = x
         for slot, increment in zip(slots, step_maps(batch, work)):
-            x = add(x, dot(x, increment, delta), slot)
+            y = add(y, dot(y, increment, delta), slot)
         np.matmul(coordinates[:m, :members].reshape(m * members, size), rebuild,
                   states[: m * members])
-        for step in range(first + 1, last + 1):
-            if step % stride == 0 or step == n_steps:
-                sample(step, check.states[step - first - 1])
-        check.check(first + 1, m)
-    return check.states[m - 1] if n_steps else rho
+
+    return advance
 
 
 def integrate_master_equation(
@@ -821,21 +762,23 @@ def integrate_master_equation(
     """Fixed-step integration of the master equation over [t_start, t_end].
 
     rho0 is one (d, d) density matrix or a (B, d, d) stack of them, which
-    share every step; the loop holds a single rho as a stack of one.
-    drive maps a 1-D array of times to the (T, N) per-dot amplitudes there
-    (None: no drive).  It is called once per DRIVE_BLOCK_STEPS steps.  With
-    channels on at most LIOUVILLE_MAX_DIM basis states the run takes the
-    map form (_map_loop), else the stage loop (_stage_loop), whose
-    stage_hamiltonians writes the three stage Hamiltonians of each checked
-    batch of steps into one buffer.  The requested step is shrunk to divide
-    the window exactly; a window of over MAX_STEPS steps raises
-    StepCountError.  rho0 is Hermitized once; every state is then exactly
-    Hermitian.  The trace is never re-normalized, its drift is a
-    diagnostic.  Every step's state is tested for trace drift and
-    positivity, in batches (_StepCheck).  A failure raises
-    PropagationDiagnosticsError naming the earliest failing step, and for a
-    stack the lowest failing member at that step; a non-finite state fails
-    too.  Samples are taken every sample_stride steps plus the final step.
+    share every step; a single rho runs as a stack of one.  drive maps a
+    1-D array of times to the (T, N) per-dot amplitudes there (None: no
+    drive).  The requested step is shrunk to divide the window exactly; a
+    window of over MAX_STEPS steps raises StepCountError, and one too far
+    from 0 to resolve the step InvalidParameterError
+    (check_time_resolution).  rho0 is Hermitized once; every state is then
+    exactly Hermitian.  The trace is never re-normalized, its drift is a
+    diagnostic.
+
+    This is the only loop over the run's batches of steps, one _StepCheck
+    batch at a time: it hands each batch's drive amplitudes to the form's
+    stepper (_map_form with channels on at most LIOUVILLE_MAX_DIM basis
+    states, else _stage_form), samples every sample_stride-th step and the
+    last, tests every state (check.check), and starts the next batch from
+    the last state.  A failure raises PropagationDiagnosticsError naming
+    the earliest failing step, and for a stack the lowest failing member at
+    that step; a non-finite state fails too.
     """
     rho = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho)
@@ -856,6 +799,7 @@ def integrate_master_equation(
     if span < 0:
         raise InvalidParameterError("integration window must not be reversed")
     n_steps = _step_count(span, config.time_step_ps)
+    check_time_resolution(max(abs(t_start_ps), abs(t_end_ps)), config.time_step_ps)
     dt = span / n_steps if n_steps else 0.0
 
     pair = config.coherence_pair if config.coherence_pair is not None else (0, dim - 1)
@@ -872,16 +816,23 @@ def integrate_master_equation(
         occs.append([diag @ m for m in occupation_masks])
         cohs.append(state[:, pair[0], pair[1]].copy())
 
-    # bytes of the loop's stage buffers per step: 3 complex (d, d) stage
+    # bytes of the stepper's buffers per step: 3 complex (d, d) stage
     # Hamiltonians, or 5 real (d^2, d^2) matrices in the map form
     step_bytes = 40 * dim**4 if map_form else 48 * dim**2
     check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, step_bytes)
-    sample(0, rho)
-    amplitudes = None
+    advance = (_map_form if map_form else _stage_form)(rho, generator, dt, check)
+    amplitudes = itertools.repeat(None)
     if drive is not None:
-        amplitudes = _stage_amplitudes(drive, t_start_ps, dt, n_steps)
-    loop = _map_loop if map_form else _stage_loop
-    rho = loop(rho, generator, amplitudes, dt, n_steps, check, sample, config.sample_stride)
+        amplitudes = _stage_amplitudes(drive, t_start_ps, dt, n_steps, check.size)
+    sample(0, rho)
+    for first, f in zip(range(0, n_steps, check.size), amplitudes):
+        m = min(check.size, n_steps - first)
+        advance(rho, f, m)
+        for step in range(first + 1, first + m + 1):
+            if step % config.sample_stride == 0 or step == n_steps:
+                sample(step, check.states[step - first - 1])
+        check.check(first + 1, m)
+        rho = check.states[m - 1]
 
     member = 0 if single else slice(None)  # a single state drops the member axis
     return Trajectory(

@@ -55,7 +55,10 @@ def amplitudes(dim):
     parts = st.complex_numbers(
         max_magnitude=10.0, allow_nan=False, allow_infinity=False
     )
-    vectors = st.lists(parts, min_size=dim, max_size=dim).filter(any)
+    # the key takes amplitudes of positive, finite norm
+    vectors = st.lists(parts, min_size=dim, max_size=dim).filter(
+        lambda v: np.linalg.norm(v) > 0
+    )
     return vectors.map(lambda v: " ".join(repr(complex(a)) for a in v))
 
 
@@ -104,7 +107,9 @@ STRATEGIES = {
     ("pulses", "selectivity_fraction"): lambda n: POSITIVE,
     ("pulses", "fallback_tau_ps"): lambda n: POSITIVE,
     ("pulses", "gap_factor"): lambda n: POSITIVE,
-    ("integration", "time_step_ps"): lambda n: POSITIVE,
+    # a gate start's floats must lie within a thousandth of a step: steps
+    # above 1e-10 ps take every drawn start (ulp(100.0) = 1.4e-14)
+    ("integration", "time_step_ps"): lambda n: st.floats(1e-10, 1e300).map(repr),
     ("integration", "sample_stride"): lambda n: st.integers(1, 1000).map(str),
     ("integration", "reference_energy_ev"): lambda n: FINITE,
     ("integration", "duration_ps"): lambda n: st.floats(0.0, 1e3).map(repr),
@@ -399,6 +404,9 @@ def with_line(section, line):
         ("integration", "time_step_ps = nan", "[integration] time_step_ps: "),
         ("integration", "eig_floor = 0.5", "[integration] eig_floor: must be non-positive"),
         ("outputs", "fidelity_target = 1 0 0 nanj", "[outputs] fidelity_target: "),
+        # amplitudes whose squares underflow to 0 or overflow to inf
+        ("outputs", "fidelity_target = 1e-200 0 0 0", "[outputs] fidelity_target: "),
+        ("outputs", "fidelity_target = 1e300 1 1 1", "[outputs] fidelity_target: "),
         ("outputs", "coherence_pair = a:b", "[outputs] coherence_pair: "),
         ("outputs", "coherence_pair = 0:9", "[outputs] coherence_pair: "),
         ("outputs", "coherence_pair = -1:0", "[outputs] coherence_pair: "),
@@ -433,6 +441,10 @@ def with_line(section, line):
             "gate.1 = rotation target=e",
             "[program] gate.1: dot e out of range for 2 dots",
         ),
+        # starts so far from 0 that the floats there are coarser than the
+        # step: the pulse would run on no step, or overflow the phases
+        ("program", "gate.1 = rotation target=a start=-1e17", "[program] gate.1: time "),
+        ("program", "gate.1 = rotation target=a start=-1e308", "[program] gate.1: time "),
         ("channels", "decay.2 = 0.1", "[channels] decay.2: dot c out of range for 2 dots"),
         (
             "integration",
@@ -444,6 +456,7 @@ def with_line(section, line):
         ("integration", "frame = lab", "[integration] unknown key 'frame'"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(with_line(section, line), encoding="utf-8")

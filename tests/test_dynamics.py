@@ -232,7 +232,7 @@ def drive_hamiltonian(generator, amps):
     """The Hamiltonian that stage_hamiltonians writes for one set of per-dot
     amplitudes."""
     h = generator.h0[None].copy()
-    next(stage_hamiltonians(generator, [amps[None]], h))
+    stage_hamiltonians(generator, h)(amps[None])
     return h[0]
 
 
@@ -566,22 +566,53 @@ class TestMapForm:
         out = x + np.einsum("si,sij->sj", x, increments)
         assert np.allclose(out, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
-    @pytest.mark.parametrize("driven", [False, True], ids=["h0", "drive"])
-    def test_run_does_not_depend_on_the_batch_length(self, monkeypatch, driven):
-        # one step per checked batch, where each step's x is written into
-        # the slot that holds the x it reads, ends bit for bit where the
-        # default batches do
-        seq = TestDriveBlocks.SEQUENCE if driven else PulseSequence(())
+    @pytest.mark.parametrize(
+        "driven, dots, with_channels, stacked",
+        [
+            pytest.param(False, 2, True, True, id="h0"),
+            pytest.param(True, 2, True, True, id="drive"),
+            *(
+                pytest.param(
+                    True, dots, dots == 3, stacked,
+                    id="-".join(
+                        ["stage", "3-dots-channels" if dots == 3 else "coherent",
+                         "stack" if stacked else "single"]
+                    ),
+                )
+                for dots in (2, 3) for stacked in (False, True)
+            ),
+        ],
+    )
+    def test_run_does_not_depend_on_the_batch_length(
+        self, monkeypatch, driven, dots, with_channels, stacked
+    ):
+        # one step per checked batch, where each step's state is written
+        # into the slot that holds the state it reads, ends bit for bit
+        # where the default batches do, in the map form (the two-dot runs
+        # with channels) and in the stage form (coherent two-dot runs,
+        # three-dot runs with channels): the state handed from one batch to
+        # the next is the state the last step left
+        if dots == 2:
+            register, sequence, channels = (
+                two_dot_register(), TestDriveBlocks.SEQUENCE, TestDriveBlocks.CHANNELS
+            )
+        else:
+            register, sequence, channels = (
+                TestDriveBlocks.REGISTER_3, TestDriveBlocks.SEQUENCE_3, TestDriveBlocks.CHANNELS_3
+            )
+        sequence = sequence if driven else PulseSequence(())
+        channels = channels if with_channels else ()
         config = SimulationConfig(time_step_ps=1e-3, duration_ps=0.7)
-        rho0 = np.array([random_density(np.random.default_rng(k), 4) for k in range(3)])
-        channels = TestDriveBlocks.CHANNELS
-        expected = propagate(rho0, seq, two_dot_register(), channels, config)
+        rho0 = np.array([random_density(np.random.default_rng(k), 2**dots) for k in range(3)])
+        rho0 = rho0 if stacked else rho0[0]
+        expected = propagate(rho0, sequence, register, channels, config)
         monkeypatch.setattr(dynamics, "EIG_BATCH_BYTES", 1)
         batches = record_batches(monkeypatch)
-        traj = propagate(rho0, seq, two_dot_register(), channels, config)
+        traj = propagate(rho0, sequence, register, channels, config)
         assert set(batches) == {(1, 1)} and len(batches) == traj.n_steps
         assert np.array_equal(traj.final_state, expected.final_state)
         assert np.array_equal(traj.populations, expected.populations)
+        assert np.array_equal(traj.coherences, expected.coherences)
 
     def test_stack_in_any_memory_layout(self):
         # a stack whose member axis is innermost in memory runs as its
@@ -855,6 +886,44 @@ class TestIndependentIntegrator:
         )
         assert 2**3.5 < error_coarse / error_fine < 2**4.5
 
+    def test_three_dot_lindblad_converges_at_fourth_order(self, adaptive_reference):
+        # the stage form's row-table dissipator at N = 3, against the
+        # adaptive solution of the dense jump operators: the conditional
+        # rotation of b when a:1,c:0 on tools/artifact_hashes.py's
+        # chain3_lindblad register, its shifts times 4 (18 and 12 meV), so
+        # that the one pulse (tau = 0.439 ps) spans the whole run, with a
+        # decay and a dephasing channel on every dot; halving the step must
+        # cut the error by 2^4, to within half an order (the errors
+        # 2.7e-5 and 1.7e-6)
+        reg = ExcitonRegister(
+            np.array([1.70, 1.71, 1.72]),
+            np.array([[0.0, 18.0, 0.0], [18.0, 0.0, 12.0], [0.0, 12.0, 0.0]]),
+        )
+        seq = compile_gate(reg, GateSpec("conditional-rotation", 1, math.pi, ((0, 1), (2, 0))))
+        channels = [
+            LindbladChannel("decay", 0, 0.002),
+            LindbladChannel("decay", 1, 0.003),
+            LindbladChannel("decay", 2, 0.004),
+            LindbladChannel("pure-dephasing", 0, 0.02),
+            LindbladChannel("pure-dephasing", 1, 0.03),
+            LindbladChannel("pure-dephasing", 2, 0.04),
+        ]
+        psi = np.zeros(8)
+        psi[[0, 1]] = 1.0 / math.sqrt(2.0)  # (|000> + |100>)/sqrt(2), a excited in |100>
+        rho0 = pure_state_density(psi)
+        coarse, fine = (
+            propagate(rho0, seq, reg, channels, SimulationConfig(time_step_ps=dt))
+            for dt in (4e-3, 2e-3)
+        )
+        rho_ref = adaptive_reference(
+            reg, seq, rho0, fine.times_ps[0], fine.final_time_ps,
+            default_reference_energy(seq, reg), channels,
+        )
+        error_coarse, error_fine = (
+            np.max(np.abs(run.final_state - rho_ref)) for run in (coarse, fine)
+        )
+        assert 2**3.5 < error_coarse / error_fine < 2**4.5
+
 
 def assert_matches_stage_loop(traj, expected, map_form):
     """A run's final state against rk4_reference's stage loop: bit for bit,
@@ -994,16 +1063,42 @@ class TestDriveBlocks:
         calls = []
 
         def counting_field_at(sequence, dipoles, reference_energy_ev, times):
-            calls.append(np.shape(times))
+            calls.append(times)
             return field_at(sequence, dipoles, reference_energy_ev, times)
 
         monkeypatch.setattr(dynamics, "field_at", counting_field_at)
-        traj = propagate(
-            basis_state_density(2, 0), self.SEQUENCE, two_dot_register(), config=self.CONFIG
-        )
+        batches = record_batches(monkeypatch)
+
+        def blocks(rho0, sequence, register, channels, config):
+            # the steps of each field_at call, with the run's steps and
+            # batch length; the calls cover each step's three stage times
+            # once, in order
+            calls.clear()
+            batches.clear()
+            traj = propagate(rho0, sequence, register, channels, config)
+            dt = (traj.final_time_ps - traj.times_ps[0]) / traj.n_steps
+            t = traj.times_ps[0] + np.arange(traj.n_steps) * dt
+            expected = np.stack((t, t + 0.5 * dt, t + dt), axis=-1).ravel()
+            assert np.allclose(np.concatenate(calls), expected, rtol=0, atol=1e-12)
+            return [len(times) // 3 for times in calls], traj.n_steps, batches[0][1]
+
+        # the coherent two-dot run's 256-step batches: one full block of
+        # DRIVE_BLOCK_STEPS, one partial
         block = dynamics.DRIVE_BLOCK_STEPS
-        assert block < traj.n_steps < 2 * block  # one full block, one partial
-        assert calls == [(3 * block,), (3 * (traj.n_steps - block),)]
+        steps, n_steps, size = blocks(
+            basis_state_density(2, 0), self.SEQUENCE, two_dot_register(), (), self.CONFIG
+        )
+        assert size == 256 and steps == [block, n_steps - block]
+        # a one-dot run with a decay channel takes the map form's 614-step
+        # batches, longer than DRIVE_BLOCK_STEPS: a block holds one batch
+        steps, n_steps, size = blocks(
+            basis_state_density(1, 0),
+            PulseSequence((Pulse(1.70, 0.3, 0.05, math.pi, target_dipole=0),)),
+            single_dot_register(),
+            [LindbladChannel("decay", 0, 0.1)],
+            SimulationConfig(time_step_ps=1e-3, duration_ps=1.5),
+        )
+        assert size == 614 and steps == [size, size, n_steps - 2 * size]
 
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "stack"])
     def test_liouvillian_apply_called_four_times_per_step(self, monkeypatch, members):
@@ -1083,6 +1178,20 @@ class TestDiagnostics:
             )
         assert err.value.step == 11
         assert str(err.value) == "non-finite density matrix at step 11"
+
+    @pytest.mark.parametrize("center_ps", [-1e17, -1e13, -1e308])
+    def test_window_far_from_zero_is_refused_before_the_first_step(self, center_ps):
+        # where the floats are spaced more than a thousandth of a step
+        # apart, the step times cannot resolve the step: at -1e17 ps the
+        # window rounds to no step at all, at -1e308 ps the phases overflow;
+        # at -1e9 ps the pi pulse still runs
+        def run(center_ps):
+            seq = PulseSequence((Pulse(1.70, center_ps, 0.05, math.pi, target_dipole=0),))
+            return propagate(basis_state_density(1, 0), seq, single_dot_register())
+
+        with pytest.raises(InvalidParameterError, match="too far from 0"):
+            run(center_ps)
+        assert run(-1e9).occupations[-1, 0] > 1.0 - 1e-6
 
     def test_window_of_too_many_steps_is_refused_before_the_first_step(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 100)

@@ -5,7 +5,7 @@ integrator.
 
 Times gate_fidelity on artifact_hashes.CHAIN3_LINDBLAD_CFG (d = 8, six
 channels, a stack of 14 states over 14,042 steps) with
-dynamics.LIOUVILLE_MAX_DIM at 4, where its channels take the stage loop's
+dynamics.LIOUVILLE_MAX_DIM at 4, where its channels take the stage form's
 row table, and at 8, where they take the map form, alternating which form
 runs first.  Prints each form's median and quartiles, the runs the map
 form won and the largest difference between the two fidelities.  The
