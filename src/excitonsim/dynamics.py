@@ -23,14 +23,15 @@ batches, about DRIVE_BLOCK_STEPS steps), hands it to the form's stepper,
 samples the states, checks them, and starts the next batch from the last.
 The stepper is bound once per run, with every buffer and view it needs; it
 takes the batch's RK4 steps and writes each step's state into its slot of
-the check.  The two forms differ only in that arithmetic:
+the check.  The two forms differ in that arithmetic and in how the check
+tests positivity:
 
 - _stage_form, for coherent runs and runs with channels on N >= 3 dots:
   four stages per step, each one call of a stage_apply stage.  A stage's
   commutator is one product rho H over all B*d rows of the stack, exactly
   Hermitian.  The second and third stages take the generator doubled and
   give 2 k2 and 2 k3 bit for bit: a factor of 2 is exact in binary floating
-  point.
+  point.  The check tests positivity by one batched Cholesky.
 - _map_form, for runs with channels on at most LIOUVILLE_MAX_DIM basis
   states: each state is carried as its d^2 real coordinates x
   (hermitian_coordinates), in which d(rho)/dt = x L for a real generator
@@ -39,6 +40,9 @@ the check.  The two forms differ only in that arithmetic:
   is x + x E, one gemm over the stack.  It sums in another order than the
   stage form, so its states differ from that form's by roundoff (1.8e-15
   on gate_fidelity's CNOT stack); the cut is measured (LIOUVILLE_MAX_DIM).
+  The check tests positivity on the coordinates x, by one elimination in
+  real arithmetic over every state of a batch (_pivots_positive), in
+  batches of d times as many states.
 
 Every member of a stack ends bit for bit where a run of its own would and
 is tested as a single state would be; a failure names the earliest step,
@@ -496,30 +500,67 @@ def liouvillian_apply(
     return stage_apply(generator, rho.shape)(rho.reshape(-1, rho.shape[-1]), h, out)
 
 
-# Each step's state is checked in batches of up to this many bytes of
-# states: one trace and one Cholesky call per batch instead of one test per
-# step, and one eigvalsh call only when the Cholesky fails.  The batch's
-# length in steps is also that of the stepper's buffers, which are held
-# to 6 times this many bytes, 384 KiB: a batch is cut to fewer steps where
-# they would exceed that, which only the map form's 5 real (d^2, d^2)
-# matrices per step do (614 steps at d = 2, 38 at d = 4).
+# Each step's state is checked in batches sized by this many bytes: those of
+# the states in the stage form, where one trace and one Cholesky call per
+# batch replace one test per step, and d times as many states in the map
+# form (_StepCheck).  One eigvalsh call runs only when that test fails.  The
+# map form's stepper holds its stage buffers to 6 times this many bytes,
+# 384 KiB, by taking a batch in chunks of at most that many steps: its 5
+# real (d^2, d^2) matrices per step allow 614 steps at d = 2, 38 at d = 4.
 EIG_BATCH_BYTES = 64 * 1024
 
 # Registers of up to this many basis states with channels take the map form
 # (map_generator, step_maps) instead of the stage form.  The 3-dot
 # gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
 # cut at 4 (stage form) against 8 (map form), alternating, 10 runs each on
-# a 2-core Xeon KVM guest: with one OpenBLAS thread 1.99 s [1.91, 2.09]
-# against 1.30 s [1.30, 1.33], with two threads 1.95 s [1.91, 1.98] against
-# 1.32 s [1.31, 1.35], the map form faster in 10 of 10 on both (medians
-# [quartiles]); the fidelities differ by 1.1e-16.  No benchmark workload
-# runs channels at N = 3, so the cut would move only on a win in every run
-# on both settings.  That holds for the stack, but a single 3-dot state
-# with six channels (937 steps) takes 0.072 s in the map form against
-# 0.044 s in the stage form, on one thread: a cut on d alone cannot serve
-# both, so it stays below N = 3.  At N = 4 each step would take three
-# products of 256 x 256 matrices.
+# a 2-core Xeon KVM guest: with one OpenBLAS thread 1.69 s [1.61, 1.78]
+# against 1.01 s [0.96, 1.06], with two threads 1.75 s [1.64, 1.89]
+# against 1.00 s [0.96, 1.21], the map form faster in 10 of 10 on both
+# (medians [quartiles]); the fidelities differ by 1.1e-16.  There the
+# coordinate test of the map form's check does not lose at d = 8: 0.17 s
+# over its 391 batches of 502 states, against 0.27 s for a Cholesky of the
+# same states.  No benchmark workload runs channels at N = 3, so the cut
+# would move only on a win in every run on both settings.  That holds for
+# the stack, but a single 3-dot state with six channels (that gate's
+# register at a 0.015 ps step, 937 steps) takes 0.053 s [0.052, 0.054] in
+# the map form against 0.038 s [0.038, 0.039] in the stage form on one
+# thread, and 0.090 s against 0.060 s on two, the stage form faster in 10
+# of 10 on both: a cut on d alone cannot serve both, so it stays below
+# N = 3.  At N = 4 each step would take three products of 256 x 256
+# matrices.
 LIOUVILLE_MAX_DIM = 4
+
+
+def _pivots_positive(x: np.ndarray, floor: float) -> bool:
+    """Whether every state whose hermitian_coordinates are the columns of
+    the (d^2, K) rows x has all its eigenvalues above floor.
+
+    One LDL+ elimination of rho - floor * I runs over all K states at once,
+    in real arithmetic and in x, which it overwrites: each pivot row's
+    entries update the rows below it, a few whole-row operations per pair
+    of rows, about 4 d^2 numpy calls in all.  Every pivot is positive iff
+    the matrix is positive definite.  A NaN fails, but a +inf on a diagonal
+    coordinate, the last one too, passes: x must be finite.
+    """
+    dim = math.isqrt(len(x))
+    diagonal, re, im = np.split(x, [dim, dim * (dim + 1) // 2])
+    diagonal -= floor
+
+    def row(i: int) -> int:  # the first of the rows of re and im that hold (i, j > i)
+        return i * (2 * dim - i - 1) // 2
+
+    for k in range(dim):
+        pivot = diagonal[k]
+        if not (pivot > 0).all():
+            return False
+        u_re, u_im = re[row(k) : row(k + 1)], im[row(k) : row(k + 1)]  # a_kj, j > k
+        w_re, w_im = u_re / pivot, u_im / pivot
+        diagonal[k + 1 :] -= u_re * w_re + u_im * w_im
+        for i in range(k + 1, dim - 1):  # a_ij -= conj(a_ki) a_kj / a_kk, j > i
+            t, block = i - k, slice(row(i), row(i + 1))
+            re[block] -= w_re[t - 1] * u_re[t:] + w_im[t - 1] * u_im[t:]
+            im[block] -= w_re[t - 1] * u_im[t:] - w_im[t - 1] * u_re[t:]
+    return True
 
 
 class _StepCheck:
@@ -530,27 +571,43 @@ class _StepCheck:
     state, in (step, member) order, that a per-step test would fail: its
     trace drift is above trace_tol (or not finite), or it is not finite, or
     it has an eigenvalue below eig_floor.  Positivity is tested on the
-    states before the first trace failure by one batched Cholesky of each
-    minus eig_floor * I, which succeeds only if every smallest eigenvalue
-    is above eig_floor (it reads one triangle: every state is exactly
-    Hermitian).  Only if it fails, or a state is not finite, does one
-    eigvalsh find the first state below the floor.  max_trace_drift starts
-    at rho0's (step 0) and keeps the worst drift checked,
-    max_trace_drift_step its first step.  stacked: whether the error names
-    the failing member as "state k".  step_bytes is the size of the
-    stepper's buffers per step, which holds the batch to 6 EIG_BATCH_BYTES.
+    states before the first trace failure, by a test that succeeds only if
+    every smallest eigenvalue is above eig_floor:
+
+    - in the stage form, one batched Cholesky of each state minus
+      eig_floor * I (it reads one triangle: every state is exactly
+      Hermitian);
+    - in the map form, whose stepper sets coordinates to a (d^2, size * B)
+      buffer and fills it with the states' hermitian_coordinates, one
+      column per state in (step, member) order, _pivots_positive on those
+      columns, once they are all finite.  It runs no LAPACK call per state.
+
+    Only if a state is not finite or that test fails does one eigvalsh of
+    the states find the first that is not finite or is below the floor, so
+    the failure reported does not depend on the form.  The trace drift is read from the complex
+    states in both forms.  max_trace_drift starts at rho0's (step 0) and
+    keeps the worst drift checked, max_trace_drift_step its first step.
+    stacked: whether the error names the failing member as "state k".
+
+    A batch holds EIG_BATCH_BYTES // (B state_bytes) steps.  In the stage
+    form, state_bytes is a complex state's 16 d^2.  In the map form it is
+    16 d, so a batch holds d times as many states (128 steps of
+    gate_fidelity's 8-state stack, 1,024 steps of a single 2-dot state):
+    the coordinate test pays per call, not per state.  At d = 4 it takes
+    about 0.3 us per state at 256 states per call, 0.09 us at 1,024 and
+    0.07 us at 4,096, where a rebuild and a Cholesky take about 0.4 us at
+    any length (one OpenBLAS thread, 2-core Xeon KVM guest).
     """
 
     def __init__(
         self, rho0: np.ndarray, trace_tol: float, eig_floor: float, stacked: bool,
-        step_bytes: int,
+        state_bytes: int,
     ):
         members, dim = rho0.shape[0], rho0.shape[-1]
-        self.size = max(1, min(
-            EIG_BATCH_BYTES // (16 * members * dim * dim), 6 * EIG_BATCH_BYTES // step_bytes
-        ))
+        self.size = max(1, EIG_BATCH_BYTES // (members * state_bytes))
         self.states = np.empty((self.size, *rho0.shape), dtype=complex)
         self.flat = self.states.reshape(-1, dim, dim)  # (step, member) order
+        self.coordinates: np.ndarray | None = None
         self.members, self.stacked = members, stacked
         self.trace_tol, self.eig_floor = trace_tol, eig_floor
         self.floor = eig_floor * np.eye(dim)
@@ -584,13 +641,18 @@ class _StepCheck:
     def _below_floor(self, states: np.ndarray) -> tuple[int, str] | None:
         """(index, message) of the first state that is not finite or has an
         eigenvalue below eig_floor; None if there is none."""
-        finite = np.isfinite(states).all(axis=(1, 2))
-        if finite.all():
-            try:  # succeeds iff every smallest eigenvalue is above eig_floor
-                np.linalg.cholesky(states - self.floor)
+        if self.coordinates is None:
+            if np.isfinite(states).all():
+                try:  # succeeds iff every smallest eigenvalue is above eig_floor
+                    np.linalg.cholesky(states - self.floor)
+                    return None
+                except np.linalg.LinAlgError:
+                    pass
+        else:
+            x = self.coordinates[:, : len(states)]
+            if np.isfinite(x).all() and _pivots_positive(x, self.eig_floor):
                 return None
-            except np.linalg.LinAlgError:
-                pass
+        finite = np.isfinite(states).all(axis=(1, 2))
         n_finite = len(finite) if finite.all() else int(np.argmin(finite))
         min_eigs = np.linalg.eigvalsh(states[:n_finite]).min(axis=1)
         bad = np.flatnonzero(~(min_eigs >= self.eig_floor))
@@ -709,42 +771,52 @@ def _map_form(
     """The map form's stepper, bound once for stacks of rho's (B, d, d)
     shape.  advance(rho, f, m) takes m RK4 steps from rho as x + x E of the
     rows x of its hermitian_coordinates, and writes each step's stack into
-    its slot of check.states.  One product [Re f, Im f, 1] @ (dt/2)
-    [drive; L0] of the steps' (m, 3, N) amplitudes f (None: no drive) gives
-    their stage generators, scaled by dt/2, in a stage-major
-    (3, S, d^2, d^2) buffer, step_maps their increments E, and after the
-    steps one product x @ rebuild their states.  The first x is read off
-    rho by the columns gather, which is exact up to the sign of a zero:
-    every column of rebuild holds a single 1 or -1.  Each step's x E is one
-    gemm of a (max(B, 2), d^2) array, a zero row padding a single state:
-    gemm rounds each row alike whatever the row count (OpenBLAS 0.3.31), so
-    every member ends bit for bit where a run of its own would."""
+    its slot of check.states and its coordinates into check.coordinates,
+    which it sets.  It takes the batch in chunks of steps whose stage
+    buffers fit 6 EIG_BATCH_BYTES.  For each chunk, one product
+    [Re f, Im f, 1] @ (dt/2) [drive; L0] of the steps' (n, 3, N) amplitudes
+    f (None: no drive) gives their stage generators, scaled by dt/2, in a
+    stage-major (3, n, d^2, d^2) buffer, and step_maps their increments E.
+    After the steps, one product x @ rebuild gives their states.  The first
+    x is read off rho by the columns gather, which is exact up to the sign
+    of a zero: every column of rebuild holds a single 1 or -1.  Each step's
+    x E is one gemm of a (max(B, 2), d^2) array, a zero row padding a single
+    state: gemm rounds each row alike whatever the row count (OpenBLAS
+    0.3.31), so every member ends bit for bit where a run of its own
+    would."""
     members, size = rho.shape[0], rho.shape[-1] ** 2
     columns, rebuild = hermitian_coordinates(rho.shape[-1])
     l0, drive = map_generator(generator)
     generators = 0.5 * dt * np.vstack((drive, l0.reshape(1, -1)))  # (dt/2) [drive; L0]
-    weights = np.ones((3, check.size, len(generators)))  # [Re f, Im f, 1] of each stage
-    stages = np.empty((3, check.size, size, size))  # T1, T2, T3, then E over T1
-    work = np.empty((2, check.size, size, size))
+    chunk = max(1, min(check.size, 6 * EIG_BATCH_BYTES // (40 * size * size)))
+    weights = np.ones((3, chunk, len(generators)))  # [Re f, Im f, 1] of each stage
+    stages = np.empty((3, chunk, size, size))  # T1, T2, T3, then E over T1
+    work = np.empty((2, chunk, size, size))
     coordinates = np.zeros((check.size, max(members, 2), size))  # each step's x
     slots = list(coordinates)
     x, delta = np.zeros(coordinates.shape[1:]), np.empty(coordinates.shape[1:])  # x, x E
     states = check.states.view(float).reshape(check.size * members, 2 * size)
+    check.coordinates = np.empty((size, check.size * members))
+    checked = check.coordinates.reshape(size, check.size, members)  # (coordinate, step, member)
     dot, add = np.dot, np.add
 
     def advance(rho: np.ndarray, f: np.ndarray | None, m: int) -> None:
         x[:members] = np.ascontiguousarray(rho).view(float).reshape(members, -1)[:, columns]
-        batch = stages[:, :m]
-        if f is None:
-            batch[...] = generators[-1].reshape(size, size)
-        else:
-            np.concatenate((f.real, f.imag), axis=-1, out=weights[:, :m, :-1].swapaxes(0, 1))
-            np.matmul(weights[:, :m], generators, batch.reshape(3, m, -1))
         y = x
-        for slot, increment in zip(slots, step_maps(batch, work)):
-            y = add(y, dot(y, increment, delta), slot)
+        for first in range(0, m, chunk):
+            n = min(chunk, m - first)
+            batch = stages[:, :n]
+            if f is None:
+                batch[...] = generators[-1].reshape(size, size)
+            else:
+                g = f[first : first + n]
+                np.concatenate((g.real, g.imag), axis=-1, out=weights[:, :n, :-1].swapaxes(0, 1))
+                np.matmul(weights[:, :n], generators, batch.reshape(3, n, -1))
+            for slot, increment in zip(slots[first : first + n], step_maps(batch, work)):
+                y = add(y, dot(y, increment, delta), slot)
         np.matmul(coordinates[:m, :members].reshape(m * members, size), rebuild,
                   states[: m * members])
+        np.copyto(checked[:, :m], coordinates[:m, :members].transpose(2, 0, 1))
 
     return advance
 
@@ -816,10 +888,8 @@ def integrate_master_equation(
         occs.append([diag @ m for m in occupation_masks])
         cohs.append(state[:, pair[0], pair[1]].copy())
 
-    # bytes of the stepper's buffers per step: 3 complex (d, d) stage
-    # Hamiltonians, or 5 real (d^2, d^2) matrices in the map form
-    step_bytes = 40 * dim**4 if map_form else 48 * dim**2
-    check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, step_bytes)
+    state_bytes = 16 * dim if map_form else 16 * dim**2  # sizes the batch (_StepCheck)
+    check = _StepCheck(rho, config.trace_tol, config.eig_floor, not single, state_bytes)
     advance = (_map_form if map_form else _stage_form)(rho, generator, dt, check)
     amplitudes = itertools.repeat(None)
     if drive is not None:

@@ -226,8 +226,11 @@ def round_trip(text):
     assert dump_config(again) == lines
 
 
+# derandomize: every run draws the same examples, so a refusal that the
+# strategies do not mirror fails every run, not only the runs that draw it
 ROUND_TRIP = settings(
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 

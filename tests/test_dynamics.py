@@ -1014,12 +1014,18 @@ class TestDriveBlocks:
         else:
             reg, sequence, channels = self.REGISTER_3, self.SEQUENCE_3, self.CHANNELS_3
         channels = channels if with_channels else ()
+        map_form = with_channels and dots == 2
+        if map_form:
+            # the map form's batches hold d times as many states, 1,024 steps
+            # of a single state: a quarter of the bytes gives several batches
+            # of the run's 600 steps, each taken in chunks of 9 steps
+            monkeypatch.setattr(dynamics, "EIG_BATCH_BYTES", dynamics.EIG_BATCH_BYTES // 4)
         batches = record_batches(monkeypatch)
         traj = propagate(rho0, sequence, reg, channels, self.CONFIG)
         # several checked batches, the last one partly filled
         assert len(batches) > 1 and batches[-1][0] < batches[-1][1]
         expected = rk4_reference(rho0, sequence, reg, channels, self.CONFIG)
-        assert_matches_stage_loop(traj, expected, map_form=with_channels and dots == 2)
+        assert_matches_stage_loop(traj, expected, map_form=map_form)
 
     @pytest.mark.parametrize("with_channels", [False, True], ids=["coherent", "channels"])
     def test_run_shorter_than_one_batch_equals_per_stage_reference(
@@ -1043,21 +1049,31 @@ class TestDriveBlocks:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_liouville_batches_hold_the_stage_buffer_bound(self, monkeypatch, n):
-        # the map form's stage buffers hold 5 real (d^2, d^2) matrices per
-        # step of a checked batch (L1, L2, L3 and two products), and the
-        # batch is as long as 6 EIG_BATCH_BYTES of them allow, shorter than
-        # the states' bound
+        # a map-form batch holds EIG_BATCH_BYTES // (16 d) steps, d times
+        # the states' bound; its stepper takes it in chunks whose stage
+        # buffers, 5 real (d^2, d^2) matrices per step (L1, L2, L3 and two
+        # products), are as long as 6 EIG_BATCH_BYTES of them allow
         batches = record_batches(monkeypatch)
+        chunks = []
+        maps = dynamics.step_maps
+
+        def recording_maps(stages, work):
+            chunks.append(len(stages[0]))
+            return maps(stages, work)
+
+        monkeypatch.setattr(dynamics, "step_maps", recording_maps)
         dim = 2**n
-        integrate_master_equation(
+        traj = integrate_master_equation(
             basis_state_density(n, dim - 1), np.zeros(dim), None,
             [LindbladChannel("decay", 0, 0.1)], 0.0, 2.0, SimulationConfig(time_step_ps=1e-3),
         )
+        size = dynamics.EIG_BATCH_BYTES // (16 * dim)
+        assert [size] * len(batches) == [batch[1] for batch in batches]
+        assert sum(batch[0] for batch in batches) == sum(chunks) == traj.n_steps
         step_bytes = 5 * 8 * dim**4
-        size = batches[0][1]
-        assert batches[0][0] == size < dynamics.EIG_BATCH_BYTES // (16 * dim * dim)
-        assert size * step_bytes <= 6 * dynamics.EIG_BATCH_BYTES
-        assert (size + 1) * step_bytes > 6 * dynamics.EIG_BATCH_BYTES
+        chunk = max(chunks)
+        assert chunk < size and chunk * step_bytes <= 6 * dynamics.EIG_BATCH_BYTES
+        assert (chunk + 1) * step_bytes > 6 * dynamics.EIG_BATCH_BYTES
 
     def test_drive_called_once_per_block(self, monkeypatch):
         calls = []
@@ -1089,16 +1105,16 @@ class TestDriveBlocks:
             basis_state_density(2, 0), self.SEQUENCE, two_dot_register(), (), self.CONFIG
         )
         assert size == 256 and steps == [block, n_steps - block]
-        # a one-dot run with a decay channel takes the map form's 614-step
+        # a one-dot run with a decay channel takes the map form's 2048-step
         # batches, longer than DRIVE_BLOCK_STEPS: a block holds one batch
         steps, n_steps, size = blocks(
             basis_state_density(1, 0),
             PulseSequence((Pulse(1.70, 0.3, 0.05, math.pi, target_dipole=0),)),
             single_dot_register(),
             [LindbladChannel("decay", 0, 0.1)],
-            SimulationConfig(time_step_ps=1e-3, duration_ps=1.5),
+            SimulationConfig(time_step_ps=1e-3, duration_ps=4.5),
         )
-        assert size == 614 and steps == [size, size, n_steps - 2 * size]
+        assert size == 2048 and steps == [size, size, n_steps - 2 * size]
 
     @pytest.mark.parametrize("members", [None, 3], ids=["single", "stack"])
     def test_liouvillian_apply_called_four_times_per_step(self, monkeypatch, members):
@@ -1417,6 +1433,136 @@ class TestCholeskyPositivity:
         assert batched_verdict(states, eig_floor) == per_state_verdict(states, eig_floor)
 
 
+def coordinate_verdict(x, eig_floor):
+    """The map form's step check's verdict on the states of the (n, d^2)
+    hermitian_coordinates x as single-state steps, with no trace
+    tolerance: positivity is tested on x, in the map form's batches, and a
+    failure is found on the states rebuilt from x, as the map form rebuilds
+    them."""
+    dim = math.isqrt(x.shape[-1])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the rebuild gives NaN
+        states = matrices_of(x)
+    check = dynamics._StepCheck(states[:1], math.inf, eig_floor, False, 16 * dim)
+    check.coordinates = np.empty((dim * dim, check.size))
+    try:
+        for first in range(0, len(states), check.size):
+            batch = slice(first, first + check.size)
+            filled = len(states[batch])
+            check.states[:filled, 0] = states[batch]
+            check.coordinates[:, :filled] = x[batch].T
+            check.check(first + 1, filled)
+    except PropagationDiagnosticsError as err:
+        return str(err), err.step
+    return None
+
+
+def kicked_step_maps(kicks):
+    """A stand-in for dynamics.step_maps: the map form's increments, plus,
+    at each step named in kicks (counted over every call), the given
+    (d^2, d^2) matrix, so that the step moves the coordinates x of each
+    member by x times it."""
+    maps = dynamics.step_maps
+    steps = itertools.count(1)
+
+    def kicked(stages, work):
+        increments = maps(stages, work)
+        for increment in increments:
+            increment += kicks.get(next(steps), 0.0)
+        return increments
+
+    return kicked
+
+
+class TestCoordinatePositivity:
+    """The map form tests positivity on its states' hermitian_coordinates:
+    one elimination of rho - eig_floor * I (_pivots_positive), once they are
+    finite, clears a batch only when every state is above the floor;
+    anything else goes to the eigvalsh test, which reports as in the stage
+    form."""
+
+    DT = 1e-3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_verdict_as_per_state_eigvalsh(self, seed):
+        # TestCholeskyPositivity's draws at d = 2 and 4, in the map form's
+        # batches, each state also on its own; one coordinate of one state
+        # may be NaN or infinite
+        rng = np.random.default_rng(100 + seed)
+        dim = int(rng.choice([2, 4]))
+        eig_floor = float(rng.choice([-1e-6, -1e-9, -1e-3]))
+        slots = dynamics.EIG_BATCH_BYTES // (16 * dim)
+        n_states = int(rng.integers(1, 2 * slots + 2))
+        p_below = float(rng.choice([0.0, 1.0 / n_states, 0.01, 0.3]))
+        kind = rng.random(n_states)
+        smallest = np.where(
+            kind < p_below,  # below the floor by far more than roundoff
+            eig_floor - 10.0 ** rng.uniform(-12, -2, n_states),
+            np.where(kind < 0.5, eig_floor * rng.uniform(0.0, 0.9, n_states), 0.0),
+        )
+        u, _ = np.linalg.qr(rng.normal(size=(n_states, dim, dim))
+                            + 1j * rng.normal(size=(n_states, dim, dim)))
+        eigs = rng.dirichlet(np.ones(dim), n_states)
+        eigs[np.arange(n_states), np.argmin(eigs, axis=1)] = smallest
+        states = (u * eigs[:, None, :]) @ u.conj().swapaxes(-1, -2)
+        states = 0.5 * (states + states.conj().swapaxes(-1, -2))
+        x = coordinates_of(states)
+        if rng.random() < 0.3:
+            i, k = int(rng.integers(n_states)), int(rng.integers(dim * dim))
+            x[i, k] = rng.choice([math.nan, math.inf, -math.inf])
+            with np.errstate(invalid="ignore"):  # inf * 0, as in the map form's rebuild
+                states[i] = matrices_of(x[i])
+        finite = np.isfinite(x).all(axis=1)
+        passes = [dynamics._pivots_positive(column[:, None].copy(), eig_floor) for column in x[finite]]
+        assert passes == list(np.linalg.eigvalsh(states[finite]).min(axis=1) >= eig_floor)
+        assert coordinate_verdict(x, eig_floor) == per_state_verdict(states, eig_floor)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_non_finite_coordinate_fails_at_its_step(self, dim, value):
+        # each coordinate in turn, in the third of five states
+        states = np.array([random_density(np.random.default_rng(k), dim) for k in range(5)])
+        for k in range(dim * dim):
+            x = coordinates_of(states)
+            x[2, k] = value
+            assert coordinate_verdict(x, -1e-6) == ("non-finite density matrix at step 3", 3)
+        # a +inf on any diagonal coordinate, the last one too, passes the
+        # pivots alone: the check tests finiteness first
+        for k in range(dim):
+            x = coordinates_of(states).T.copy()
+            x[k, 2] = math.inf
+            assert dynamics._pivots_positive(x, -1e-6)
+
+    def test_state_just_above_floor_passes_without_eigvalsh(self, monkeypatch):
+        # the map form's twin of TestCholeskyPositivity's: rho_11 goes to
+        # -5e-7 in one step and stays there, inside the default floor of
+        # -1e-6, and the coordinate test of rho - eig_floor * I clears every
+        # one of three batches with no LAPACK call
+        lapack = []
+        for name in ("eigvalsh", "cholesky"):
+            function = getattr(np.linalg, name)
+
+            def spy(a, *args, function=function, **kwargs):
+                if np.ndim(a) == 3:
+                    lapack.append(function.__name__)
+                return function(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        kick = np.zeros((4, 4))
+        kick[0, :2] = 5e-7, -5e-7  # x = (1, 0, 0, 0): rho_00 and rho_11 move
+        monkeypatch.setattr(dynamics, "step_maps", kicked_step_maps({5: kick}))
+        batches = record_batches(monkeypatch)
+        config = SimulationConfig(time_step_ps=self.DT)
+        assert config.eig_floor == -1e-6
+        n_steps = 3 * dynamics.EIG_BATCH_BYTES // (16 * 2)
+        traj = integrate_master_equation(
+            basis_state_density(1, 0), np.zeros(2), None, [LindbladChannel("decay", 0, 0.0)],
+            0.0, n_steps * self.DT, config,
+        )
+        assert traj.n_steps == n_steps and len(batches) == 3
+        assert np.linalg.eigvalsh(traj.final_state).min() == pytest.approx(-5e-7, rel=1e-6)
+        assert lapack == []
+
+
 class TestStackedDiagnostics:
     """A (3, 2, 2) stack fails at the earliest failing step, at that step
     in the lowest failing member, and the error names that member."""
@@ -1501,6 +1647,95 @@ class TestStackedDiagnostics:
         with pytest.raises(InvalidParameterError) as err:
             self.run(monkeypatch, {}, rho0)
         assert str(err.value) == "density matrix trace differs from 1 in state 1"
+
+
+class TestMapFormDiagnostics:
+    """A run in the map form fails as a run in the stage form does
+    (TestBatchedPositivity, TestStackedDiagnostics): a kick added to one
+    step's increment fails that step, in the member it moves, with the
+    stage form's message.  The one dot's zero-rate decay channel keeps the
+    run in the map form with a zero generator, so each state stays where
+    its last kick left it."""
+
+    DT = 1e-3
+    CHANNELS = [LindbladChannel("decay", 0, 0.0)]
+    STACK = np.array([basis_state_density(1, 0)] * 2 + [basis_state_density(1, 1)])
+
+    def run(self, monkeypatch, kicks, rho0, n_steps):
+        monkeypatch.setattr(dynamics, "step_maps", kicked_step_maps(kicks))
+        return integrate_master_equation(
+            rho0, np.zeros(2), None, self.CHANNELS, 0.0, n_steps * self.DT,
+            SimulationConfig(time_step_ps=self.DT),
+        )
+
+    def batch_length(self, monkeypatch, rho0):
+        batches = record_batches(monkeypatch)
+        self.run(monkeypatch, {}, rho0, 1)
+        return batches[0][1]
+
+    @staticmethod
+    def kick(row, delta):
+        """A kick that moves the coordinates of a member whose x holds a 1 at
+        row (and 0 elsewhere) by delta, and no member with a 0 there."""
+        out = np.zeros((4, 4))
+        out[row] = delta
+        return out
+
+    # on |0><0| (x = (1, 0, 0, 0)): rho_11 -> -0.01 at trace 1; the trace
+    # -> 1.01; a NaN coherence
+    KICKS = {
+        "negative": (0, (0.01, -0.01, 0.0, 0.0)),
+        "trace": (0, (0.01, 0.0, 0.0, 0.0)),
+        "nan": (0, (0.0, 0.0, math.nan, 0.0)),
+    }
+    MESSAGES = {
+        "negative": "negative eigenvalue -1.000e-02 below -1.0e-06",
+        "trace": "trace drift 1.000e-02 exceeds 1.0e-07",
+        "nan": "non-finite density matrix",
+    }
+    STEPS = {  # the kicked step of a run of 2 size + 300 steps
+        "first-step": lambda size: 1,
+        "first-of-second-batch": lambda size: size + 1,
+        "mid-batch": lambda size: size // 2,
+        "partial-last-batch": lambda size: 2 * size + 150,
+        "last-step": lambda size: 2 * size + 300,
+    }
+
+    @pytest.mark.parametrize("kind", list(KICKS))
+    @pytest.mark.parametrize("where", list(STEPS))
+    def test_kicked_state_raises_at_its_step(self, monkeypatch, where, kind):
+        rho0 = basis_state_density(1, 0)
+        size = self.batch_length(monkeypatch, rho0)
+        step = self.STEPS[where](size)
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.kick(*self.KICKS[kind])}, rho0, 2 * size + 300)
+        assert (err.value.step, err.value.state) == (step, None)
+        assert str(err.value) == f"{self.MESSAGES[kind]} at step {step}"
+
+    def test_valid_run_ends_where_it_started(self, monkeypatch):
+        rho0 = basis_state_density(1, 0)
+        n_steps = 2 * self.batch_length(monkeypatch, rho0) + 300
+        traj = self.run(monkeypatch, {}, rho0, n_steps)
+        assert traj.n_steps == n_steps
+        assert np.array_equal(traj.final_state, rho0)
+
+    @pytest.mark.parametrize("where", ["first-of-second-batch", "partial-last-batch"])
+    def test_kicked_member_of_a_stack_is_named(self, monkeypatch, where):
+        # the stack |0><0|, |0><0|, |1><1|: a kick on row 1 moves only state
+        # 2, to rho_00 = -0.01; a kick on row 0 one step later moves states
+        # 0 and 1 past the trace tolerance
+        size = self.batch_length(monkeypatch, self.STACK)
+        step = self.STEPS[where](size)
+        kicks = {step: self.kick(1, (-0.01, 0.01, 0.0, 0.0)), step + 1: self.kick(*self.KICKS["trace"])}
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, kicks, self.STACK, 2 * size + 300)
+        assert (err.value.step, err.value.state) == (step, 2)
+        assert str(err.value) == (
+            f"negative eigenvalue -1.000e-02 below -1.0e-06 in state 2 at step {step}"
+        )
+        with pytest.raises(PropagationDiagnosticsError) as err:
+            self.run(monkeypatch, {step: self.kick(*self.KICKS["trace"])}, self.STACK, 2 * size + 300)
+        assert str(err.value) == f"trace drift 1.000e-02 exceeds 1.0e-07 in state 0 at step {step}"
 
 
 def stack_member(rng, dim, kind):
