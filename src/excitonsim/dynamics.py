@@ -513,21 +513,21 @@ EIG_BATCH_BYTES = 64 * 1024
 # (map_generator, step_maps) instead of the stage form.  The 3-dot
 # gate_fidelity of tools/stage_forms.py (14 states, 14,042 steps), with the
 # cut at 4 (stage form) against 8 (map form), alternating, 10 runs each on
-# a 2-core Xeon KVM guest: with one OpenBLAS thread 1.69 s [1.61, 1.78]
-# against 1.01 s [0.96, 1.06], with two threads 1.75 s [1.64, 1.89]
-# against 1.00 s [0.96, 1.21], the map form faster in 10 of 10 on both
-# (medians [quartiles]); the fidelities differ by 1.1e-16.  There the
-# coordinate test of the map form's check does not lose at d = 8: 0.17 s
-# over its 391 batches of 502 states, against 0.27 s for a Cholesky of the
-# same states.  No benchmark workload runs channels at N = 3, so the cut
-# would move only on a win in every run on both settings.  That holds for
-# the stack, but a single 3-dot state with six channels (that gate's
-# register at a 0.015 ps step, 937 steps) takes 0.053 s [0.052, 0.054] in
-# the map form against 0.038 s [0.038, 0.039] in the stage form on one
-# thread, and 0.090 s against 0.060 s on two, the stage form faster in 10
-# of 10 on both: a cut on d alone cannot serve both, so it stays below
-# N = 3.  At N = 4 each step would take three products of 256 x 256
-# matrices.
+# a 2-core Xeon KVM guest: with one OpenBLAS thread 2.19 s [1.71, 2.43]
+# against 1.08 s [0.98, 1.20], the map form faster in 10 of 10, with two
+# threads 1.71 s [1.67, 1.77] against 0.99 s [0.95, 1.15], faster in 9 of
+# 10 (medians [quartiles]); the fidelities differ by 1.1e-16.  There the
+# coordinate test of the map form's check does not lose at d = 8: 0.28 s
+# over its 391 batches of 502 states, against 0.44 s for a finiteness test
+# and a Cholesky of the same states.  No benchmark workload runs channels
+# at N = 3, so the cut would move only on a win in every run on both
+# settings.  The stack misses that on two threads, and a single 3-dot
+# state with six channels (that gate's register at a 0.015 ps step, 937
+# steps) takes 0.050 s [0.049, 0.051] in the map form against 0.034 s
+# [0.033, 0.037] in the stage form on one thread, and 0.050 s against
+# 0.035 s on two, the stage form faster in 10 of 10 on both: a cut on d
+# alone cannot serve both, so it stays below N = 3.  At N = 4 each step
+# would take three products of 256 x 256 matrices.
 LIOUVILLE_MAX_DIM = 4
 
 
@@ -584,19 +584,20 @@ class _StepCheck:
 
     Only if a state is not finite or that test fails does one eigvalsh of
     the states find the first that is not finite or is below the floor, so
-    the failure reported does not depend on the form.  The trace drift is read from the complex
-    states in both forms.  max_trace_drift starts at rho0's (step 0) and
-    keeps the worst drift checked, max_trace_drift_step its first step.
-    stacked: whether the error names the failing member as "state k".
+    the failure reported does not depend on the form.  The trace drift is
+    read from the complex states in both forms.  max_trace_drift starts at
+    rho0's (step 0) and keeps the worst drift checked, max_trace_drift_step
+    its first step.  stacked: whether the error names the failing member as
+    "state k".
 
     A batch holds EIG_BATCH_BYTES // (B state_bytes) steps.  In the stage
     form, state_bytes is a complex state's 16 d^2.  In the map form it is
     16 d, so a batch holds d times as many states (128 steps of
     gate_fidelity's 8-state stack, 1,024 steps of a single 2-dot state):
     the coordinate test pays per call, not per state.  At d = 4 it takes
-    about 0.3 us per state at 256 states per call, 0.09 us at 1,024 and
-    0.07 us at 4,096, where a rebuild and a Cholesky take about 0.4 us at
-    any length (one OpenBLAS thread, 2-core Xeon KVM guest).
+    0.44 us per state at 256 states per call, 0.11 us at 1,024 and 0.07 us
+    at 4,096, where a rebuild and a Cholesky take 0.30, 0.38 and 0.45 us
+    (best of 7, one OpenBLAS thread, 2-core Xeon KVM guest).
     """
 
     def __init__(

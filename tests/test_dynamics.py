@@ -1512,7 +1512,7 @@ class TestCoordinatePositivity:
             with np.errstate(invalid="ignore"):  # inf * 0, as in the map form's rebuild
                 states[i] = matrices_of(x[i])
         finite = np.isfinite(x).all(axis=1)
-        passes = [dynamics._pivots_positive(column[:, None].copy(), eig_floor) for column in x[finite]]
+        passes = [dynamics._pivots_positive(x_k[:, None].copy(), eig_floor) for x_k in x[finite]]
         assert passes == list(np.linalg.eigvalsh(states[finite]).min(axis=1) >= eig_floor)
         assert coordinate_verdict(x, eig_floor) == per_state_verdict(states, eig_floor)
 
@@ -1726,15 +1726,16 @@ class TestMapFormDiagnostics:
         # 0 and 1 past the trace tolerance
         size = self.batch_length(monkeypatch, self.STACK)
         step = self.STEPS[where](size)
-        kicks = {step: self.kick(1, (-0.01, 0.01, 0.0, 0.0)), step + 1: self.kick(*self.KICKS["trace"])}
+        n_steps, trace = 2 * size + 300, self.kick(*self.KICKS["trace"])
+        kicks = {step: self.kick(1, (-0.01, 0.01, 0.0, 0.0)), step + 1: trace}
         with pytest.raises(PropagationDiagnosticsError) as err:
-            self.run(monkeypatch, kicks, self.STACK, 2 * size + 300)
+            self.run(monkeypatch, kicks, self.STACK, n_steps)
         assert (err.value.step, err.value.state) == (step, 2)
         assert str(err.value) == (
             f"negative eigenvalue -1.000e-02 below -1.0e-06 in state 2 at step {step}"
         )
         with pytest.raises(PropagationDiagnosticsError) as err:
-            self.run(monkeypatch, {step: self.kick(*self.KICKS["trace"])}, self.STACK, 2 * size + 300)
+            self.run(monkeypatch, {step: trace}, self.STACK, n_steps)
         assert str(err.value) == f"trace drift 1.000e-02 exceeds 1.0e-07 in state 0 at step {step}"
 
 
