@@ -164,11 +164,14 @@ class SimulationConfig:
     """Integration controls.
 
     time_step_ps: at most tau/20 of the shortest pulse, checked by
-    propagate.  reference_energy_ev: rotating-frame reference; None picks
-    the exciton energy of the first pulse's target dot.  duration_ps
-    extends the integration window beyond the pulse span (required for
-    empty sequences).  trace_tol / eig_floor are the per-step diagnostic
-    limits; eig_floor must not be positive.
+    propagate.  That limit is necessary, not sufficient: RK4's error also
+    grows with H0's frame frequencies, so a step within it can still take
+    a state below eig_floor, and the per-step positivity test then refuses
+    that step with PropagationDiagnosticsError.  reference_energy_ev:
+    rotating-frame reference; None picks the exciton energy of the first
+    pulse's target dot.  duration_ps extends the integration window beyond
+    the pulse span (required for empty sequences).  trace_tol / eig_floor
+    are the per-step diagnostic limits; eig_floor must not be positive.
     """
 
     time_step_ps: float = 1e-3

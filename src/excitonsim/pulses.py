@@ -17,7 +17,6 @@ on its branch (in the interaction picture of the static Hamiltonian).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -355,14 +354,19 @@ def field_at(
     of the pulse's target_dipole, and the conjugate drives the lowering
     part.  The envelope exp(-(t - center)^2 / (2 tau^2)) is cut to 0 beyond
     ENVELOPE_CUTOFF durations from the center, so it never underflows.
-    Inside the window each term is formed in Python floats (x ** 2,
-    math.exp, cmath.exp), whose last bit numpy's square and exp do not
-    always match; only t - center, the window test and the dipole scaling
-    run on arrays, where numpy rounds as Python does.  So every amplitude is
-    bit for bit the formula's at one time or many, save a -0.0 that the sum
-    into zeros makes 0.0.  Each pulse's constants are formed before its
-    window test: a target dipole that is not positive raises
-    InvalidParameterError at any t.
+    Each pulse's terms run on the array of the times inside its window,
+    with the rounding of the scalar formula in Python floats: t - center,
+    the window test, the products and the dipole scaling; the square as
+    np.float_power(u, 2.0), which calls libm pow as Python's u ** 2 does
+    (numpy's u ** 2 is a square that differs in the last bit); and the
+    carrier as numpy's complex exp, equal to cmath.exp.  Only the
+    envelope's exp still calls libm's math.exp once per element, because
+    numpy's vectorized real exp differs from it in the last bit of a few
+    per cent of arguments.  So every amplitude is bit for bit the
+    formula's at one time or many, save a -0.0 that the sum into zeros
+    makes 0.0.  Each pulse's constants are formed before its window test:
+    a target dipole that is not positive raises InvalidParameterError at
+    any t.
     """
     dipoles = np.asarray(dipoles, dtype=float)
     complex_dipoles = dipoles.astype(complex)  # numpy's cast in each complex product
@@ -378,12 +382,10 @@ def field_at(
         )
         offsets = flat - pulse.center_ps
         inside = np.flatnonzero(~(np.abs(offsets) > ENVELOPE_CUTOFF * pulse.tau_ps))
-        values = np.array([
-            half_omega0
-            * math.exp(-0.5 * (dt / pulse.tau_ps) ** 2)
-            * cmath.exp(-1j * (detuning * ti + pulse.phase_rad))
-            for dt, ti in zip(offsets[inside].tolist(), flat[inside].tolist())
-        ])
+        arg = -0.5 * np.float_power(offsets[inside] / pulse.tau_ps, 2.0)
+        envelope = np.fromiter(map(math.exp, arg.tolist()), float, inside.size)
+        carrier = np.exp(-1j * (detuning * flat[inside] + pulse.phase_rad))
+        values = (half_omega0 * envelope) * carrier
         out[inside] += values[:, None] * complex_dipoles / complex_dipoles[pulse.target_dipole]
     return out.reshape(*times.shape, dipoles.size)
 
