@@ -26,21 +26,14 @@ from excitonsim.pulses import ENVELOPE_CUTOFF, pulse_amplitude
 BELL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bell_two_dot.cfg"
 
 
-def _adaptive_reference(
-    register, sequence, rho0, t_start_ps, t_end_ps, reference_energy_ev, channels=()
-):
-    """Final density matrix, or (B, d, d) stack, of a run from scipy's
-    adaptive RK45.
+def _dense_hamiltonian(register, sequence, reference_energy_ev):
+    """H(t) in meV of the frame rotating at reference_energy_ev, as a dense
+    matrix: a callable of t.
 
-    An independent route to the state that dynamics.propagate reaches in
-    the rotating frame at reference_energy_ev: the Hamiltonian and the
-    sigma+ operators are rebuilt here from the basis-index bit patterns,
-    the drive is _field_reference's per-pulse formula, the channels enter
-    as sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) of their dense jump
-    operators (dynamics.channel_operator), and the master equation is
-    integrated by solve_ivp (rtol 1e-10, atol 1e-12) instead of the
-    fixed-step RK4 loop.  No arithmetic is shared with dynamics' generator
-    or with pulses.field_at.
+    Rebuilt from the basis-index bit patterns, not from dynamics'
+    generator: H0 shifted by the reference energy per exciton on the
+    diagonal, and -f_l sigma+_l - conj(f_l) sigma-_l for every dot l, with
+    _field_reference's per-pulse drive f.
     """
     dim = 2**register.n_qubits
     occupancy = np.array([bin(idx).count("1") for idx in range(dim)], dtype=float)
@@ -54,16 +47,40 @@ def _adaptive_reference(
             if not (idx >> l) & 1:
                 sp[idx | (1 << l), idx] = 1.0
         raising.append(sp)
+
+    def hamiltonian(t):
+        h = np.diag(h0).astype(complex)
+        amps = _field_reference(sequence, t, register.transition_dipoles, reference_energy_ev)
+        for f_l, op in zip(amps, raising):
+            h -= f_l * op + np.conj(f_l) * op.conj().T
+        return h
+
+    return hamiltonian
+
+
+def _adaptive_reference(
+    register, sequence, rho0, t_start_ps, t_end_ps, reference_energy_ev, channels=()
+):
+    """Final density matrix, or (B, d, d) stack, of a run from scipy's
+    adaptive RK45.
+
+    An independent route to the state that dynamics.propagate reaches in
+    the rotating frame at reference_energy_ev: H is _dense_hamiltonian's,
+    the channels enter as sum_k (L_k rho L_k+ - 1/2 {L_k+ L_k, rho}) of
+    their dense jump operators (dynamics.channel_operator), and the master
+    equation is integrated by solve_ivp (rtol 1e-10, atol 1e-12) instead of
+    the fixed-step RK4 loop.  No arithmetic is shared with dynamics'
+    generator or with pulses.field_at.
+    """
+    dim = 2**register.n_qubits
+    hamiltonian = _dense_hamiltonian(register, sequence, reference_energy_ev)
     jumps = [channel_operator(register, ch).astype(complex) for ch in channels]
     decays = [lk.conj().T @ lk for lk in jumps]
     shape = np.shape(rho0)
 
     def rhs(t, y):
         rho = y.reshape(-1, dim, dim)
-        h = np.diag(h0).astype(complex)
-        amps = _field_reference(sequence, t, register.transition_dipoles, reference_energy_ev)
-        for f_l, op in zip(amps, raising):
-            h -= f_l * op + np.conj(f_l) * op.conj().T
+        h = hamiltonian(t)
         out = (-1j / units.HBAR_MEV_PS) * (h @ rho - rho @ h)
         for lk, lk_dag_lk in zip(jumps, decays):
             out += lk @ rho @ lk.conj().T - 0.5 * (lk_dag_lk @ rho + rho @ lk_dag_lk)
@@ -89,6 +106,35 @@ def adaptive_reference():
     density matrix, or stack, of rho0's shape.
     """
     return _adaptive_reference
+
+
+def _coherent_reference(register, sequence, psi0, t_start_ps, t_end_ps, reference_energy_ev):
+    """Final state vector of a channel-free run from scipy's DOP853 on psi.
+
+    Schroedinger's equation d psi/dt = -i/hbar H psi with
+    _dense_hamiltonian's H, integrated by solve_ivp's 8th-order DOP853 at
+    rtol 1e-12, atol 1e-13: accurate well below the fixed-step RK4 error
+    of the configs' steps, and sharing no arithmetic with dynamics or with
+    pulses.field_at.
+    """
+    hamiltonian = _dense_hamiltonian(register, sequence, reference_energy_ev)
+    sol = solve_ivp(
+        lambda t, psi: (-1j / units.HBAR_MEV_PS) * (hamiltonian(t) @ psi),
+        (t_start_ps, t_end_ps),
+        np.asarray(psi0, dtype=complex),
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-13,
+    )
+    return sol.y[:, -1]
+
+
+@pytest.fixture(scope="session")
+def coherent_reference():
+    """The DOP853 state-vector oracle as a callable:
+    coherent_reference(register, sequence, psi0, t_start_ps, t_end_ps,
+    reference_energy_ev) returns the final psi in the rotating frame."""
+    return _coherent_reference
 
 
 def _envelope(pulse, t):

@@ -18,6 +18,7 @@ from excitonsim.dynamics import LindbladChannel, SimulationConfig, pure_state_de
 from excitonsim.errors import (
     InvalidConditioningError,
     InvalidParameterError,
+    PropagationDiagnosticsError,
     UnsupportedDimensionError,
 )
 from excitonsim.model import ExcitonRegister
@@ -247,6 +248,24 @@ class TestGateFidelity:
         config = SimulationConfig(time_step_ps=1e-3, duration_ps=0.01)
         with pytest.raises(InvalidParameterError, match="not unitary"):
             gate_fidelity(PulseSequence(()), register, [], config, ideal)
+
+    def test_step_within_tau_over_20_can_fail_positivity(self):
+        # the tau/20 step limit is necessary, not sufficient: H0's frame
+        # frequencies (tens of meV on three dots) also set RK4's error, so
+        # a step that passes the limit is refused by the positivity test
+        reg = ExcitonRegister(
+            exciton_energies_ev=np.array([1.70, 1.71, 1.72]),
+            shift_matrix_mev=np.array([[0.0, 4.5, 0.0], [4.5, 0.0, 9.0], [0.0, 9.0, 0.0]]),
+        )
+        spec = GateSpec("conditional-rotation", 1, conditions=((0, 1), (2, 0)))
+        seq = compile_gate(reg, spec)
+        assert seq.pulses[0].tau_ps == pytest.approx(0.585, abs=5e-4)
+        config = SimulationConfig(time_step_ps=0.01)
+        assert config.time_step_ps < seq.pulses[0].tau_ps / 20.0
+        with pytest.raises(PropagationDiagnosticsError, match="negative eigenvalue") as err:
+            gate_fidelity(seq, reg, [LindbladChannel("decay", 1, 0.05)], config,
+                          ideal_gate_unitary(reg, spec))
+        assert (err.value.step, err.value.state) == (148, 9)
 
 
 class TestStackedGateFidelity:

@@ -1,11 +1,15 @@
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from excitonsim import units
+from excitonsim import dynamics, units
+from excitonsim.config import load_config
+from excitonsim.dynamics import SimulationConfig, basis_state_density, propagate
 from excitonsim.errors import (
     CompileError,
     InvalidGateError,
@@ -30,6 +34,7 @@ from excitonsim.pulses import (
 )
 
 HBAR = units.HBAR_MEV_PS
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -358,6 +363,44 @@ class TestFieldAt:
         assert {0, 1, 2} <= set(active)  # outside every window, one, overlap
         assert np.array_equal(np.flatnonzero(np.any(amps != 0, axis=1)),
                               np.flatnonzero(active))
+
+    def test_bitwise_at_every_stage_time_of_the_compiled_cnot(
+        self, field_reference, monkeypatch
+    ):
+        # every time at which propagate evaluates the drive of the compiled
+        # CNOT on configs/decoherence_two_dot.cfg's register at 1e-3 ps:
+        # 3 stage times for each of its 4,681 steps
+        register = load_config(str(CONFIGS / "decoherence_two_dot.cfg")).register
+        seq = compile_gate(register, GateSpec("cnot", 1, conditions=((0, 1),)))
+        calls = []
+
+        def recording_field_at(sequence, dipoles, reference_energy_ev, times):
+            calls.append((dipoles, reference_energy_ev, np.array(times)))
+            return field_at(sequence, dipoles, reference_energy_ev, times)
+
+        monkeypatch.setattr(dynamics, "field_at", recording_field_at)
+        propagate(basis_state_density(2, 0), seq, register,
+                  config=SimulationConfig(time_step_ps=1e-3))
+        assert sum(times.size for _, _, times in calls) == 14043
+        for dipoles, ref, times in calls:
+            flat = times.reshape(-1)
+            expected = np.array([field_reference(seq, t, dipoles, ref) for t in flat.tolist()])
+            amps = field_at(seq, dipoles, ref, flat)
+            assert np.array_equal(amps.view(np.uint64), expected.view(np.uint64))
+
+    def test_numpy_rounds_as_python_where_field_at_relies_on_it(self):
+        # field_at's square and carrier run on arrays only because numpy
+        # rounds them as Python floats do; a numpy or libm build that rounds
+        # otherwise fails here by name (numpy's u ** 2 and its real exp are
+        # not on this list: they differ in the last bit of 0.1 % and 5 % of
+        # such draws)
+        rng = np.random.default_rng(28)
+        u = rng.uniform(-ENVELOPE_CUTOFF, ENVELOPE_CUTOFF, 4000) / rng.uniform(0.05, 1.0, 4000)
+        squares = np.array([x**2 for x in u.tolist()])
+        assert np.array_equal(np.float_power(u, 2.0).view(np.uint64), squares.view(np.uint64))
+        phases = rng.uniform(-1e3, 1e3, 4000)
+        carriers = np.array([cmath.exp(-1j * x) for x in phases.tolist()])
+        assert np.array_equal(np.exp(-1j * phases).view(np.uint64), carriers.view(np.uint64))
 
     def test_zero_outside_support(self, register):
         seq = compile_gate(register, GateSpec("cnot", 1, conditions=((0, 1),)))
