@@ -33,7 +33,6 @@ from .device import (
     DeviceStructure,
     DotGeometry,
     MaterialParams,
-    ZProfile,
     biexcitonic_shift,
     build_register,
     carrier_density,
@@ -42,7 +41,6 @@ from .device import (
     gaas_two_dot,
     inplane_ground_state,
     shift_vs_field,
-    well_ground_state,
 )
 from .dynamics import (
     LindbladChannel,

@@ -48,6 +48,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIAGNOSTICS = 3
 
+# The most dots that compile and simulate take: they build arrays of 2^N
+# basis states, and at 10 dots (d = 1,024) the stage form's buffers already
+# take about 0.2 GB.  shift and spectrum build none and take any number.
+MAX_DOTS = 10
+
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -88,13 +93,17 @@ def _write_spectrum(path: Path, spectrum, kind: str) -> None:
     _write_lines(path, lines)
 
 
+def _dot_count_key(config: RunConfig) -> tuple[str, str]:
+    """The [section] key that set the number of dots."""
+    return ("device", "well_widths_nm") if config.device else ("register", "energies_ev")
+
+
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
     if config.register.n_qubits < 2:
-        key = ("device", "well_widths_nm") if config.device else ("register", "energies_ev")
         raise ConfigError(
             "the spectrum subcommand needs two or more dots: one dot has no "
             "biexcitonic lines",
-            *key,
+            *_dot_count_key(config),
         )
     lw = config.outputs.spectrum_linewidth_mev
     patterns = {"excitonic": None, "biexcitonic": config.outputs.biexcitonic_conditioning}
@@ -113,6 +122,12 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> int:
 
 
 def _compiled_sequence(config: RunConfig) -> PulseSequence:
+    n = config.register.n_qubits
+    if n > MAX_DOTS:  # before any array of 2^N states exists
+        raise ConfigError(
+            f"{n} dots: compile and simulate take at most {MAX_DOTS}",
+            *_dot_count_key(config),
+        )
     try:
         return compile_program(config.register, config.program, config.policy)
     except ExcitonSimError as err:

@@ -4,10 +4,12 @@ Computes field-displaced single-particle ground states, direct Coulomb
 integrals between carrier charge densities, ground-exciton energies, and
 inter-dot biexcitonic shifts for a stack of quantum dots.
 
-Model assumptions: parabolic in-plane confinement restricted to its ground
-state, infinite-square-well confinement along the growth (z) axis, static
-in-plane field along +x, direct Coulomb terms only.  Inter-dot barriers are
-wide enough that single-particle tunneling is neglected, so z supports of
+One carrier model: each electron or hole (ChargeDensity, built by
+carrier_density) is the ground state of a parabolic in-plane trap, an
+isotropic Gaussian displaced by a static in-plane field along +x, times
+the ground state of the dot's infinite square well along the growth (z)
+axis.  Only direct Coulomb terms enter.  Inter-dot barriers are wide
+enough that single-particle tunneling is neglected, so z supports of
 different dots never overlap.
 """
 
@@ -101,56 +103,16 @@ class DeviceStructure:
 
 
 @dataclass(frozen=True)
-class ZProfile:
-    """Analytic descriptor of a normalized 1-D probability density over z.
-
-    kind 'infinite-well': ground state of an infinite square well, width_nm
-    is the full well width.  kind 'gaussian': width_nm is the standard
-    deviation (used for closed-form cross checks).
-    """
-
-    kind: str
-    center_nm: float
-    width_nm: float
-
-    def __post_init__(self):
-        if self.kind not in ("infinite-well", "gaussian"):
-            raise InvalidParameterError(f"unknown z-profile kind {self.kind!r}")
-        if not (0 < self.width_nm < math.inf and math.isfinite(self.center_nm)):
-            raise InvalidParameterError("z-profile width > 0 and center must be finite")
-
-    def density(self, z) -> np.ndarray:
-        """Probability density evaluated at z (nm)."""
-        z = np.asarray(z, dtype=float)
-        u = z - self.center_nm
-        if self.kind == "gaussian":
-            s = self.width_nm
-            return np.exp(-0.5 * (u / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        w = self.width_nm
-        inside = np.abs(u) <= w / 2
-        return np.where(inside, (2.0 / w) * np.cos(math.pi * u / w) ** 2, 0.0)
-
-
-@dataclass(frozen=True)
-class InPlaneGaussian:
-    """Isotropic in-plane Gaussian density: center (nm) and per-axis std."""
-
-    center_nm: tuple[float, float]
-    std_nm: float
-
-    def __post_init__(self):
-        if not (0 < self.std_nm < math.inf and all(map(math.isfinite, self.center_nm))):
-            raise InvalidParameterError("in-plane std (> 0) and center must be finite")
-
-
-@dataclass(frozen=True)
 class ChargeDensity:
-    """Separable carrier density: in-plane Gaussian times a z profile."""
+    """One carrier's density: an isotropic in-plane Gaussian (center and
+    per-axis std, nm) times the ground state of an infinite square well
+    along z (center and full width, nm)."""
 
     charge: int
     inplane_center_nm: tuple[float, float]
     inplane_std_nm: float
-    z_profile: ZProfile
+    well_center_nm: float
+    well_width_nm: float
 
     def __post_init__(self):
         if self.charge not in (-1, 1):
@@ -158,6 +120,8 @@ class ChargeDensity:
         std, center = self.inplane_std_nm, self.inplane_center_nm
         if not (0 < std < math.inf and all(map(math.isfinite, center))):
             raise InvalidParameterError("in-plane std (> 0) and center must be finite")
+        if not (0 < self.well_width_nm < math.inf and math.isfinite(self.well_center_nm)):
+            raise InvalidParameterError("well width (> 0) and center must be finite")
         object.__setattr__(
             self, "inplane_center_nm", tuple(float(c) for c in self.inplane_center_nm)
         )
@@ -168,20 +132,21 @@ def inplane_ground_state(
     confinement_energy_mev: float,
     charge_sign: int,
     field_kv_cm: float,
-) -> InPlaneGaussian:
-    """Displaced harmonic ground state of a carrier in the in-plane trap.
+) -> tuple[tuple[float, float], float]:
+    """Displaced harmonic ground state of a carrier in the in-plane trap:
+    its density's (center_nm, std_nm).
 
     The static field (along +x) shifts the trap minimum by
     d = q e F / (m omega^2); holes (+1) move along +x, electrons (-1)
     opposite.  The returned std is the per-axis standard deviation of the
     ground-state probability density, sqrt(hbar / (2 m omega)).
     """
-    if confinement_energy_mev <= 0:
-        raise InvalidParameterError("confinement energy must be positive")
+    if not 0 < confinement_energy_mev < math.inf:
+        raise InvalidParameterError("confinement energy must be positive and finite")
     if charge_sign not in (-1, 1):
         raise InvalidParameterError("charge sign must be +1 or -1")
-    if field_kv_cm < 0:
-        raise InvalidParameterError("field must be non-negative")
+    if not 0 <= field_kv_cm < math.inf:
+        raise InvalidParameterError("field must be non-negative and finite")
     mass = (
         material.hole_effective_mass
         if charge_sign > 0
@@ -191,16 +156,7 @@ def inplane_ground_state(
     e_field = units.EFIELD_MEV_PER_NM_PER_KV_CM * field_kv_cm  # meV / nm
     displacement = charge_sign * e_field * h2m / confinement_energy_mev**2
     std = math.sqrt(h2m / (2.0 * confinement_energy_mev))
-    return InPlaneGaussian(center_nm=(displacement, 0.0), std_nm=std)
-
-
-def well_ground_state(geometry: DotGeometry) -> ZProfile:
-    """Ground-state z density of the dot's infinite square well."""
-    return ZProfile(
-        kind="infinite-well",
-        center_nm=geometry.z_center_nm,
-        width_nm=geometry.well_width_nm,
-    )
+    return (displacement, 0.0), std
 
 
 def carrier_density(
@@ -216,54 +172,24 @@ def carrier_density(
         if species == "e"
         else dot.confinement_energy_h_mev
     )
-    plane = inplane_ground_state(
+    center, std = inplane_ground_state(
         structure.material, conf, charge, structure.field_kv_cm
     )
-    return ChargeDensity(
-        charge=charge,
-        inplane_center_nm=plane.center_nm,
-        inplane_std_nm=plane.std_nm,
-        z_profile=well_ground_state(dot),
-    )
+    return ChargeDensity(charge, center, std, dot.z_center_nm, dot.well_width_nm)
 
 
 # ---------------------------------------------------------------------------
 # Coulomb integrals
 #
-# For separable densities (in-plane Gaussian x z profile) the 6-D direct
-# integral reduces to a single radial Fourier integral,
+# For two carriers (in-plane Gaussian x infinite-well ground state) the 6-D
+# direct integral reduces to a single radial Fourier integral,
 #
 #   J = C q1 q2 / eps_r * int_0^inf dk exp(-k^2 sbar^2/2) J0(k s) Z(k),
 #
 # where sbar^2 is the summed in-plane variance, s the in-plane center offset
-# and Z(k) = <exp(-k |z1 - z2|)> over the two z profiles, which is analytic
-# for every pairing used here.
+# and Z(k) = <exp(-k |z1 - z2|)> over the two well densities, which is
+# analytic for wells that coincide or whose supports are disjoint.
 # ---------------------------------------------------------------------------
-
-
-def _gaussian_pair_kernel(mu: float, var: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Z(k) for z1 - z2 ~ Normal(mu, var)."""
-    from scipy.special import erfcx  # scipy loads only where the device model runs
-
-    amu = abs(mu)
-    sq2v = math.sqrt(2.0 * var)
-
-    def kernel(k):
-        k = np.asarray(k, dtype=float)
-        arg_minus = (k * var - amu) / sq2v
-        arg_plus = (k * var + amu) / sq2v
-        pref = math.exp(-amu * amu / (2.0 * var)) if amu * amu / (2 * var) < 700 else 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = 0.5 * pref * erfcx(arg_minus)
-            # complementary form for strongly negative arguments, where
-            # erfcx overflows: uses Phi(x) = 1 - Phi(-x)
-            expo = np.where(arg_minus <= -20.0, 0.5 * k * k * var - k * amu, -np.inf)
-            comp = np.exp(expo) - 0.5 * pref * erfcx(np.abs(arg_minus))
-            plus_side = np.where(arg_minus <= -20.0, comp, direct)
-        minus_side = 0.5 * pref * erfcx(arg_plus)
-        return plus_side + minus_side
-
-    return kernel
 
 
 def _well_factor(k: np.ndarray, width: float) -> np.ndarray:
@@ -310,52 +236,31 @@ def _identical_wells_kernel(width: float) -> Callable[[np.ndarray], np.ndarray]:
     return kernel
 
 
-def _z_pair_kernel(p1: ZProfile, p2: ZProfile) -> Callable[[np.ndarray], np.ndarray]:
-    if p1.kind == "gaussian" and p2.kind == "gaussian":
-        mu = p1.center_nm - p2.center_nm
-        var = p1.width_nm**2 + p2.width_nm**2
-        return _gaussian_pair_kernel(mu, var)
-    if p1.kind == "infinite-well" and p2.kind == "infinite-well":
-        dz = abs(p1.center_nm - p2.center_nm)
-        if dz == 0.0 and p1.width_nm == p2.width_nm:
-            return _identical_wells_kernel(p1.width_nm)
-        if dz >= 0.5 * (p1.width_nm + p2.width_nm):
-            return _disjoint_wells_kernel(p1.width_nm, p2.width_nm, dz)
-        raise InvalidParameterError(
-            "partially overlapping square wells are not supported; wells must "
-            "either coincide or have disjoint supports"
-        )
+def _z_pair_kernel(a: ChargeDensity, b: ChargeDensity) -> Callable[[np.ndarray], np.ndarray]:
+    dz = abs(a.well_center_nm - b.well_center_nm)
+    if dz == 0.0 and a.well_width_nm == b.well_width_nm:
+        return _identical_wells_kernel(a.well_width_nm)
+    if dz >= 0.5 * (a.well_width_nm + b.well_width_nm):
+        return _disjoint_wells_kernel(a.well_width_nm, b.well_width_nm, dz)
     raise InvalidParameterError(
-        f"unsupported z-profile combination ({p1.kind}, {p2.kind})"
+        "partially overlapping square wells are not supported; wells must "
+        "either coincide or have disjoint supports"
     )
 
 
 DEFAULT_COULOMB_REL_TOL = 1e-6
 
 
-def coulomb_integral(
-    a: ChargeDensity,
-    b: ChargeDensity,
-    material: MaterialParams,
-    rel_tol: float = DEFAULT_COULOMB_REL_TOL,
+def _radial_integral(
+    sbar2: float, offset: float, z_kernel: Callable[[np.ndarray], np.ndarray], rel_tol: float
 ) -> float:
-    """Direct Coulomb energy between two carrier densities, meV.
-
-    Signed: repulsive for like charges, attractive for unlike.  Symmetric
-    under argument exchange.  Raises ConvergenceError if the quadrature
-    error estimate exceeds rel_tol.
-    """
+    """int_0^inf dk exp(-k^2 sbar2 / 2) J0(k offset) Z(k), Z = z_kernel; raises
+    ConvergenceError if the quadrature error estimate exceeds rel_tol."""
     from scipy.integrate import quad
     from scipy.special import j0
 
-    sbar2 = a.inplane_std_nm**2 + b.inplane_std_nm**2
-    dx = a.inplane_center_nm[0] - b.inplane_center_nm[0]
-    dy = a.inplane_center_nm[1] - b.inplane_center_nm[1]
-    s = math.hypot(dx, dy)
-    zk = _z_pair_kernel(a.z_profile, b.z_profile)
-
     def integrand(k):
-        return math.exp(-0.5 * k * k * sbar2) * j0(k * s) * float(zk(k))
+        return math.exp(-0.5 * k * k * sbar2) * j0(k * offset) * float(z_kernel(k))
 
     k_max = 9.6 / math.sqrt(sbar2)
     # full_output returns quad's reason for a flagged result instead of
@@ -369,6 +274,26 @@ def coulomb_integral(
             + "".join(f": {r.splitlines()[0].strip().rstrip('.')}" for r in reason),
             achieved_tol=err_est / abs(value),
         )
+    return value
+
+
+def coulomb_integral(
+    a: ChargeDensity,
+    b: ChargeDensity,
+    material: MaterialParams,
+    rel_tol: float = DEFAULT_COULOMB_REL_TOL,
+) -> float:
+    """Direct Coulomb energy between two carrier densities, meV.
+
+    Signed: repulsive for like charges, attractive for unlike.  Symmetric
+    under argument exchange.  Raises InvalidParameterError for two wells
+    that partially overlap, and ConvergenceError if the quadrature error
+    estimate exceeds rel_tol.
+    """
+    sbar2 = a.inplane_std_nm**2 + b.inplane_std_nm**2
+    dx = a.inplane_center_nm[0] - b.inplane_center_nm[0]
+    dy = a.inplane_center_nm[1] - b.inplane_center_nm[1]
+    value = _radial_integral(sbar2, math.hypot(dx, dy), _z_pair_kernel(a, b), rel_tol)
     prefactor = (
         units.COULOMB_MEV_NM * a.charge * b.charge / material.relative_permittivity
     )

@@ -534,6 +534,7 @@ EIG_BATCH_BYTES = 64 * 1024
 LIOUVILLE_MAX_DIM = 4
 
 
+@np.errstate(invalid="ignore")  # a non-finite x fails without a warning
 def _pivots_positive(x: np.ndarray, floor: float) -> bool:
     """Whether every state whose hermitian_coordinates are the columns of
     the (d^2, K) rows x has all its eigenvalues above floor.
@@ -542,8 +543,9 @@ def _pivots_positive(x: np.ndarray, floor: float) -> bool:
     in real arithmetic and in x, which it overwrites: each pivot row's
     entries update the rows below it, a few whole-row operations per pair
     of rows, about 4 d^2 numpy calls in all.  Every pivot is positive iff
-    the matrix is positive definite.  A NaN fails, but a +inf on a diagonal
-    coordinate, the last one too, passes: x must be finite.
+    the matrix is positive definite.  A pivot must also be finite, so a
+    state with a non-finite coordinate fails: every coordinate reaches a
+    pivot, and NaN or inf does not turn finite on the way.
     """
     dim = math.isqrt(len(x))
     diagonal, re, im = np.split(x, [dim, dim * (dim + 1) // 2])
@@ -554,7 +556,7 @@ def _pivots_positive(x: np.ndarray, floor: float) -> bool:
 
     for k in range(dim):
         pivot = diagonal[k]
-        if not (pivot > 0).all():
+        if not ((pivot > 0) & (pivot < math.inf)).all():
             return False
         u_re, u_im = re[row(k) : row(k + 1)], im[row(k) : row(k + 1)]  # a_kj, j > k
         w_re, w_im = u_re / pivot, u_im / pivot
@@ -583,7 +585,8 @@ class _StepCheck:
     - in the map form, whose stepper sets coordinates to a (d^2, size * B)
       buffer and fills it with the states' hermitian_coordinates, one
       column per state in (step, member) order, _pivots_positive on those
-      columns, once they are all finite.  It runs no LAPACK call per state.
+      columns, which fails a non-finite one too.  It runs no LAPACK call per
+      state.
 
     Only if a state is not finite or that test fails does one eigvalsh of
     the states find the first that is not finite or is below the floor, so
@@ -654,7 +657,7 @@ class _StepCheck:
                     pass
         else:
             x = self.coordinates[:, : len(states)]
-            if np.isfinite(x).all() and _pivots_positive(x, self.eig_floor):
+            if _pivots_positive(x, self.eig_floor):
                 return None
         finite = np.isfinite(states).all(axis=(1, 2))
         n_finite = len(finite) if finite.all() else int(np.argmin(finite))

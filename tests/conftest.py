@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.special import erfcx
 
 from excitonsim import dynamics, units
 from excitonsim.analysis import default_fidelity_states, fidelity
@@ -135,6 +136,38 @@ def coherent_reference():
     coherent_reference(register, sequence, psi0, t_start_ps, t_end_ps,
     reference_energy_ev) returns the final psi in the rotating frame."""
     return _coherent_reference
+
+
+def _gaussian_pair_kernel(mu, var):
+    """Z(k) = <exp(-k |z1 - z2|)> for z1 - z2 ~ Normal(mu, var): the z kernel
+    of two Gaussian z densities, whose Coulomb energy has a closed form.
+    device._radial_integral takes it in place of a pair of wells."""
+    amu = abs(mu)
+    sq2v = math.sqrt(2.0 * var)
+
+    def kernel(k):
+        k = np.asarray(k, dtype=float)
+        arg_minus = (k * var - amu) / sq2v
+        arg_plus = (k * var + amu) / sq2v
+        pref = math.exp(-amu * amu / (2.0 * var)) if amu * amu / (2 * var) < 700 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = 0.5 * pref * erfcx(arg_minus)
+            # complementary form for strongly negative arguments, where
+            # erfcx overflows: uses Phi(x) = 1 - Phi(-x)
+            expo = np.where(arg_minus <= -20.0, 0.5 * k * k * var - k * amu, -np.inf)
+            comp = np.exp(expo) - 0.5 * pref * erfcx(np.abs(arg_minus))
+            plus_side = np.where(arg_minus <= -20.0, comp, direct)
+        minus_side = 0.5 * pref * erfcx(arg_plus)
+        return plus_side + minus_side
+
+    return kernel
+
+
+@pytest.fixture(scope="session")
+def gaussian_pair_kernel():
+    """The Gaussian z kernel as a callable: gaussian_pair_kernel(mu, var)
+    returns Z(k) for z1 - z2 ~ Normal(mu, var)."""
+    return _gaussian_pair_kernel
 
 
 def _envelope(pulse, t):

@@ -31,11 +31,9 @@ from excitonsim import units
 from excitonsim.analysis import bell_state, concurrence, fidelity, spectrum_lines
 from excitonsim.cli import main
 from excitonsim.device import (
-    ChargeDensity,
-    ZProfile,
+    _radial_integral,
     biexcitonic_shift,
     carrier_density,
-    coulomb_integral,
     gaas_two_dot,
     shift_vs_field,
 )
@@ -262,13 +260,17 @@ class TestShiftFromFirstPrinciples:
             f"deviation {rel_dev:.2%} at D = {big_d:.1f} nm",
         )
 
-    def test_quadrature_matches_gaussian_closed_form(self):
-        structure = gaas_two_dot()
-        mat = structure.material
+    def test_quadrature_matches_gaussian_closed_form(self, gaussian_pair_kernel):
+        # two Gaussian unit charges 10 nm apart along z, through the radial
+        # quadrature that every Coulomb integral of the device model runs
+        mat = gaas_two_dot().material
         sigma, distance = 2.0, 10.0
-        a = ChargeDensity(1, (0, 0), sigma, ZProfile("gaussian", 0.0, sigma))
-        b = ChargeDensity(1, (0, 0), sigma, ZProfile("gaussian", distance, sigma))
-        got = coulomb_integral(a, b, mat, rel_tol=1e-6)
+        var = sigma**2 + sigma**2
+        got = (
+            units.COULOMB_MEV_NM
+            / mat.relative_permittivity
+            * _radial_integral(var, 0.0, gaussian_pair_kernel(distance, var), 1e-6)
+        )
         exact = (
             units.COULOMB_MEV_NM
             / mat.relative_permittivity

@@ -7,12 +7,12 @@ from scipy.special import erf
 
 from excitonsim import units
 from excitonsim.device import (
+    DEFAULT_COULOMB_REL_TOL,
     ChargeDensity,
     DeviceStructure,
     DotGeometry,
-    InPlaneGaussian,
     MaterialParams,
-    ZProfile,
+    _radial_integral,
     biexcitonic_shift,
     build_register,
     carrier_density,
@@ -21,7 +21,6 @@ from excitonsim.device import (
     gaas_two_dot,
     inplane_ground_state,
     shift_vs_field,
-    well_ground_state,
 )
 from excitonsim.errors import InvalidPairError, InvalidParameterError
 
@@ -33,14 +32,14 @@ GAAS = MaterialParams(
 )
 
 
-def gaussian_cloud(charge, center_xyz, sigma):
-    x, y, z = center_xyz
-    return ChargeDensity(
-        charge=charge,
-        inplane_center_nm=(x, y),
-        inplane_std_nm=sigma,
-        z_profile=ZProfile("gaussian", z, sigma),
-    )
+def gaussian_pair_energy(kernel, offset_xyz, sigma):
+    """Coulomb energy (meV, eps_r = 12.9) of two like unit charges, isotropic
+    Gaussians of std sigma with centers offset_xyz apart, from device's
+    radial quadrature driven with the Gaussian z kernel."""
+    x, y, z = offset_xyz
+    var = sigma**2 + sigma**2
+    value = _radial_integral(var, math.hypot(x, y), kernel(z, var), DEFAULT_COULOMB_REL_TOL)
+    return units.COULOMB_MEV_NM / 12.9 * value
 
 
 def gaussian_pair_closed_form(distance, sigma, eps_r):
@@ -53,26 +52,26 @@ def gaussian_pair_closed_form(distance, sigma, eps_r):
 class TestInPlaneGroundState:
     def test_electron_displacement_value(self):
         # d = e F / (m omega^2) with hw = 30 meV, m = 0.067, F = 30 kV/cm
-        g = inplane_ground_state(GAAS, 30.0, -1, 30.0)
-        assert abs(g.center_nm[0]) == pytest.approx(3.8, abs=0.05)
-        assert g.center_nm[1] == 0.0
+        center, _ = inplane_ground_state(GAAS, 30.0, -1, 30.0)
+        assert abs(center[0]) == pytest.approx(3.8, abs=0.05)
+        assert center[1] == 0.0
 
     def test_hole_displacement_opposite_sign(self):
-        ge = inplane_ground_state(GAAS, 30.0, -1, 30.0)
-        gh = inplane_ground_state(GAAS, 20.0, +1, 30.0)
-        assert gh.center_nm[0] == pytest.approx(1.7, abs=0.05)
-        assert ge.center_nm[0] * gh.center_nm[0] < 0
+        (xe, _), _ = inplane_ground_state(GAAS, 30.0, -1, 30.0)
+        (xh, _), _ = inplane_ground_state(GAAS, 20.0, +1, 30.0)
+        assert xh == pytest.approx(1.7, abs=0.05)
+        assert xe * xh < 0
 
     def test_zero_field_no_displacement(self):
         for sign in (-1, 1):
-            g = inplane_ground_state(GAAS, 25.0, sign, 0.0)
-            assert g.center_nm == (0.0, 0.0)
+            center, _ = inplane_ground_state(GAAS, 25.0, sign, 0.0)
+            assert center == (0.0, 0.0)
 
     def test_density_std(self):
         # density variance of the oscillator ground state: hbar / (2 m omega)
-        g = inplane_ground_state(GAAS, 30.0, -1, 0.0)
+        _, std = inplane_ground_state(GAAS, 30.0, -1, 0.0)
         expected = math.sqrt(units.hbar_sq_over_m(0.067) / (2.0 * 30.0))
-        assert g.std_nm == pytest.approx(expected, rel=1e-12)
+        assert std == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_confinement(self):
         with pytest.raises(InvalidParameterError):
@@ -81,65 +80,76 @@ class TestInPlaneGroundState:
 
 class TestWellGroundState:
     def test_normalized_and_symmetric(self):
-        prof = well_ground_state(DotGeometry(20.0, 14.0, 5.0, 0.0))
-        z = np.linspace(-2.5, 2.5, 20001)
-        integral = np.trapezoid(prof.density(z), z)
-        assert integral == pytest.approx(1.0, abs=1e-10)
-        mean = np.trapezoid(z * prof.density(z), z)
-        assert mean == pytest.approx(0.0, abs=1e-10)
+        # two unit charges, each a well density and an in-plane Gaussian with
+        # the same second moment, interact as point charges up to
+        # O((W / D)^4): a density of norm 1 + e, or with its mean off the
+        # well center by d, would be off by e or d / D
+        width = 5.0
+        std = width * math.sqrt(1.0 / 12.0 - 0.5 / math.pi**2)  # <z^2> of the well
+        a = ChargeDensity(1, (0.0, 0.0), std, 0.0, width)
+        for distance in (20.0, 50.0):
+            b = dataclasses.replace(a, well_center_nm=distance)
+            point = units.COULOMB_MEV_NM / 12.9 / distance
+            assert coulomb_integral(a, b, GAAS) == pytest.approx(point, rel=1e-5)
 
     def test_centered_at_dot(self):
-        prof = well_ground_state(DotGeometry(20.0, 14.0, 4.0, 7.5))
-        z = np.linspace(5.5, 9.5, 20001)
-        mean = np.trapezoid(z * prof.density(z), z)
-        assert mean == pytest.approx(7.5, abs=1e-10)
+        s = DeviceStructure(
+            (DotGeometry(20.0, 14.0, 5.0, 0.0), DotGeometry(20.0, 14.0, 4.0, 12.5)),
+            (8.0,), GAAS, 30.0,
+        )
+        for l, dot in enumerate(s.dots):
+            for species in "eh":
+                carrier = carrier_density(s, l, species)
+                assert carrier.well_center_nm == dot.z_center_nm
+                assert carrier.well_width_nm == dot.well_width_nm
 
     def test_disjoint_supports_for_separated_dots(self):
         # an infinite-well density is zero beyond half its width from the center
         s = gaas_two_dot()
-        p0 = well_ground_state(s.dots[0])
-        p1 = well_ground_state(s.dots[1])
-        assert p0.kind == p1.kind == "infinite-well"
-        assert p0.center_nm + 0.5 * p0.width_nm < p1.center_nm - 0.5 * p1.width_nm
+        p0 = carrier_density(s, 0, "e")
+        p1 = carrier_density(s, 1, "h")
+        assert p0.well_center_nm + 0.5 * p0.well_width_nm < p1.well_center_nm - 0.5 * p1.well_width_nm
 
 
 class TestCoulombIntegral:
     @pytest.mark.parametrize("distance", [6.0, 10.0, 25.0])
-    def test_gaussian_closed_form_along_z(self, distance):
-        a = gaussian_cloud(+1, (0, 0, 0), 2.0)
-        b = gaussian_cloud(+1, (0, 0, distance), 2.0)
-        got = coulomb_integral(a, b, GAAS)
+    def test_gaussian_closed_form_along_z(self, distance, gaussian_pair_kernel):
+        got = gaussian_pair_energy(gaussian_pair_kernel, (0, 0, distance), 2.0)
         assert got == pytest.approx(
             gaussian_pair_closed_form(distance, 2.0, 12.9), rel=1e-6
         )
 
-    def test_gaussian_closed_form_in_plane(self):
-        a = gaussian_cloud(+1, (0, 0, 0), 2.0)
-        b = gaussian_cloud(+1, (10.0, 0, 0), 2.0)
-        got = coulomb_integral(a, b, GAAS)
+    def test_gaussian_closed_form_in_plane(self, gaussian_pair_kernel):
+        got = gaussian_pair_energy(gaussian_pair_kernel, (10.0, 0, 0), 2.0)
         assert got == pytest.approx(
             gaussian_pair_closed_form(10.0, 2.0, 12.9), rel=1e-6
         )
 
-    def test_spot_value(self):
-        a = gaussian_cloud(+1, (0, 0, 0), 2.0)
-        b = gaussian_cloud(+1, (0, 0, 10.0), 2.0)
-        assert coulomb_integral(a, b, GAAS) == pytest.approx(11.15, abs=0.01)
+    def test_gaussian_closed_form_off_axis(self, gaussian_pair_kernel):
+        # 6 nm in-plane and 8 nm along z: J0 and Z(k) checked together
+        got = gaussian_pair_energy(gaussian_pair_kernel, (6.0, 0, 8.0), 2.0)
+        assert got == pytest.approx(
+            gaussian_pair_closed_form(10.0, 2.0, 12.9), rel=1e-6
+        )
+
+    def test_spot_value(self, gaussian_pair_kernel):
+        got = gaussian_pair_energy(gaussian_pair_kernel, (0, 0, 10.0), 2.0)
+        assert got == pytest.approx(11.15, abs=0.01)
 
     def test_opposite_charges_flip_sign(self):
-        a = gaussian_cloud(+1, (0, 0, 0), 2.0)
-        b = gaussian_cloud(+1, (0, 0, 10.0), 2.0)
-        bneg = dataclasses.replace(b, charge=-1)
+        s = gaas_two_dot()
+        a = carrier_density(s, 0, "e")
+        b = carrier_density(s, 1, "e")
+        bneg = dataclasses.replace(b, charge=-b.charge)
         assert coulomb_integral(a, bneg, GAAS) == -coulomb_integral(a, b, GAAS)
 
-    def test_point_charge_limit(self):
+    def test_point_charge_limit(self, gaussian_pair_kernel):
         # D = 50 sigma: within 0.1% of e^2/(4 pi eps0 eps_r D)
         sigma = 2.0
         d = 50 * sigma
-        a = gaussian_cloud(+1, (0, 0, 0), sigma)
-        b = gaussian_cloud(+1, (0, 0, d), sigma)
         point = units.COULOMB_MEV_NM / 12.9 / d
-        assert coulomb_integral(a, b, GAAS) == pytest.approx(point, rel=1e-3)
+        got = gaussian_pair_energy(gaussian_pair_kernel, (0, 0, d), sigma)
+        assert got == pytest.approx(point, rel=1e-3)
 
     def test_symmetry_under_exchange(self):
         s = gaas_two_dot()
@@ -169,29 +179,29 @@ class TestCoulombIntegral:
             mc_err = abs(scale) * inv.std() / math.sqrt(n)
             assert abs(got - mc) < 5.0 * mc_err
 
-    def test_mixed_profile_kinds_rejected(self):
-        a = gaussian_cloud(+1, (0, 0, 0), 2.0)
-        b = ChargeDensity(1, (0, 0), 2.0, ZProfile("infinite-well", 20.0, 4.0))
-        with pytest.raises(InvalidParameterError):
-            coulomb_integral(a, b, GAAS)
+    def test_partially_overlapping_wells_rejected(self):
+        # no pair kernel covers wells that neither coincide nor stay apart
+        a = carrier_density(gaas_two_dot(), 0, "e")
+        for b in (
+            dataclasses.replace(a, well_center_nm=a.well_center_nm + 1.0),
+            dataclasses.replace(a, well_width_nm=4.0),
+        ):
+            with pytest.raises(InvalidParameterError, match="partially overlapping"):
+                coulomb_integral(a, b, GAAS)
 
 
 def _sample_density(rng, density, n):
     xy = rng.normal(0.0, density.inplane_std_nm, size=(n, 2))
     xy += np.asarray(density.inplane_center_nm)
-    zp = density.z_profile
-    if zp.kind == "gaussian":
-        z = rng.normal(zp.center_nm, zp.width_nm, size=n)
-    else:
-        w = zp.width_nm
-        z = np.empty(n)
-        filled = 0
-        while filled < n:
-            cand = rng.uniform(-w / 2, w / 2, size=2 * (n - filled))
-            keep = rng.uniform(0, 1, size=cand.size) < np.cos(math.pi * cand / w) ** 2
-            take = cand[keep][: n - filled]
-            z[filled : filled + take.size] = take + zp.center_nm
-            filled += take.size
+    w = density.well_width_nm
+    z = np.empty(n)
+    filled = 0
+    while filled < n:
+        cand = rng.uniform(-w / 2, w / 2, size=2 * (n - filled))
+        keep = rng.uniform(0, 1, size=cand.size) < np.cos(math.pi * cand / w) ** 2
+        take = cand[keep][: n - filled]
+        z[filled : filled + take.size] = take + density.well_center_nm
+        filled += take.size
     return np.column_stack([xy, z])
 
 
@@ -352,24 +362,24 @@ class TestNonFiniteRejected:
             gaas_two_dot(field_kv_cm=bad)
 
     @pytest.mark.parametrize("bad", NONFINITE)
-    @pytest.mark.parametrize("kind", ["gaussian", "infinite-well"])
-    def test_z_profile(self, kind, bad):
-        for center, width in ((bad, 5.0), (0.0, bad)):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                ZProfile(kind, center, width)
-
-    @pytest.mark.parametrize("bad", NONFINITE)
     def test_inplane_gaussian(self, bad):
-        for center, std in (((bad, 0.0), 3.0), ((0.0, bad), 3.0), ((0.0, 0.0), bad)):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                InPlaneGaussian(center, std)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            inplane_ground_state(GAAS, bad, -1, 30.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            inplane_ground_state(GAAS, 30.0, -1, bad)
 
     @pytest.mark.parametrize("bad", NONFINITE)
     def test_charge_density(self, bad):
-        z = ZProfile("gaussian", 0.0, 3.0)
-        for center, std in (((bad, 0.0), 3.0), ((0.0, bad), 3.0), ((0.0, 0.0), bad)):
+        # in-plane center, in-plane std, well center, well width
+        for fields in (
+            ((bad, 0.0), 3.0, 0.0, 5.0),
+            ((0.0, bad), 3.0, 0.0, 5.0),
+            ((0.0, 0.0), bad, 0.0, 5.0),
+            ((0.0, 0.0), 3.0, bad, 5.0),
+            ((0.0, 0.0), 3.0, 0.0, bad),
+        ):
             with pytest.raises(InvalidParameterError, match="finite"):
-                ChargeDensity(-1, center, std, z)
+                ChargeDensity(-1, *fields)
 
 
 class TestStructureValidation:

@@ -1498,10 +1498,9 @@ def kicked_step_maps(kicks):
 
 class TestCoordinatePositivity:
     """The map form tests positivity on its states' hermitian_coordinates:
-    one elimination of rho - eig_floor * I (_pivots_positive), once they are
-    finite, clears a batch only when every state is above the floor;
-    anything else goes to the eigvalsh test, which reports as in the stage
-    form."""
+    one elimination of rho - eig_floor * I (_pivots_positive) clears a batch
+    only when every state is finite and above the floor; anything else goes
+    to the eigvalsh test, which reports as in the stage form."""
 
     DT = 1e-3
 
@@ -1535,8 +1534,10 @@ class TestCoordinatePositivity:
             with np.errstate(invalid="ignore"):  # inf * 0, as in the map form's rebuild
                 states[i] = matrices_of(x[i])
         finite = np.isfinite(x).all(axis=1)
-        passes = [dynamics._pivots_positive(x_k[:, None].copy(), eig_floor) for x_k in x[finite]]
-        assert passes == list(np.linalg.eigvalsh(states[finite]).min(axis=1) >= eig_floor)
+        expected = np.zeros(n_states, dtype=bool)  # a non-finite state fails
+        expected[finite] = np.linalg.eigvalsh(states[finite]).min(axis=1) >= eig_floor
+        passes = [dynamics._pivots_positive(x_k[:, None].copy(), eig_floor) for x_k in x]
+        assert passes == list(expected)
         assert coordinate_verdict(x, eig_floor) == per_state_verdict(states, eig_floor)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -1548,12 +1549,12 @@ class TestCoordinatePositivity:
             x = coordinates_of(states)
             x[2, k] = value
             assert coordinate_verdict(x, -1e-6) == ("non-finite density matrix at step 3", 3)
-        # a +inf on any diagonal coordinate, the last one too, passes the
-        # pivots alone: the check tests finiteness first
-        for k in range(dim):
+        # the pivots alone fail it, a +inf on any diagonal coordinate, the
+        # last one too, included
+        for k in range(dim * dim):
             x = coordinates_of(states).T.copy()
-            x[k, 2] = math.inf
-            assert dynamics._pivots_positive(x, -1e-6)
+            x[k, 2] = value
+            assert not dynamics._pivots_positive(x, -1e-6)
 
     def test_state_just_above_floor_passes_without_eigvalsh(self, monkeypatch):
         # the map form's twin of TestCholeskyPositivity's: rho_11 goes to

@@ -1,4 +1,4 @@
-"""sha256 of the simulate, compile and spectrum artifacts of every
+"""sha256 of the simulate, compile, spectrum and shift artifacts of every
 checked-in config.
 
     python3 tools/artifact_hashes.py > hashes.txt
@@ -7,7 +7,9 @@ Runs `excitonsim simulate`, `compile` and `spectrum` from this checkout's
 src/ on every configs/*.cfg and on the benchmark's five-dot chain
 (perfbench/workloads.CHAIN5_CFG), each into its own temporary directory,
 and prints one line `<sha256>  <config>/<command>/<file>` for every file
-of ARTIFACTS, sorted by config.  simulate's manifest.cfg is hashed
+of ARTIFACTS, sorted by config.  A config with a [device] field grid
+(configs/device_derived.cfg) also runs `excitonsim shift`, the one
+command that only the device model feeds, and hashes its shift.csv.  simulate's manifest.cfg is hashed
 without its `# wall_clock_s` line, the one line that changes from run to
 run.  Three last lines `<repr(F)>  <name>/gate_fidelity` give the gate
 fidelity of the config's first gate, computed as the benchmark's
@@ -79,8 +81,12 @@ CNOT_COHERENT_CFG = re.sub(r"\[channels\]\n.*?\n\n", "", CNOT_LINDBLAD_CFG, flag
 
 def artifact_hashes(name: str, config: Path, work: Path) -> list[str]:
     """The hash lines of one config, each command run into work/name/command."""
+    artifacts = dict(ARTIFACTS)
+    device = load_config(str(config)).device
+    if device is not None and device.field_grid_kv_cm:
+        artifacts["shift"] = ("shift.csv",)
     lines = []
-    for command, files in ARTIFACTS.items():
+    for command, files in artifacts.items():
         out_dir = work / name / command
         with contextlib.redirect_stdout(io.StringIO()):
             code = excitonsim_main([command, "--config", str(config), "--out-dir", str(out_dir)])
