@@ -543,8 +543,8 @@ def _pivots_positive(x: np.ndarray, floor: float) -> bool:
     in real arithmetic and in x, which it overwrites: each pivot row's
     entries update the rows below it, a few whole-row operations per pair
     of rows, about 4 d^2 numpy calls in all.  Every pivot is positive iff
-    the matrix is positive definite.  A pivot must also be finite, so a
-    state with a non-finite coordinate fails: every coordinate reaches a
+    the matrix is positive definite.  Every pivot must also be finite, so
+    a state with a non-finite coordinate fails: every coordinate reaches a
     pivot, and NaN or inf does not turn finite on the way.
     """
     dim = math.isqrt(len(x))
@@ -556,7 +556,7 @@ def _pivots_positive(x: np.ndarray, floor: float) -> bool:
 
     for k in range(dim):
         pivot = diagonal[k]
-        if not ((pivot > 0) & (pivot < math.inf)).all():
+        if not (pivot > 0).all():
             return False
         u_re, u_im = re[row(k) : row(k + 1)], im[row(k) : row(k + 1)]  # a_kj, j > k
         w_re, w_im = u_re / pivot, u_im / pivot
@@ -565,7 +565,7 @@ def _pivots_positive(x: np.ndarray, floor: float) -> bool:
             t, block = i - k, slice(row(i), row(i + 1))
             re[block] -= w_re[t - 1] * u_re[t:] + w_im[t - 1] * u_im[t:]
             im[block] -= w_re[t - 1] * u_im[t:] - w_im[t - 1] * u_re[t:]
-    return True
+    return bool(np.isfinite(diagonal).all())  # the pivots stay there: +inf fails
 
 
 class _StepCheck:
