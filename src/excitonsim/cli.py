@@ -49,8 +49,8 @@ EXIT_CONFIG = 2
 EXIT_DIAGNOSTICS = 3
 
 # The most dots that compile and simulate take: they build arrays of 2^N
-# basis states, and at 10 dots (d = 1,024) the stage form's buffers already
-# take about 0.2 GB.  shift and spectrum build none and take any number.
+# basis states, and a 10-dot simulate (d = 1,024) of ten steps already peaks
+# at 320 MB resident.  shift and spectrum build none and take any number.
 MAX_DOTS = 10
 
 

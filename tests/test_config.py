@@ -472,38 +472,30 @@ def test_bad_value_exits_2_naming_its_key(section, line, named, tmp_path, capsys
         assert not list(out.iterdir()), command
 
 
-def register_text(n, extra=""):
-    """A [register] config of n dots at 1.7 eV, then extra."""
-    return f"[register]\nenergies_ev = {' '.join(['1.7'] * n)}\n{extra}"
-
-
 @pytest.mark.parametrize(
-    "command, text",
+    "command, n, extra",
     [
-        ("compile", register_text(11, "[program]\ngate.1 = rotation target=a\n")),
-        ("simulate", register_text(11, "[integration]\nduration_ps = 0.01\n")),
+        ("compile", 11, "[program]\ngate.1 = rotation target=a\n"),
+        ("simulate", 11, "[integration]\nduration_ps = 0.01\n"),
         # 2^40 basis states, and no program
-        ("simulate", register_text(40, "[integration]\nduration_ps = 0.01\n")),
+        ("simulate", 40, "[integration]\nduration_ps = 0.01\n"),
         # a rotation of a, which 30 shifts condition on 2^30 neighbour patterns
         (
             "compile",
-            register_text(
-                31,
-                "".join(f"shift_mev_0_{j} = 1.0\n" for j in range(1, 31))
-                + "[program]\ngate.1 = rotation target=a angle=pi/2\n",
-            ),
+            31,
+            "".join(f"shift_mev_0_{j} = 1.0\n" for j in range(1, 31))
+            + "[program]\ngate.1 = rotation target=a angle=pi/2\n",
         ),
     ],
     ids=["compile-11", "simulate-11", "simulate-40", "compile-31"],
 )
-def test_too_many_dots_exit_2_before_any_file(command, text, tmp_path, capsys):
+def test_too_many_dots_exit_2_before_any_file(command, n, extra, tmp_path, capsys):
     # the check comes before any array of 2^N states: none is allocated
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text, encoding="utf-8")
+    cfg.write_text(f"[register]\nenergies_ev = {' '.join(['1.7'] * n)}\n{extra}", encoding="utf-8")
     out = tmp_path / "out"
     rc = main([command, "--config", str(cfg), "--out-dir", str(out)])
     err = capsys.readouterr().err
-    n = text.splitlines()[1].count("1.7")
     assert rc == 2
     assert err == f"error: {cfg}: [register] energies_ev: {n} dots: compile and simulate take at most 10\n"
     assert not list(out.iterdir())
